@@ -467,165 +467,79 @@ BenchReport::finish()
 }
 
 WorkloadRun
-runWorkload(Workload& workload, std::size_t queries,
-            const std::vector<Topology>& topologies, QueryMode mode,
-            std::uint64_t seed, bool capture_stats)
+runWorkload(Workload& workload, const MatrixOptions& options)
 {
     WorkloadRun run;
     run.name = workload.name();
-    const std::size_t n =
-        queries == 0 ? workload.defaultQueries() : queries;
+    const bool armTrace =
+        options.captureTrace || !options.tracePath.empty();
 
+    // The baseline cell's time includes building the row's World.
     const auto start = Clock::now();
-    World world(seed);
+    World world(options.seed, options.chip);
     workload.build(world);
-    run.prepared = workload.prepare(world, n);
+    run.prepared = workload.prepare(
+        world, options.queries == 0 ? workload.defaultQueries()
+                                    : options.queries);
 
-    // runBaseline/runQei reset every activity counter up front, so a
-    // post-run capture is exactly this run's activity.
+    // Arm after build/prepare so the timeline covers only the measured
+    // region; each cell drains its own events below.
+    if (armTrace) {
+        world.traceSink.enable(options.traceCapacity
+                                   ? options.traceCapacity
+                                   : trace::TraceSink::kDefaultCapacity);
+    }
+
+    // runBaseline/runQei reset every per-run counter (and the trace
+    // intern tables) up front, so a post-run capture is exactly this
+    // cell's activity, as on a fresh World.
+    auto finishCell = [&](const std::string& label,
+                          Clock::time_point cellStart) {
+        run.activity[label] = ChipActivity::capture(world.hierarchy);
+        if (armTrace)
+            run.traces[label] = world.traceSink.drain();
+        run.cellWallMs[label] = msSince(cellStart);
+    };
     run.baseline = runBaseline(world, run.prepared);
-    run.activity["baseline"] = ChipActivity::capture(world.hierarchy);
-    run.cellWallMs["baseline"] = msSince(start);
+    finishCell("baseline", start);
 
-    // The planner's cost-model class for every cell of this workload;
-    // mode stays Inherit, so this only takes effect under --planner.
+    // Cost-model class for every cell of this row; Inherit mode means
+    // the planner only engages under --planner / QEI_PLANNER.
     PlannerConfig plannerCfg;
     plannerCfg.workload = run.name;
-
-    for (const Topology& topo : topologies) {
+    for (const Topology& topo : options.topologies) {
         const auto cellStart = Clock::now();
-        std::string stats_json;
         const std::string name = topo.name();
+        std::string statsJson;
         run.schemes[name] = runQei(
             world, run.prepared,
             DriverConfig(topo)
-                .withMode(mode)
+                .withMode(options.mode)
+                .withPollBatch(options.pollBatch)
+                .withBatch(options.batch)
                 .withLabel(run.name + "/" + name)
                 .withPlanner(plannerCfg)
-                .captureStats(capture_stats ? &stats_json : nullptr));
-        run.activity[name] = ChipActivity::capture(world.hierarchy);
-        if (capture_stats)
-            run.statsJson[name] = std::move(stats_json);
-        run.cellWallMs[name] = msSince(cellStart);
+                .captureStats(options.captureStats ? &statsJson
+                                                   : nullptr));
+        if (options.captureStats)
+            run.statsJson[name] = std::move(statsJson);
+        finishCell(name, cellStart);
     }
     run.hostWallMs = msSince(start);
     return run;
 }
 
-namespace {
-
-/** One (workload, scheme-or-baseline) experiment's raw outcome. */
-struct CellResult
-{
-    std::string workloadName;
-    CoreRunResult baseline;
-    Prepared prepared;
-    QeiRunStats stats;
-    ChipActivity activity;
-    std::string statsJson;
-    trace::TraceBuffer traceBuf;
-    double wallMs = 0.0;
-};
-
-} // namespace
-
 std::vector<WorkloadRun>
 runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
                   const MatrixOptions& options)
 {
-    // Cell layout: for each workload, one baseline cell followed by
-    // one cell per topology — index math keeps reassembly
-    // deterministic.
-    const std::size_t stride = 1 + options.topologies.size();
-    const std::size_t cellCount = workloads.size() * stride;
-    const bool armTrace =
-        options.captureTrace || !options.tracePath.empty();
-
-    auto runCell = [&](std::size_t index) -> CellResult {
-        const auto start = Clock::now();
-        const std::size_t w = index / stride;
-        const std::size_t s = index % stride; // 0 = baseline
-        CellResult out;
-
-        // Private Workload + World per cell: bit-identical to the
-        // serial path because build/prepare are deterministic in the
-        // seed, and safe because cells share no mutable state.
-        std::unique_ptr<Workload> workload = workloads[w]();
-        out.workloadName = workload->name();
-        World world(options.seed, options.chip);
-        workload->build(world);
-        const std::size_t n = options.queries == 0
-                                  ? workload->defaultQueries()
-                                  : options.queries;
-        out.prepared = workload->prepare(world, n);
-
-        // Arm after build/prepare so the timeline covers only the
-        // measured region. The sink is this cell's private World
-        // member, so capture stays race-free under any --threads.
-        if (armTrace) {
-            world.traceSink.enable(
-                options.traceCapacity
-                    ? options.traceCapacity
-                    : trace::TraceSink::kDefaultCapacity);
-        }
-
-        if (s == 0) {
-            out.baseline = runBaseline(world, out.prepared);
-        } else {
-            const Topology& topo = options.topologies[s - 1];
-            // Cost-model class for this cell; Inherit mode means the
-            // planner only engages under --planner / QEI_PLANNER.
-            PlannerConfig plannerCfg;
-            plannerCfg.workload = out.workloadName;
-            out.stats = runQei(
-                world, out.prepared,
-                DriverConfig(topo)
-                    .withMode(options.mode)
-                    .withPollBatch(options.pollBatch)
-                    .withBatch(options.batch)
-                    .withLabel(out.workloadName + "/" + topo.name())
-                    .withPlanner(plannerCfg)
-                    .captureStats(options.captureStats ? &out.statsJson
-                                                       : nullptr));
-        }
-        out.activity = ChipActivity::capture(world.hierarchy);
-        if (armTrace)
-            out.traceBuf = world.traceSink.drain();
-        out.wallMs = msSince(start);
-        return out;
-    };
-
-    std::vector<CellResult> cells =
-        parallelMap(options.threads, cellCount, runCell);
-
-    std::vector<WorkloadRun> runs;
-    runs.reserve(workloads.size());
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        CellResult& base = cells[w * stride];
-        WorkloadRun run;
-        run.name = std::move(base.workloadName);
-        run.baseline = base.baseline;
-        run.prepared = std::move(base.prepared);
-        run.activity["baseline"] = base.activity;
-        run.cellWallMs["baseline"] = base.wallMs;
-        run.hostWallMs = base.wallMs;
-        if (armTrace)
-            run.traces["baseline"] = std::move(base.traceBuf);
-        for (std::size_t s = 0; s < options.topologies.size(); ++s) {
-            CellResult& cell = cells[w * stride + 1 + s];
-            const std::string name = options.topologies[s].name();
-            run.schemes[name] = cell.stats;
-            run.activity[name] = cell.activity;
-            if (options.captureStats)
-                run.statsJson[name] = std::move(cell.statsJson);
-            if (armTrace)
-                run.traces[name] = std::move(cell.traceBuf);
-            run.cellWallMs[name] = cell.wallMs;
-            run.hostWallMs += cell.wallMs;
-        }
-        runs.push_back(std::move(run));
-    }
-
+    // One task per row, each with a private Workload + World; results
+    // come back in workload order whatever the completion order.
+    std::vector<WorkloadRun> runs =
+        parallelMap(options.threads, workloads.size(),
+                    [&](std::size_t w) {
+                        return runWorkload(*workloads[w](), options);
+                    });
     if (!options.tracePath.empty())
         writeMatrixTraces(runs, options.tracePath);
     return runs;

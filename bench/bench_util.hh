@@ -4,11 +4,12 @@
  * a workload once, run the software baseline and every integration
  * scheme on identical query streams, and report.
  *
- * The (workload x scheme) matrix most harnesses run is embarrassingly
- * parallel — every cell builds its own World — so runWorkloadMatrix()
- * fans the cells across a qei::ThreadPool. Results are assembled in
- * workload/scheme order regardless of completion order, making the
- * numbers bit-identical at any `--threads` setting.
+ * The (workload x scheme) matrix most harnesses run is parallel by
+ * row: each workload builds one World and runs its baseline and every
+ * scheme on it in order, and rows share nothing, so
+ * runWorkloadMatrix() fans the rows across a qei::ThreadPool. Results
+ * are assembled in workload/scheme order regardless of completion
+ * order, making the numbers bit-identical at any `--threads` setting.
  */
 
 #ifndef QEI_BENCH_BENCH_UTIL_HH
@@ -176,14 +177,18 @@ struct WorkloadRun
      *  plus "baseline". */
     std::map<std::string, ChipActivity> activity;
     /** Full component-tree stats dumps, keyed like `schemes`; only
-     *  populated when runWorkload() was asked to capture them. */
+     *  populated under MatrixOptions::captureStats. */
     std::map<std::string, std::string> statsJson;
     /** Drained timeline events, keyed like `activity`; only populated
      *  when the matrix armed trace capture. */
     std::map<std::string, trace::TraceBuffer> traces;
-    /** Host wall time of each cell, keyed like `activity`. */
+    /**
+     * Host wall time of each cell, keyed like `activity`. The
+     * baseline cell also covers the row's World construction, build
+     * and prepare.
+     */
     std::map<std::string, double> cellWallMs;
-    /** Summed host wall time of this workload's cells. */
+    /** Host wall time of the whole row (the sum of its cells). */
     double hostWallMs = 0.0;
 
     double
@@ -203,24 +208,11 @@ struct WorkloadRun
     }
 };
 
-/**
- * Build @p workload in a fresh world and run baseline + the given
- * topologies on @p queries matched queries (workload default when 0).
- * A vector of SchemeConfigs converts element-wise at the call site via
- * Topology's implicit constructor.
- */
-WorkloadRun runWorkload(Workload& workload, std::size_t queries = 0,
-                        const std::vector<Topology>& topologies =
-                            Topology::allPaper(),
-                        QueryMode mode = QueryMode::Blocking,
-                        std::uint64_t seed = 42,
-                        bool capture_stats = false);
-
 /** Knobs for a full (workload x scheme) matrix run. */
 struct MatrixOptions
 {
     /**
-     * Machine description every cell's World is built from. The
+     * Machine description every row's World is built from. The
      * default picks up QEI_FAULTS, so `--faults` reaches matrix
      * harnesses without per-harness wiring; fault harnesses override
      * `chip.faults` explicitly per mix.
@@ -237,7 +229,7 @@ struct MatrixOptions
     /** QUERY_BATCH config for every cell; default scalar (size 1). */
     BatchConfig batch;
     bool captureStats = false;
-    /** Host threads; 1 runs every cell inline on this thread. */
+    /** Host threads; 1 runs every row inline on this thread. */
     int threads = 1;
     /**
      * Merged Perfetto timeline destination; per-cell files are written
@@ -253,12 +245,25 @@ struct MatrixOptions
 };
 
 /**
- * Run the full (workload x topology) matrix, one baseline cell plus
- * one cell per topology for every workload, fanned across
- * min(threads, cells) host threads. Every cell constructs its own
- * World/Workload/QeiSystem from the same seed, so the returned runs
- * are bit-identical to the serial path at any thread count; results
- * come back in (workload, topology) order.
+ * Run one matrix row: construct a World from @p options' seed and
+ * chip, build @p workload and prepare its query stream once, then run
+ * the software baseline and every topology in order on that World.
+ * Every run resets the World's per-run state first, so each cell is
+ * bit-identical to one on a fresh World. Stats dumps and trace
+ * buffers are captured per cell as @p options asks; `threads` and
+ * writing the `tracePath` files are left to runWorkloadMatrix().
+ */
+WorkloadRun runWorkload(Workload& workload,
+                        const MatrixOptions& options = {});
+
+/**
+ * Run the full (workload x topology) matrix: one runWorkload() row per
+ * workload, fanned across min(threads, workloads) host threads. Rows
+ * share nothing and cells are independent of the World they share, so
+ * the returned runs are bit-identical at any thread count; results
+ * come back in workload order. With only five paper rows, more than
+ * five threads cannot help, and the slowest row (jvm) bounds the
+ * wall time.
  */
 std::vector<WorkloadRun> runWorkloadMatrix(
     const std::vector<WorkloadFactory>& workloads,

@@ -36,7 +36,7 @@
 #               here if the bench binaries are missing
 #   output-dir  where the BENCH_*.json files land (default: .)
 #   threads     host threads per harness (default: $QEI_BENCH_THREADS,
-#               else "auto" = all hardware threads); every cell still
+#               else "auto" = all hardware threads); every task still
 #               simulates a private world, so results are identical at
 #               any thread count
 set -eu

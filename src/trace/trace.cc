@@ -56,6 +56,19 @@ TraceSink::internName(const std::string& name)
     return id;
 }
 
+void
+TraceSink::rollbackInterns(const InternMark& mark)
+{
+    while (componentNames_.size() > mark.components) {
+        componentIds_.erase(componentNames_.back());
+        componentNames_.pop_back();
+    }
+    while (nameTable_.size() > mark.names) {
+        nameIds_.erase(nameTable_.back());
+        nameTable_.pop_back();
+    }
+}
+
 std::vector<TraceEvent>
 TraceSink::ordered() const
 {

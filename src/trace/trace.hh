@@ -13,8 +13,8 @@
  *  - zero heap churn on the hot path: the ring is allocated once at
  *    enable() and wraps (oldest events are overwritten); component and
  *    event names are interned to small ids at setup time;
- *  - per-World: sinks are owned by the World a cell simulates, so
- *    parallel matrix cells never share one (the no-shared-mutable-state
+ *  - per-World: sinks are owned by the World a task simulates, so
+ *    parallel matrix rows never share one (the no-shared-mutable-state
  *    rule of docs/performance.md);
  *  - compiled-out-able: configuring with -DQEI_TRACING=OFF removes the
  *    recording path entirely — trace::active() becomes constant false
@@ -135,6 +135,27 @@ class TraceSink
      */
     std::uint16_t internComponent(const std::string& path);
     std::uint32_t internName(const std::string& name);
+
+    /** Sizes of the two intern tables at one point in time. */
+    struct InternMark
+    {
+        std::size_t components = 0;
+        std::size_t names = 0;
+    };
+
+    InternMark
+    internMark() const
+    {
+        return {componentNames_.size(), nameTable_.size()};
+    }
+
+    /**
+     * Forget every component and name interned after @p mark, so the
+     * next interns hand out the ids a sink that stopped at @p mark
+     * would. Ids issued after the mark become invalid: whoever holds
+     * them must be gone (or never record again) before this is called.
+     */
+    void rollbackInterns(const InternMark& mark);
 
     /**
      * Append one event. Call sites must guard with trace::active(), so

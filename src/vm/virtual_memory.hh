@@ -161,6 +161,9 @@ class VirtualMemory : public SimObject
         }
     }
 
+    /** Zero the walk count (fresh measurement window). */
+    void resetPageWalks() { pageWalks_.reset(); }
+
     /** Allocate @p bytes with @p align alignment; maps pages eagerly. */
     Addr alloc(std::uint64_t bytes, std::uint64_t align = 8);
 

@@ -30,16 +30,22 @@ namespace qei {
 /**
  * Everything one experiment runs against.
  *
- * Thread-safety rule — *no shared mutable state per cell*: a World
+ * Thread-safety rule — *no shared mutable state per task*: a World
  * owns every piece of mutable simulation state an experiment touches
  * (SimMemory, VirtualMemory, MemoryHierarchy, EventQueue, its own
  * FirmwareStore copy from FirmwareStore::factory(), and the Rng), and
- * StatsRegistry instances are built per QeiSystem, so two experiment
- * cells running on different Worlds never race. Parallel runners
+ * StatsRegistry instances are built per QeiSystem, so two tasks
+ * running on different Worlds never race. Parallel runners
  * (bench_util::runWorkloadMatrix, qei::parallelMap) rely on this:
  * give each task its own World + Workload instance and touch nothing
  * static. The only process-wide state simulation code may share is
  * the logging layer, which is thread-safe (common/logging.hh).
+ *
+ * Within one task, runs on a World are sequential and independent:
+ * runBaseline() and runQei() start with resetTiming() + warmLlc(), so
+ * a matrix row builds and prepares its World once and runs the
+ * baseline and every topology on it, each cell bit-identical to one
+ * on a fresh World.
  */
 struct World
 {
@@ -57,12 +63,17 @@ struct World
         events.setTraceSink(&traceSink);
         hierarchy.setTraceSink(&traceSink);
         vm.setTraceSink(&traceSink);
+        worldInterns_ = traceSink.internMark();
     }
 
     /**
-     * Reset all timing state (caches, NoC traffic, DRAM queues, event
-     * queue) without touching the built data structures, so baseline
-     * and every scheme start from the same machine state.
+     * Reset all per-run state (caches, NoC traffic, DRAM queues, event
+     * queue, the page-walk count, and the trace intern tables back to
+     * the world's own components) without touching the built data
+     * structures, so baseline and every scheme start from the machine
+     * state — and produce the stats and traces — of a fresh World.
+     * Per-run components (MMUs, cores, QeiSystems) built before this
+     * call must not record after it: their trace ids are re-issued.
      */
     void
     resetTiming()
@@ -72,6 +83,8 @@ struct World
         hierarchy.mesh().resetTraffic();
         hierarchy.dram().reset();
         events.reset();
+        vm.resetPageWalks();
+        traceSink.rollbackInterns(worldInterns_);
     }
 
     /**
@@ -103,11 +116,15 @@ struct World
     Rng rng;
     /**
      * Per-world timeline event sink (tentpole of the observability
-     * work): private to this world, so parallel matrix cells never
+     * work): private to this world, so parallel matrix rows never
      * share trace state. Declared last so every component it observes
      * outlives it during destruction.
      */
     trace::TraceSink traceSink;
+
+  private:
+    /** Intern tables once the world's own components are wired. */
+    trace::TraceSink::InternMark worldInterns_;
 };
 
 /** Matched baseline/QEI query streams for one workload. */
@@ -168,10 +185,10 @@ using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
 
 /**
  * One factory per paper workload, in the paper's presentation order.
- * Parallel experiment runners use these so every (workload, scheme)
- * cell owns a private Workload instance — Workload subclasses keep
+ * Parallel experiment runners use these so every task (a matrix row)
+ * owns a private Workload instance — Workload subclasses keep
  * per-World build state, so instances must not be shared across
- * concurrent cells.
+ * concurrent tasks.
  */
 std::vector<WorkloadFactory> makeWorkloadFactories();
 

@@ -21,10 +21,10 @@ goldenRun()
 {
     static const WorkloadRun run = [] {
         auto workloads = makeAllWorkloads();
-        return runWorkload(*workloads.front(), 400,
-                           Topology::allPaper(),
-                           QueryMode::Blocking, 42,
-                           /*capture_stats=*/true);
+        MatrixOptions options;
+        options.queries = 400;
+        options.captureStats = true;
+        return runWorkload(*workloads.front(), options);
     }();
     return run;
 }
@@ -140,8 +140,10 @@ TEST(BenchJson, HostSelfMetricsStampSimEventRateAndCellWalls)
     // its sim-event baseline brackets the run.
     BenchReport report("unit_host", BenchOptions{});
     auto workloads = makeAllWorkloads();
-    const WorkloadRun run = runWorkload(
-        *workloads.front(), 120, {SchemeConfig::coreIntegrated()});
+    MatrixOptions options;
+    options.queries = 120;
+    options.topologies = {SchemeConfig::coreIntegrated()};
+    const WorkloadRun run = runWorkload(*workloads.front(), options);
     report.data()["run"] = toJson(run);
     ASSERT_TRUE(report.finish());
 

@@ -1,13 +1,19 @@
 /**
  * Determinism contract of the parallel experiment engine: running the
  * (workload x scheme) matrix at --threads 8 must produce exactly the
- * same simulated numbers as --threads 1, because every cell owns a
- * private World rebuilt from the same seed.
+ * same simulated numbers as --threads 1, because every row owns a
+ * private World built from the same seed. And reusing that World for
+ * every cell of the row must produce exactly what a fresh World per
+ * cell does.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "bench_util.hh"
+#include "fault/fault_config.hh"
 
 using namespace qei;
 using namespace qei::bench;
@@ -141,6 +147,203 @@ TEST(ParallelRuns, TraceEventCountsMatchAcrossThreadCounts)
                     << a[w].name << " / " << cell;
         }
     }
+}
+
+namespace {
+
+/** What one cell produces, as runWorkloadMatrix captures it. */
+struct Cell
+{
+    CoreRunResult baseline;
+    QeiRunStats stats;
+    ChipActivity activity;
+    std::string statsJson;
+    trace::TraceBuffer trace;
+};
+
+/**
+ * The reference a matrix row must reproduce: cell @p cell of
+ * @p factory's row (0 = baseline, else topology cell - 1) on a World
+ * built, prepared and armed for that cell alone.
+ */
+Cell
+freshWorldCell(const WorkloadFactory& factory,
+               const MatrixOptions& options, std::size_t cell)
+{
+    std::unique_ptr<Workload> workload = factory();
+    World world(options.seed, options.chip);
+    workload->build(world);
+    const Prepared prepared = workload->prepare(world, options.queries);
+    world.traceSink.enable(options.traceCapacity);
+
+    Cell out;
+    if (cell == 0) {
+        out.baseline = runBaseline(world, prepared);
+    } else {
+        PlannerConfig planner;
+        planner.workload = workload->name();
+        out.stats = runQei(
+            world, prepared,
+            DriverConfig(options.topologies[cell - 1])
+                .withMode(options.mode)
+                .withPollBatch(options.pollBatch)
+                .withBatch(options.batch)
+                .withPlanner(planner)
+                .captureStats(&out.statsJson));
+    }
+    out.activity = ChipActivity::capture(world.hierarchy);
+    out.trace = world.traceSink.drain();
+    return out;
+}
+
+void
+expectSameDigest(const LatencyDigest& a, const LatencyDigest& b,
+                 const std::string& what)
+{
+    EXPECT_EQ(a.count, b.count) << what;
+    EXPECT_DOUBLE_EQ(a.mean, b.mean) << what;
+    EXPECT_DOUBLE_EQ(a.max, b.max) << what;
+    EXPECT_DOUBLE_EQ(a.p50, b.p50) << what;
+    EXPECT_DOUBLE_EQ(a.p99, b.p99) << what;
+    EXPECT_DOUBLE_EQ(a.p999, b.p999) << what;
+}
+
+/** Every QeiRunStats field: toJson() carries all but the digests. */
+void
+expectSameRun(const QeiRunStats& a, const QeiRunStats& b,
+              const std::string& cell)
+{
+    EXPECT_EQ(toJson(a).dump(), toJson(b).dump()) << cell;
+    expectSameDigest(a.sojourn, b.sojourn, cell + " sojourn");
+    expectSameDigest(a.queueWait, b.queueWait, cell + " queue wait");
+    expectSameDigest(a.service, b.service, cell + " service");
+}
+
+void
+expectSameActivity(const ChipActivity& a, const ChipActivity& b,
+                   const std::string& cell)
+{
+    EXPECT_EQ(a.l1Accesses, b.l1Accesses) << cell;
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses) << cell;
+    EXPECT_EQ(a.llcAccesses, b.llcAccesses) << cell;
+    EXPECT_EQ(a.dramAccesses, b.dramAccesses) << cell;
+    EXPECT_EQ(a.nocBytes, b.nocBytes) << cell;
+}
+
+void
+expectSameTrace(const trace::TraceBuffer& a, const trace::TraceBuffer& b,
+                const std::string& cell)
+{
+    EXPECT_EQ(a.components, b.components) << cell;
+    EXPECT_EQ(a.names, b.names) << cell;
+    EXPECT_EQ(a.emitted, b.emitted) << cell;
+    EXPECT_EQ(a.dropped, b.dropped) << cell;
+    ASSERT_EQ(a.events.size(), b.events.size()) << cell;
+    for (std::size_t i = 0; i < a.events.size(); ++i) {
+        const trace::TraceEvent& x = a.events[i];
+        const trace::TraceEvent& y = b.events[i];
+        const bool same = x.tick == y.tick && x.duration == y.duration &&
+                          x.queryId == y.queryId && x.value == y.value &&
+                          x.nameId == y.nameId &&
+                          x.componentId == y.componentId &&
+                          x.category == y.category;
+        ASSERT_TRUE(same) << cell << ": first differing event " << i;
+    }
+}
+
+/**
+ * Run every paper workload's row through runWorkloadMatrix and check
+ * each cell against freshWorldCell(): results, activity, stats dump
+ * and trace buffer must all be identical.
+ */
+void
+expectReuseMatchesFreshWorlds(MatrixOptions options)
+{
+    constexpr int kThreads = 4;
+    options.captureStats = true;
+    options.captureTrace = true;
+    // A small ring keeps the comparison cheap; it wraps, so the
+    // retained tail and the drop counts are compared too.
+    options.traceCapacity = 4096;
+
+    // One single-row matrix per workload at 300 queries, or fewer
+    // where the default is lower: a snort job scans a whole buffer, so
+    // its 24 default jobs are already a full run.
+    const auto factories = makeWorkloadFactories();
+    std::vector<MatrixOptions> perWorkload(factories.size(), options);
+    for (std::size_t w = 0; w < factories.size(); ++w) {
+        perWorkload[w].queries =
+            std::min<std::size_t>(300, factories[w]()->defaultQueries());
+    }
+    const std::vector<WorkloadRun> runs =
+        parallelMap(kThreads, factories.size(), [&](std::size_t w) {
+            return runWorkloadMatrix({factories[w]}, perWorkload[w])
+                .front();
+        });
+    const std::size_t stride = 1 + options.topologies.size();
+    const std::vector<Cell> reference = parallelMap(
+        kThreads, factories.size() * stride, [&](std::size_t i) {
+            return freshWorldCell(factories[i / stride],
+                                  perWorkload[i / stride], i % stride);
+        });
+
+    for (std::size_t w = 0; w < runs.size(); ++w) {
+        const WorkloadRun& run = runs[w];
+        const Cell& base = reference[w * stride];
+        expectSameBaseline(run.baseline, base.baseline);
+        expectSameActivity(run.activity.at("baseline"), base.activity,
+                           run.name + "/baseline");
+        expectSameTrace(run.traces.at("baseline"), base.trace,
+                        run.name + "/baseline");
+        for (std::size_t s = 0; s < options.topologies.size(); ++s) {
+            const std::string name = options.topologies[s].name();
+            const std::string cell = run.name + "/" + name;
+            const Cell& ref = reference[w * stride + 1 + s];
+            expectSameRun(run.schemes.at(name), ref.stats, cell);
+            expectSameActivity(run.activity.at(name), ref.activity,
+                               cell);
+            EXPECT_EQ(run.statsJson.at(name), ref.statsJson) << cell;
+            expectSameTrace(run.traces.at(name), ref.trace, cell);
+        }
+    }
+}
+
+} // namespace
+
+TEST(ParallelRuns, ReusedWorldMatchesFreshWorlds)
+{
+    expectReuseMatchesFreshWorlds(MatrixOptions{});
+}
+
+TEST(ParallelRuns, ReusedWorldMatchesFreshWorldsUnderFaults)
+{
+    MatrixOptions options;
+    options.chip.faults = parseFaultSpec("pf=0.01,bh=0.005,seed=7");
+    expectReuseMatchesFreshWorlds(options);
+}
+
+TEST(ParallelRuns, ReusedWorldMatchesFreshWorldsNonBlocking)
+{
+    MatrixOptions options;
+    options.mode = QueryMode::NonBlocking;
+    expectReuseMatchesFreshWorlds(options);
+}
+
+TEST(ParallelRuns, ReusedWorldMatchesFreshWorldsBatched)
+{
+    MatrixOptions options;
+    options.batch.size = 8;
+    expectReuseMatchesFreshWorlds(options);
+}
+
+TEST(ParallelRuns, ReusedWorldMatchesFreshWorldsUnderCostPlanner)
+{
+    // Every cell leaves its planner mode at Inherit, so the process
+    // default decides, as under a harness's --planner cost.
+    ASSERT_EQ(std::getenv("QEI_PLANNER"), nullptr);
+    ::setenv("QEI_PLANNER", "cost", 1);
+    expectReuseMatchesFreshWorlds(MatrixOptions{});
+    ::unsetenv("QEI_PLANNER");
 }
 
 TEST(ParallelRuns, HostPerfFieldsPopulated)

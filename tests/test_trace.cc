@@ -62,6 +62,43 @@ TEST(Trace, InterningIsStableAndDeduplicated)
     EXPECT_NE(n, sink.internName("deliver"));
 }
 
+TEST(Trace, RollbackInternsReissuesTheSameIds)
+{
+    trace::TraceSink sink;
+    const auto kept = sink.internComponent("events");
+    const auto keptName = sink.internName("run");
+    const trace::TraceSink::InternMark mark = sink.internMark();
+    const auto core = sink.internComponent("core0");
+    const auto query = sink.internName("sw_query");
+
+    sink.rollbackInterns(mark);
+    EXPECT_EQ(sink.components(), std::vector<std::string>{"events"});
+    EXPECT_EQ(sink.names(), std::vector<std::string>{"run"});
+    // Ids below the mark survive; the next intern reuses the first id
+    // past it, as a sink that stopped at the mark would hand out.
+    EXPECT_EQ(sink.internComponent("events"), kept);
+    EXPECT_EQ(sink.internName("run"), keptName);
+    EXPECT_EQ(sink.internComponent("system.accel0"), core);
+    EXPECT_EQ(sink.internName("query"), query);
+    EXPECT_EQ(sink.internComponent("core0"), core + 1);
+}
+
+TEST(Trace, WorldResetForgetsPerRunComponents)
+{
+    // A run's MMU interns itself on a World; resetTiming() must leave
+    // the next run the intern tables of a fresh World.
+    World fresh(3);
+    World reused(3);
+    {
+        Mmu mmu(reused.vm, reused.chip.mmu);
+        mmu.setTraceSink(&reused.traceSink);
+    }
+    EXPECT_NE(reused.traceSink.components(), fresh.traceSink.components());
+    reused.resetTiming();
+    EXPECT_EQ(reused.traceSink.components(), fresh.traceSink.components());
+    EXPECT_EQ(reused.traceSink.names(), fresh.traceSink.names());
+}
+
 TEST(Trace, RingWrapKeepsNewestEvents)
 {
     TestSink t(8);

@@ -134,6 +134,23 @@ TEST(Workloads, JvmTreeWalksManyNodes)
     EXPECT_GT(touches / 50.0, 10.0);
 }
 
+TEST(Workloads, RepeatedRunsOnOneWorldDumpIdenticalStats)
+{
+    // Every run resets the World's per-run state, page-walk count
+    // included, so a second run's stats dump equals the first's.
+    RocksDbMemtableWorkload workload;
+    World world(5);
+    workload.build(world);
+    const Prepared prep = workload.prepare(world, 100);
+    std::string first;
+    std::string second;
+    const DriverConfig chaTlb(SchemeConfig::chaTlb());
+    runQei(world, prep, DriverConfig(chaTlb).captureStats(&first));
+    runQei(world, prep, DriverConfig(chaTlb).captureStats(&second));
+    EXPECT_GT(Json::parse(first).at("system.vm.page_walks").asUint(), 0u);
+    EXPECT_EQ(first, second);
+}
+
 TEST(Workloads, PreparedStreamsAreDeterministic)
 {
     DpdkFibWorkload a(2048, 512);
