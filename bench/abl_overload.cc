@@ -59,7 +59,7 @@ struct CellSpec
  * compare keep everything but the probed knob identical.
  */
 const std::vector<CellSpec> kCells{
-    // No admission: the melt-down baseline (legacy open-loop path).
+    // No admission: the melt-down baseline (plain open loop).
     {"none-100", 100, 1, AdmissionPolicy::None, false,
      TenantShare::None, false},
     {"none-400", 400, 1, AdmissionPolicy::None, false,

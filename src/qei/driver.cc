@@ -1,9 +1,5 @@
 #include "driver.hh"
 
-#include <algorithm>
-#include <deque>
-#include <functional>
-
 #include "common/logging.hh"
 
 namespace qei {
@@ -94,550 +90,19 @@ Driver::run(const std::vector<QueryJob>& jobs,
                   "open-loop arrival timeline does not provide");
         stats = system_.runBatched(jobs, config_.core, profile,
                                    config_.batch);
-    } else if (closed) {
-        // The legacy loops ARE the closed-loop semantics; delegating
-        // keeps every pre-traffic-layer result bit-identical.
-        if (config_.mode == QueryMode::Blocking) {
-            stats = system_.runBlocking(jobs, config_.core, profile);
-        } else {
-            stats = system_.runNonBlocking(jobs, config_.core, profile,
-                                           config_.pollBatch);
-        }
+    } else if (!closed) {
+        stats = system_.runArrivals(jobs, config_.core, profile,
+                                    config_.traffic->schedule(jobs.size()));
+    } else if (config_.mode == QueryMode::Blocking) {
+        stats = system_.runBlocking(jobs, config_.core, profile);
     } else {
-        const std::vector<traffic::Arrival> arrivals =
-            config_.traffic->schedule(jobs.size());
-        bool multiTenant = false;
-        for (const traffic::Arrival& a : arrivals) {
-            if (a.tenant > 0) {
-                multiTenant = true;
-                break;
-            }
-        }
-        // The serving loop is strictly opt-in: plain single-tenant
-        // open-loop runs keep the untouched legacy path (and its
-        // byte-identical artifacts).
-        const bool serving =
-            config_.admission.active() || multiTenant ||
-            config_.topology.params().tenantQuota.active();
-        stats = serving ? runServing(jobs, profile, arrivals)
-                        : runOpenLoop(jobs, profile, arrivals);
+        stats = system_.runNonBlocking(jobs, config_.core, profile,
+                                       config_.pollBatch);
     }
     DriverMetrics& m = system_.driverMetrics();
     stats.sojourn = DriverMetrics::digest(m.sojourn());
     stats.queueWait = DriverMetrics::digest(m.queueWait());
     stats.service = DriverMetrics::digest(m.service());
-    return stats;
-}
-
-QeiRunStats
-Driver::runOpenLoop(const std::vector<QueryJob>& jobs,
-                    const RoiProfile& profile,
-                    const std::vector<traffic::Arrival>& arrivals)
-{
-    QeiRunStats stats;
-    stats.queries = jobs.size();
-    system_.breakdown_.reset();
-    system_.driverStats_->reset();
-    if (jobs.empty()) {
-        system_.fillBreakdownStats(stats);
-        return stats;
-    }
-    simAssert(arrivals.size() == jobs.size(),
-              "traffic source scheduled {} arrivals for {} jobs",
-              arrivals.size(), jobs.size());
-
-    EventQueue& events = system_.events_;
-    const int core = config_.core;
-
-    // The serving core dispatches one query per window of surrounding
-    // work, with the same issue-gap and in-flight window model as the
-    // closed-loop blocking path (Sec. VII-A).
-    const std::uint32_t windowInstr = profile.nonQueryInstrPerOp + 1;
-    const int robLimit = std::max(
-        1, system_.chip_.core.robEntries /
-               static_cast<int>(windowInstr));
-    const int maxInflight =
-        std::min(robLimit, system_.chip_.core.loadQueueEntries);
-    const double issueGap =
-        static_cast<double>(profile.nonQueryInstrPerOp) /
-            system_.chip_.core.issueWidth +
-        profile.frontendStallPerInstr * windowInstr +
-        static_cast<double>(profile.nonQueryMispredictsPerOp) *
-            static_cast<double>(
-                system_.chip_.core.branchMispredictPenalty);
-
-    // Arrivals wait here until the head-of-queue query finds both a
-    // free in-flight slot and QST capacity on its target accelerator
-    // (FIFO admission — no reordering around a blocked head).
-    struct Pending
-    {
-        std::size_t jobIdx;
-        Cycles arrivedAt;
-    };
-    std::deque<Pending> pendingQ;
-    std::size_t issued = 0;
-    int inflight = 0;
-    double fetchTime = 0.0;
-    Cycles lastRetire = 0;
-    double inflightPeak = 0.0;
-    std::vector<int> reserved(system_.accels_.size(), 0);
-
-    std::function<void()> pump = [&]() {
-        while (!pendingQ.empty() && inflight < maxInflight) {
-            const Pending head = pendingQ.front();
-            const QueryJob& job = jobs[head.jobIdx];
-            Accelerator& target =
-                system_.acceleratorFor(job.keyAddr, core);
-            if (reserved[static_cast<std::size_t>(target.id())] >=
-                target.params().qstEntries)
-                break; // software waits for a slot
-
-            fetchTime = std::max(fetchTime,
-                                 static_cast<double>(events.now()));
-            fetchTime += issueGap;
-            stats.coreInstructions += windowInstr;
-
-            const Cycles issueAt = static_cast<Cycles>(fetchTime);
-            const Cycles queueWait =
-                issueAt > head.arrivedAt ? issueAt - head.arrivedAt
-                                         : 0;
-            const Cycles submitAt =
-                issueAt + system_.submitLatency(core, target, issueAt);
-            const std::size_t jobIdx = head.jobIdx;
-
-            pendingQ.pop_front();
-            ++issued;
-            ++inflight;
-            ++reserved[static_cast<std::size_t>(target.id())];
-            inflightPeak =
-                std::max(inflightPeak, static_cast<double>(inflight));
-
-            events.scheduleAt(submitAt, [this, &events, &target, &jobs,
-                                         jobIdx, core, &stats,
-                                         &inflight, &lastRetire,
-                                         &reserved, &pump, issueAt,
-                                         queueWait]() {
-                const QueryJob& j = jobs[jobIdx];
-                const int slot = target.enqueue(
-                    j.headerAddr, j.keyAddr, kNullAddr,
-                    QueryMode::Blocking, jobIdx,
-                    [this, &events, &target, &jobs, jobIdx, core,
-                     &stats, &inflight, &lastRetire, &reserved, &pump,
-                     issueAt, queueWait](const QstEntry& raw) {
-                        QstEntry entry = raw;
-                        const Cycles sw = system_.recoverInSoftware(
-                            entry, jobs[jobIdx]);
-                        const auto finish = [this, &events, &target,
-                                             &jobs, jobIdx, core,
-                                             &stats, &inflight,
-                                             &lastRetire, &reserved,
-                                             &pump, issueAt, queueWait,
-                                             entry]() {
-                            const Cycles now = events.now();
-                            const Cycles respLat =
-                                system_.responseLatency(core, target,
-                                                        now);
-                            lastRetire =
-                                std::max(lastRetire, now + respLat);
-                            system_.recordCompletion(entry, issueAt,
-                                                     respLat,
-                                                     queueWait);
-                            if (!QeiSystem::matchesExpectation(
-                                    entry, jobs[jobIdx]))
-                                ++stats.mismatches;
-                            stats.resultChecksum ^=
-                                QeiSystem::resultDigest(entry);
-                            --inflight;
-                            --reserved[static_cast<std::size_t>(
-                                target.id())];
-                            pump();
-                        };
-                        if (sw > 0)
-                            events.schedule(sw, finish);
-                        else
-                            finish();
-                    });
-                simAssert(slot >= 0,
-                          "QST overflow despite software tracking");
-            });
-        }
-    };
-
-    // Pre-schedule the whole arrival timeline; each arrival joins the
-    // software queue and kicks the pump.
-    events.reserve(events.pending() + arrivals.size());
-    for (const traffic::Arrival& a : arrivals) {
-        simAssert(a.queryIndex < jobs.size(),
-                  "arrival references job {} of {}", a.queryIndex,
-                  jobs.size());
-        events.scheduleAt(a.tick, [&pendingQ, &pump, a]() {
-            pendingQ.push_back(Pending{a.queryIndex, a.tick});
-            pump();
-        });
-    }
-
-    const QeiSystem::FaultCounters before = system_.faultCountersNow();
-    system_.armFaultDaemons();
-    events.run();
-    simAssert(issued == jobs.size() && inflight == 0 &&
-                  pendingQ.empty(),
-              "open-loop run stalled: {}/{} issued, {} in flight, {} "
-              "queued",
-              issued, jobs.size(), inflight, pendingQ.size());
-
-    stats.cycles = lastRetire;
-    system_.collectAccelStats(stats);
-    stats.maxInFlightObserved = inflightPeak;
-    system_.fillBreakdownStats(stats);
-    system_.fillFaultStats(stats, before);
-    return stats;
-}
-
-QeiRunStats
-Driver::runServing(const std::vector<QueryJob>& jobs,
-                   const RoiProfile& profile,
-                   const std::vector<traffic::Arrival>& arrivals)
-{
-    QeiRunStats stats;
-    stats.queries = jobs.size();
-    system_.breakdown_.reset();
-    system_.driverStats_->reset();
-    if (jobs.empty()) {
-        system_.fillBreakdownStats(stats);
-        return stats;
-    }
-    simAssert(arrivals.size() == jobs.size(),
-              "traffic source scheduled {} arrivals for {} jobs",
-              arrivals.size(), jobs.size());
-
-    int tenants = 1;
-    for (const traffic::Arrival& a : arrivals)
-        tenants = std::max(tenants, a.tenant + 1);
-    system_.driverStats_->ensureTenants(tenants);
-
-    AdmissionController* admission = system_.admission();
-    const bool degrade = admission != nullptr &&
-                         admission->config().degradeToCore;
-    simAssert(!degrade || system_.fallbackTraces_ != nullptr,
-              "shed-to-core degradation needs the software fallback "
-              "view of the jobs (setSoftwareFallback)");
-
-    EventQueue& events = system_.events_;
-    const int core = config_.core;
-    const TenantQuota& quota = config_.topology.params().tenantQuota;
-    const bool quotaOn = quota.active() && tenants > 1;
-
-    // Same issue-gap and in-flight window model as runOpenLoop.
-    const std::uint32_t windowInstr = profile.nonQueryInstrPerOp + 1;
-    const int robLimit = std::max(
-        1, system_.chip_.core.robEntries /
-               static_cast<int>(windowInstr));
-    const int maxInflight =
-        std::min(robLimit, system_.chip_.core.loadQueueEntries);
-    const double issueGap =
-        static_cast<double>(profile.nonQueryInstrPerOp) /
-            system_.chip_.core.issueWidth +
-        profile.frontendStallPerInstr * windowInstr +
-        static_cast<double>(profile.nonQueryMispredictsPerOp) *
-            static_cast<double>(
-                system_.chip_.core.branchMispredictPenalty);
-
-    struct Pending
-    {
-        std::size_t jobIdx;
-        Cycles arrivedAt;
-    };
-    // One FIFO per tenant; a blocked head stalls only its own tenant.
-    std::vector<std::deque<Pending>> pend(
-        static_cast<std::size_t>(tenants));
-    std::size_t pendingTotal = 0;
-    std::size_t issued = 0;
-    std::uint64_t shedCount = 0;
-    int inflight = 0;
-    int degradedInFlight = 0;
-    double fetchTime = 0.0;
-    Cycles lastRetire = 0;
-    Cycles lastDegradedRetire = 0;
-    // Degraded work serializes on one background core model.
-    Cycles degradeClock = 0;
-    double inflightPeak = 0.0;
-    const std::size_t nAccels = system_.accels_.size();
-    std::vector<int> reserved(nAccels, 0);
-    std::vector<int> reservedTenant(
-        nAccels * static_cast<std::size_t>(tenants), 0);
-    std::vector<int> tenantInflight(
-        static_cast<std::size_t>(tenants), 0);
-    // Guaranteed QST slots per (accelerator, tenant) under the quota.
-    std::vector<int> guaranteed(
-        nAccels * static_cast<std::size_t>(tenants), 0);
-    for (std::size_t aid = 0; aid < nAccels; ++aid) {
-        const int cap = system_.accels_[aid]->params().qstEntries;
-        for (int t = 0; t < tenants; ++t)
-            guaranteed[aid * static_cast<std::size_t>(tenants) +
-                       static_cast<std::size_t>(t)] =
-                tenantGuaranteedSlots(quota, cap, t, tenants);
-    }
-    int rrCursor = 0;
-
-    std::function<void()> pump;
-
-    // Issue tenant t's head-of-queue query if capacity (and, in the
-    // guaranteed pass, its quota share) allows. Returns true on issue.
-    auto tryIssue = [&](int t, bool allowBorrow) -> bool {
-        auto& q = pend[static_cast<std::size_t>(t)];
-        if (q.empty() || inflight >= maxInflight)
-            return false;
-        const Pending head = q.front();
-        const QueryJob& job = jobs[head.jobIdx];
-        Accelerator& target =
-            system_.acceleratorFor(job.keyAddr, core);
-        const auto aid = static_cast<std::size_t>(target.id());
-        if (reserved[aid] >= target.params().qstEntries)
-            return false; // software waits for a slot
-        const std::size_t slotIdx =
-            aid * static_cast<std::size_t>(tenants) +
-            static_cast<std::size_t>(t);
-        if (quotaOn && reservedTenant[slotIdx] >= guaranteed[slotIdx]) {
-            // Hard partitions never exceed their share; Weighted
-            // shares borrow idle capacity, but only in the
-            // work-conserving borrow pass (after every tenant's
-            // guaranteed share had its chance).
-            if (quota.share == TenantShare::Hard || !allowBorrow)
-                return false;
-        }
-
-        fetchTime = std::max(fetchTime,
-                             static_cast<double>(events.now()));
-        fetchTime += issueGap;
-        stats.coreInstructions += windowInstr;
-
-        const Cycles issueAt = static_cast<Cycles>(fetchTime);
-        const Cycles queueWait =
-            issueAt > head.arrivedAt ? issueAt - head.arrivedAt : 0;
-        const Cycles submitAt =
-            issueAt + system_.submitLatency(core, target, issueAt);
-        const std::size_t jobIdx = head.jobIdx;
-
-        q.pop_front();
-        --pendingTotal;
-        ++issued;
-        ++inflight;
-        ++reserved[aid];
-        ++reservedTenant[slotIdx];
-        ++tenantInflight[static_cast<std::size_t>(t)];
-        inflightPeak =
-            std::max(inflightPeak, static_cast<double>(inflight));
-        if (TenantStats* ts = system_.driverStats_->tenantStats(t))
-            ts->occupancy().sample(static_cast<double>(
-                tenantInflight[static_cast<std::size_t>(t)]));
-
-        events.scheduleAt(submitAt, [this, &events, &target, &jobs,
-                                     jobIdx, t, slotIdx, core, &stats,
-                                     &inflight, &lastRetire, &reserved,
-                                     &reservedTenant, &tenantInflight,
-                                     &pump, admission, issueAt,
-                                     queueWait]() {
-            const QueryJob& j = jobs[jobIdx];
-            const int slot = target.enqueue(
-                j.headerAddr, j.keyAddr, kNullAddr,
-                QueryMode::Blocking, jobIdx,
-                [this, &events, &target, &jobs, jobIdx, t, slotIdx,
-                 core, &stats, &inflight, &lastRetire, &reserved,
-                 &reservedTenant, &tenantInflight, &pump, admission,
-                 issueAt, queueWait](const QstEntry& raw) {
-                    QstEntry entry = raw;
-                    const Cycles sw = system_.recoverInSoftware(
-                        entry, jobs[jobIdx]);
-                    const auto finish = [this, &events, &target, &jobs,
-                                         jobIdx, t, slotIdx, core,
-                                         &stats, &inflight,
-                                         &lastRetire, &reserved,
-                                         &reservedTenant,
-                                         &tenantInflight, &pump,
-                                         admission, issueAt, queueWait,
-                                         entry]() {
-                        const Cycles now = events.now();
-                        const Cycles respLat =
-                            system_.responseLatency(core, target,
-                                                    now);
-                        lastRetire =
-                            std::max(lastRetire, now + respLat);
-                        system_.recordCompletion(entry, issueAt,
-                                                 respLat, queueWait);
-                        if (!QeiSystem::matchesExpectation(
-                                entry, jobs[jobIdx]))
-                            ++stats.mismatches;
-                        const std::uint64_t digest =
-                            QeiSystem::resultDigest(entry);
-                        stats.resultChecksum ^= digest;
-                        stats.admittedChecksum ^= digest;
-                        if (admission != nullptr) {
-                            // Admitted completions only: degraded
-                            // work must not steer the Adaptive
-                            // window, so the admission decision
-                            // stream is identical whether shed
-                            // queries are dropped or degraded.
-                            const Cycles endToEnd =
-                                (now + respLat) - issueAt;
-                            admission->onAdmittedCompletion(
-                                static_cast<double>(queueWait +
-                                                    endToEnd));
-                        }
-                        --inflight;
-                        --reserved[static_cast<std::size_t>(
-                            target.id())];
-                        --reservedTenant[slotIdx];
-                        --tenantInflight[static_cast<std::size_t>(t)];
-                        pump();
-                    };
-                    if (sw > 0)
-                        events.schedule(sw, finish);
-                    else
-                        finish();
-                },
-                t);
-            simAssert(slot >= 0,
-                      "QST overflow despite software tracking");
-        });
-        return true;
-    };
-
-    // Two-pass issue: a round-robin guaranteed pass (every tenant up
-    // to its quota share), then — only when that pass stalls — one
-    // work-conserving borrow (Weighted / no-quota tenants may exceed
-    // their share on idle capacity). Hard shares never borrow.
-    pump = [&]() {
-        while (true) {
-            bool progress = false;
-            for (int i = 0; i < tenants; ++i) {
-                const int t = (rrCursor + i) % tenants;
-                if (tryIssue(t, false)) {
-                    progress = true;
-                    rrCursor = (t + 1) % tenants;
-                }
-            }
-            if (!progress && quotaOn &&
-                quota.share != TenantShare::Hard) {
-                for (int i = 0; i < tenants; ++i) {
-                    const int t = (rrCursor + i) % tenants;
-                    if (tryIssue(t, true)) {
-                        progress = true;
-                        rrCursor = (t + 1) % tenants;
-                        break;
-                    }
-                }
-            }
-            if (!progress)
-                break;
-        }
-    };
-
-    // Arrival timeline: each arrival passes the admission layer, then
-    // either joins its tenant's FIFO, degrades to the core path, or is
-    // dropped.
-    events.reserve(events.pending() + arrivals.size());
-    for (const traffic::Arrival& a : arrivals) {
-        simAssert(a.queryIndex < jobs.size(),
-                  "arrival references job {} of {}", a.queryIndex,
-                  jobs.size());
-        simAssert(a.tenant >= 0 && a.tenant < tenants,
-                  "arrival tenant {} outside [0, {})", a.tenant,
-                  tenants);
-        events.scheduleAt(a.tick, [this, &events, &jobs, &pend,
-                                   &pendingTotal, &pump, &stats,
-                                   &shedCount, &degradedInFlight,
-                                   &degradeClock, &lastDegradedRetire,
-                                   admission, degrade, a]() {
-            TenantStats* ts =
-                system_.driverStats_->tenantStats(a.tenant);
-            ts->offered().inc();
-            const bool admit =
-                admission == nullptr ||
-                admission->decide(a.tenant, a.tick, pendingTotal);
-            if (admit) {
-                ts->admitted().inc();
-                pend[static_cast<std::size_t>(a.tenant)].push_back(
-                    Pending{a.queryIndex, a.tick});
-                ++pendingTotal;
-                pump();
-                return;
-            }
-            ts->shed().inc();
-            ++shedCount;
-            ++stats.sheddedQueries;
-            // Shedding IS forward progress: a long shed interval must
-            // not trip the no-retire watchdog.
-            system_.watchdog().noteProgress();
-            if (!degrade)
-                return;
-            admission->onDegraded();
-            ts->degraded().inc();
-            ++stats.degradedQueries;
-            const Cycles sw =
-                system_.coreExecuteCycles(a.queryIndex);
-            const Cycles start = std::max(degradeClock, a.tick);
-            degradeClock = start + sw;
-            QstEntry entry = system_.coreExecutedEntry(
-                jobs[a.queryIndex], a.queryIndex, start, sw);
-            entry.tenant = a.tenant;
-            ++degradedInFlight;
-            const Cycles degradeWait = start - a.tick;
-            events.scheduleAt(
-                start + sw,
-                [this, &jobs, &stats, &degradedInFlight,
-                 &lastDegradedRetire, entry, start, degradeWait, a]() {
-                    system_.recordCompletion(entry, start, 0,
-                                             degradeWait,
-                                             /*degraded=*/true);
-                    if (!QeiSystem::matchesExpectation(
-                            entry, jobs[a.queryIndex]))
-                        ++stats.mismatches;
-                    stats.resultChecksum ^=
-                        QeiSystem::resultDigest(entry);
-                    lastDegradedRetire = std::max(
-                        lastDegradedRetire, entry.completed);
-                    --degradedInFlight;
-                });
-        });
-    }
-
-    const QeiSystem::FaultCounters before = system_.faultCountersNow();
-    system_.armFaultDaemons();
-    events.run();
-    std::size_t stillPending = 0;
-    for (const auto& q : pend)
-        stillPending += q.size();
-    simAssert(issued + shedCount == jobs.size() && inflight == 0 &&
-                  stillPending == 0 && pendingTotal == 0 &&
-                  degradedInFlight == 0,
-              "serving run stalled: {} issued + {} shed of {}, {} in "
-              "flight, {} queued, {} degrading",
-              issued, shedCount, jobs.size(), inflight, stillPending,
-              degradedInFlight);
-
-    stats.admittedQueries = issued;
-    stats.cycles = std::max(lastRetire, lastDegradedRetire);
-    system_.collectAccelStats(stats);
-    stats.maxInFlightObserved = inflightPeak;
-    system_.fillBreakdownStats(stats);
-    system_.fillFaultStats(stats, before);
-
-    stats.tenants.reserve(static_cast<std::size_t>(tenants));
-    for (int t = 0; t < tenants; ++t) {
-        TenantStats* ts = system_.driverStats_->tenantStats(t);
-        QeiRunStats::TenantSummary s;
-        s.tenant = t;
-        s.offered = ts->offered().value();
-        s.admitted = ts->admitted().value();
-        s.shed = ts->shed().value();
-        s.degraded = ts->degraded().value();
-        const LatencyDigest d = DriverMetrics::digest(ts->sojourn());
-        s.sojournP50 = d.p50;
-        s.sojournP99 = d.p99;
-        s.sojournMean = d.mean;
-        s.occupancyMean = ts->occupancy().mean();
-        stats.tenants.push_back(s);
-    }
     return stats;
 }
 

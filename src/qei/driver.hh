@@ -5,12 +5,13 @@
  *
  * DriverConfig replaces runQei's positional-parameter tail with one
  * struct (topology, query mode, issuing core, poll batch, traffic
- * source). The Driver consumes a traffic::TrafficSource: closed-loop
- * sources delegate to the legacy QeiSystem run loops — bit-identical
- * to the pre-refactor behaviour — while open-loop sources run an
- * event-driven submit loop that queues arrivals against QST capacity
- * and measures per-query sojourn (queue-wait + service) into the
- * system.driver.* histograms.
+ * source). The Driver picks the QeiSystem run for the config: QUERY_B
+ * runs, closed or open loop, all go through the system's one
+ * blocking-issue engine — a closed loop queues the whole stream at
+ * t=0, an open loop hands it the traffic source's arrival timeline —
+ * while QUERY_NB and QUERY_BATCH runs take their own loops. Per-query
+ * sojourn (queue-wait + service) lands in the system.driver.*
+ * histograms either way.
  */
 
 #ifndef QEI_QEI_DRIVER_HH
@@ -33,8 +34,8 @@ namespace qei {
 /**
  * Per-tenant serving accounting, adopted as "tenant.<id>" children of
  * DriverMetrics (stats paths system.driver.tenant.<id>.*). Created
- * only by the Driver's multi-tenant serving path, so single-tenant
- * stats dumps are unchanged.
+ * only by open-loop runs with admission control, several tenants or
+ * an active tenant quota, so single-tenant stats dumps are unchanged.
  */
 class TenantStats : public SimObject
 {
@@ -77,7 +78,7 @@ class TenantStats : public SimObject
 /**
  * Per-query latency histograms, registered as the "driver" child of
  * QeiSystem (stats paths system.driver.sojourn / .queue_wait /
- * .service). Sampled by QeiSystem::recordCompletion on every run.
+ * .service). Sampled by QeiSystem::retire on every run.
  */
 class DriverMetrics : public SimObject
 {
@@ -220,10 +221,10 @@ struct DriverConfig
      * default policy None constructs no controller and takes none of
      * the serving-path branches, so historical runs stay
      * byte-identical. A non-None policy (or a multi-tenant arrival
-     * stream, or an active tenant quota) routes open-loop runs
-     * through the Driver's serving loop: per-tenant pending queues,
-     * quota-aware issue, shedding, and optional shed-to-core
-     * degradation. Requires an open-loop, non-batched source.
+     * stream, or an active tenant quota) turns on the serving side of
+     * QeiSystem::runArrivals: per-tenant accounting, quota-aware
+     * issue, shedding, and optional shed-to-core degradation.
+     * Requires an open-loop, non-batched source.
      */
     AdmissionConfig admission;
 
@@ -308,34 +309,17 @@ class Driver
     }
 
     /**
-     * Execute @p jobs. Closed-loop (null or ClosedLoop traffic):
-     * delegates to QeiSystem::runBlocking / runNonBlocking unchanged.
-     * Open-loop: schedules the source's arrival timeline and submits
-     * from a FIFO software queue as QST capacity and the core's
-     * in-flight window allow. Either way the returned stats carry the
-     * sojourn/queue-wait/service digests.
+     * Execute @p jobs. QUERY_BATCH configs run QeiSystem::runBatched.
+     * Closed loop (null or ClosedLoop traffic): runBlocking or
+     * runNonBlocking by mode. Open loop: runArrivals on the source's
+     * arrival timeline, which queues each arrival until the core's
+     * in-flight window and the target QST allow its issue. Either way
+     * the returned stats carry the sojourn/queue-wait/service digests.
      */
     QeiRunStats run(const std::vector<QueryJob>& jobs,
                     const RoiProfile& profile);
 
   private:
-    QeiRunStats runOpenLoop(const std::vector<QueryJob>& jobs,
-                            const RoiProfile& profile,
-                            const std::vector<traffic::Arrival>& arrivals);
-
-    /**
-     * The overload-resilient serving loop: per-tenant pending FIFOs,
-     * admission control per arrival, quota-aware round-robin issue,
-     * and optional shed-to-core degradation. Only taken when the
-     * config opts in (non-None admission policy, a multi-tenant
-     * arrival stream, or an active tenant quota) — the plain
-     * runOpenLoop path above stays untouched, keeping single-tenant
-     * artifacts byte-identical.
-     */
-    QeiRunStats runServing(const std::vector<QueryJob>& jobs,
-                           const RoiProfile& profile,
-                           const std::vector<traffic::Arrival>& arrivals);
-
     QeiSystem& system_;
     const DriverConfig& config_;
 };

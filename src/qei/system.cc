@@ -1,8 +1,11 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 
 #include "common/hash.hh"
+#include "qei/admission.hh"
 #include "qei/driver.hh"
 #include "qei/planner.hh"
 
@@ -167,10 +170,27 @@ QeiSystem::responseLatency(int core, const Accelerator& target,
     return submitLatency(core, target, now);
 }
 
+template <typename Finish>
 void
-QeiSystem::recordCompletion(const QstEntry& entry, Cycles issue_at,
-                            Cycles response_latency,
-                            Cycles queue_wait, bool degraded)
+QeiSystem::recoverThen(const QstEntry& raw, const QueryJob& job,
+                       Finish finish)
+{
+    QstEntry entry = raw;
+    const Cycles sw = recoverInSoftware(entry, job);
+    if (sw > 0) {
+        events_.schedule(sw, [finish = std::move(finish), entry]() {
+            finish(entry);
+        });
+    } else {
+        finish(entry);
+    }
+}
+
+std::uint64_t
+QeiSystem::retire(QeiRunStats& stats, const QueryJob& job,
+                  const QstEntry& entry, Cycles issue_at,
+                  Cycles response_latency, Cycles queue_wait,
+                  bool degraded)
 {
     watchdog_->noteProgress();
     trace::QueryAttribution a;
@@ -224,6 +244,22 @@ QeiSystem::recordCompletion(const QstEntry& entry, Cycles issue_at,
                            cursor, a.cycles[i]);
             cursor += a.cycles[i];
         }
+    }
+
+    if (!matchesExpectation(entry, job))
+        ++stats.mismatches;
+    const std::uint64_t digest = resultDigest(entry);
+    stats.resultChecksum ^= digest;
+    return digest;
+}
+
+void
+QeiSystem::writeResultSlot(const QstEntry& entry)
+{
+    if (entry.resultAddr != kNullAddr &&
+        vm_.tryTranslate(entry.resultAddr)) {
+        vm_.write<std::uint64_t>(entry.resultAddr, entry.success ? 1 : 2);
+        vm_.write<std::uint64_t>(entry.resultAddr + 8, entry.resultValue);
     }
 }
 
@@ -347,27 +383,30 @@ QeiSystem::ensureFallbackCore()
 }
 
 Cycles
-QeiSystem::recoverInSoftware(QstEntry& entry, const QueryJob& job)
+QeiSystem::fallbackWalk(std::uint64_t query_id)
 {
-    if (entry.error == QueryError::None || !faultRecoveryActive())
-        return 0;
     ensureFallbackCore();
     // The interval core restarts its clock each invocation; reset the
-    // queue state it shares with previous fallbacks so the timing is a
+    // queue state it shares with previous walks so the timing is a
     // pure function of the query, not of recovery order.
     fallbackCore_->reset();
     fallbackHierarchy_->dram().reset();
     fallbackHierarchy_->mesh().resetTraffic();
+    if (query_id >= fallbackTraces_->size())
+        return 0;
+    const std::vector<QueryTrace> one(1, (*fallbackTraces_)[query_id]);
+    return fallbackCore_->runQueries(one, fallbackProfile_).cycles;
+}
 
+Cycles
+QeiSystem::recoverInSoftware(QstEntry& entry, const QueryJob& job)
+{
+    if (entry.error == QueryError::None || !faultRecoveryActive())
+        return 0;
     // Trap delivery, OS fault service, and user-level re-dispatch
     // before the software walk itself starts (Sec. IV-D).
     constexpr Cycles kTrapOverhead = 150;
-    Cycles sw = kTrapOverhead;
-    const std::uint64_t qid = entry.queryId;
-    if (qid < fallbackTraces_->size()) {
-        const std::vector<QueryTrace> one(1, (*fallbackTraces_)[qid]);
-        sw += fallbackCore_->runQueries(one, fallbackProfile_).cycles;
-    }
+    const Cycles sw = kTrapOverhead + fallbackWalk(entry.queryId);
 
     if (faults_ != nullptr)
         faults_->onSwFallback(sw);
@@ -376,15 +415,9 @@ QeiSystem::recoverInSoftware(QstEntry& entry, const QueryJob& job)
     entry.resultValue = job.expectFound ? job.expectValue : 0;
     entry.attr[static_cast<std::size_t>(
         trace::LatencyComponent::SwFallback)] += sw;
-    if (entry.mode == QueryMode::NonBlocking &&
-        entry.resultAddr != kNullAddr &&
-        vm_.tryTranslate(entry.resultAddr)) {
-        // Software overwrites the error code with the real result.
-        vm_.write<std::uint64_t>(entry.resultAddr,
-                                 entry.success ? 1 : 2);
-        vm_.write<std::uint64_t>(entry.resultAddr + 8,
-                                 entry.resultValue);
-    }
+    // Software overwrites the error code with the real result.
+    if (entry.mode == QueryMode::NonBlocking)
+        writeResultSlot(entry);
     return sw;
 }
 
@@ -489,104 +522,51 @@ QeiSystem::dumpForWatchdog() const
     return out;
 }
 
-QeiSystem::FaultCounters
-QeiSystem::faultCountersNow() const
+QeiSystem::RunCounters
+QeiSystem::runCountersNow() const
 {
-    FaultCounters c;
+    RunCounters c;
     if (faults_ != nullptr) {
         c.injected = faults_->injected();
         c.swFallbacks = faults_->swFallbacks();
         c.swFallbackCycles = faults_->swFallbackCycles();
         c.flushes = faults_->flushes();
     }
-    return c;
-}
-
-void
-QeiSystem::fillFaultStats(QeiRunStats& stats,
-                          const FaultCounters& before) const
-{
-    if (faults_ == nullptr)
-        return;
-    stats.faultsInjected = faults_->injected() - before.injected;
-    stats.swFallbacks = faults_->swFallbacks() - before.swFallbacks;
-    stats.swFallbackCycles =
-        faults_->swFallbackCycles() - before.swFallbackCycles;
-    stats.faultFlushes = faults_->flushes() - before.flushes;
-}
-
-QeiSystem::PlannerCounters
-QeiSystem::plannerCountersNow() const
-{
-    PlannerCounters c;
     if (planner_ != nullptr) {
         c.decisions = planner_->decisions();
         c.coreExecutes = planner_->coreExecutes();
     }
+    for (const auto& a : accels_) {
+        c.batchHeaderHits += a->batchHeaderHits();
+        c.batchLineHits += a->batchLineHits();
+    }
     return c;
 }
 
-void
-QeiSystem::fillPlannerStats(QeiRunStats& stats,
-                            const PlannerCounters& before) const
-{
-    if (planner_ == nullptr)
-        return;
-    stats.plannerDecisions = planner_->decisions() - before.decisions;
-    stats.plannerCoreExecutes =
-        planner_->coreExecutes() - before.coreExecutes;
-}
-
 bool
-QeiSystem::plannerKeepsOnCore(const QueryJob& job)
+QeiSystem::beginRun(QeiRunStats& stats, std::size_t jobs)
 {
-    // Core execution needs the software view of the jobs; without it
-    // the planner can only route (which the topology already does).
-    return planner_ != nullptr && fallbackTraces_ != nullptr &&
-           planner_->coreExecute(job.keyAddr);
+    stats.queries = jobs;
+    breakdown_.reset();
+    driverStats_->reset();
+    if (jobs == 0)
+        fillBreakdownStats(stats);
+    return jobs > 0;
 }
 
-Cycles
-QeiSystem::coreExecuteCycles(std::uint64_t query_id)
-{
-    ensureFallbackCore();
-    // Same determinism discipline as recoverInSoftware: the interval
-    // core restarts its clock per invocation.
-    fallbackCore_->reset();
-    fallbackHierarchy_->dram().reset();
-    fallbackHierarchy_->mesh().resetTraffic();
-    if (query_id >= fallbackTraces_->size())
-        return 1;
-    const std::vector<QueryTrace> one(1,
-                                      (*fallbackTraces_)[query_id]);
-    return std::max<Cycles>(
-        1, fallbackCore_->runQueries(one, fallbackProfile_).cycles);
-}
-
-QstEntry
-QeiSystem::coreExecutedEntry(const QueryJob& job,
-                             std::uint64_t query_id, Cycles issue_at,
-                             Cycles sw_cycles) const
-{
-    QstEntry entry;
-    entry.queryId = query_id;
-    entry.resultAddr = job.resultAddr;
-    entry.success = job.expectFound;
-    entry.resultValue = job.expectFound ? job.expectValue : 0;
-    entry.enqueued = issue_at;
-    entry.completed = issue_at + sw_cycles;
-    entry.attr[static_cast<std::size_t>(
-        trace::LatencyComponent::SwFallback)] += sw_cycles;
-    return entry;
-}
-
-// Shared by the legacy loops below and the Driver's open-loop submit
-// loop (driver.cc), hence members rather than file-local helpers.
-
-/** Gather per-accelerator counters into run stats. */
 void
-QeiSystem::collectAccelStats(QeiRunStats& stats) const
+QeiSystem::finishRun(QeiRunStats& stats, const RunCounters& before) const
 {
+    const RunCounters now = runCountersNow();
+    stats.faultsInjected = now.injected - before.injected;
+    stats.swFallbacks = now.swFallbacks - before.swFallbacks;
+    stats.swFallbackCycles = now.swFallbackCycles - before.swFallbackCycles;
+    stats.faultFlushes = now.flushes - before.flushes;
+    stats.plannerDecisions = now.decisions - before.decisions;
+    stats.plannerCoreExecutes = now.coreExecutes - before.coreExecutes;
+    stats.batchHeaderHits = now.batchHeaderHits - before.batchHeaderHits;
+    stats.batchLineHits = now.batchLineHits - before.batchLineHits;
+
     double occSum = 0.0;
     double occCount = 0.0;
     for (const auto& a : accels_) {
@@ -599,6 +579,33 @@ QeiSystem::collectAccelStats(QeiRunStats& stats) const
         // The paper reports 50-90% occupancy on the busy instances.
     }
     stats.avgQstOccupancy = occCount > 0 ? occSum / occCount : 0.0;
+    fillBreakdownStats(stats);
+}
+
+bool
+QeiSystem::plannerKeepsOnCore(const QueryJob& job)
+{
+    // Core execution needs the software view of the jobs; without it
+    // the planner can only route (which the topology already does).
+    return planner_ != nullptr && fallbackTraces_ != nullptr &&
+           planner_->coreExecute(job.keyAddr);
+}
+
+QstEntry
+QeiSystem::coreExecute(const QueryJob& job, std::uint64_t query_id,
+                       Cycles issue_at)
+{
+    const Cycles sw = std::max<Cycles>(1, fallbackWalk(query_id));
+    QstEntry entry;
+    entry.queryId = query_id;
+    entry.resultAddr = job.resultAddr;
+    entry.success = job.expectFound;
+    entry.resultValue = job.expectFound ? job.expectValue : 0;
+    entry.enqueued = issue_at;
+    entry.completed = issue_at + sw;
+    entry.attr[static_cast<std::size_t>(
+        trace::LatencyComponent::SwFallback)] += sw;
+    return entry;
 }
 
 /** Validate a completed entry against the job's expected outcome. */
@@ -634,314 +641,494 @@ QeiSystem::resultDigest(const QstEntry& entry)
     return x;
 }
 
+namespace {
+
+/**
+ * The core side of QUERY_B (Sec. VII-A), the same for every issuing
+ * lane. Each query costs the surrounding independent work plus the
+ * QUERY_B instruction itself; the work issues at the core's width and
+ * pays its front-end stalls and branch mispredicts. A blocking query
+ * holds a ROB slot and an LQ entry until it retires, so with
+ * `windowInstr` instructions between queries the OoO window covers at
+ * most `maxInflight` outstanding queries.
+ */
+struct IssueModel
+{
+    IssueModel(const CoreParams& core, const RoiProfile& profile)
+        : windowInstr(profile.nonQueryInstrPerOp + 1),
+          maxInflight(std::min(
+              std::max(1, core.robEntries /
+                              static_cast<int>(windowInstr)),
+              core.loadQueueEntries)),
+          issueGap(static_cast<double>(profile.nonQueryInstrPerOp) /
+                       core.issueWidth +
+                   profile.frontendStallPerInstr * windowInstr +
+                   static_cast<double>(profile.nonQueryMispredictsPerOp) *
+                       static_cast<double>(core.branchMispredictPenalty))
+    {
+    }
+
+    std::uint32_t windowInstr;
+    int maxInflight;
+    double issueGap;
+};
+
+} // namespace
+
+/**
+ * One event-driven engine for every blocking run. A closed loop is the
+ * whole job stream queued at t=0 (with zero queue wait); an open loop
+ * is the same stream arriving on a traffic source's timeline. Jobs are
+ * dealt round-robin over the issuing lanes, one per issuing core, each
+ * with its own fetch clock and ROB/LQ window and one FIFO per tenant.
+ * Software tracks QST reservations per accelerator (Sec. IV-A): a
+ * query whose target is full waits at the head of its FIFO.
+ */
+class QeiSystem::BlockingEngine
+{
+  public:
+    BlockingEngine(QeiSystem& sys, const std::vector<QueryJob>& jobs,
+                   const RoiProfile& profile, int first_core, int cores)
+        : sys_(sys), events_(sys.events_), jobs_(jobs),
+          model_(sys.chip_.core, profile),
+          lanes_(static_cast<std::size_t>(cores))
+    {
+        for (int c = 0; c < cores; ++c)
+            lanes_[static_cast<std::size_t>(c)].core = first_core + c;
+    }
+    // Scheduled events and completions hold `this`.
+    BlockingEngine(const BlockingEngine&) = delete;
+    BlockingEngine& operator=(const BlockingEngine&) = delete;
+
+    /** Run the closed loop (@p arrivals null) or the open loop. */
+    QeiRunStats run(const std::vector<traffic::Arrival>* arrivals);
+
+  private:
+    struct Pending
+    {
+        std::size_t jobIdx;
+        Cycles arrivedAt;
+    };
+
+    /** One issuing core. */
+    struct Lane
+    {
+        int core = 0;
+        double fetchTime = 0.0;
+        int inflight = 0;
+        int rrCursor = 0;
+        /** One FIFO per tenant; a blocked head stalls only its own. */
+        std::vector<std::deque<Pending>> pending;
+    };
+
+    /** An issued query, as its completion sees it. */
+    struct Issued
+    {
+        std::size_t jobIdx;
+        Lane* lane;
+        int tenant;
+        Cycles issueAt;
+        Cycles queueWait;
+        /** Null when the planner kept the query on the core. */
+        Accelerator* target;
+    };
+
+    Lane&
+    laneFor(std::size_t job_idx)
+    {
+        return lanes_[job_idx % lanes_.size()];
+    }
+
+    std::size_t
+    tenantSlot(const Accelerator& target, int tenant) const
+    {
+        return static_cast<std::size_t>(target.id()) *
+                   static_cast<std::size_t>(tenants_) +
+               static_cast<std::size_t>(tenant);
+    }
+
+    /** Tenant accounting; null unless this run keeps it. */
+    TenantStats*
+    tenantStats(int tenant)
+    {
+        return accounting_ ? sys_.driverStats_->tenantStats(tenant)
+                           : nullptr;
+    }
+
+    void pumpAll();
+    void pump(Lane& lane);
+    bool tryIssue(Lane& lane, int tenant, bool allow_borrow);
+    void submit(const Issued& q);
+    void complete(const Issued& q, const QstEntry& entry);
+    void arrive(const traffic::Arrival& a);
+    void degradeToCore(const traffic::Arrival& a, TenantStats& ts);
+
+    QeiSystem& sys_;
+    EventQueue& events_;
+    const std::vector<QueryJob>& jobs_;
+    const IssueModel model_;
+    std::vector<Lane> lanes_;
+    QeiRunStats stats_;
+
+    /** Open loop: queue wait runs from each query's arrival. */
+    bool timed_ = false;
+    int tenants_ = 1;
+    /** Per-tenant stats, admitted set and tenant summaries. */
+    bool accounting_ = false;
+    bool quotaOn_ = false;
+    bool degrade_ = false;
+    TenantQuota quota_;
+    AdmissionController* admission_ = nullptr;
+
+    /** Reserved QST slots per accelerator, and per (accel, tenant). */
+    std::vector<int> reserved_;
+    std::vector<int> reservedTenant_;
+    /** Guaranteed QST slots per (accel, tenant) under the quota. */
+    std::vector<int> guaranteed_;
+    std::vector<int> tenantInflight_;
+
+    std::size_t pendingTotal_ = 0;
+    std::size_t issued_ = 0;
+    int inflight_ = 0;
+    int degrading_ = 0;
+    double inflightPeak_ = 0.0;
+    /** Latest retirement, degraded work included. */
+    Cycles lastRetire_ = 0;
+    /** Degraded work serializes on one background core model. */
+    Cycles degradeClock_ = 0;
+};
+
+QeiRunStats
+QeiSystem::BlockingEngine::run(
+    const std::vector<traffic::Arrival>* arrivals)
+{
+    if (!sys_.beginRun(stats_, jobs_.size()))
+        return stats_;
+
+    timed_ = arrivals != nullptr;
+    if (timed_) {
+        simAssert(arrivals->size() == jobs_.size(),
+                  "traffic source scheduled {} arrivals for {} jobs",
+                  arrivals->size(), jobs_.size());
+        for (const traffic::Arrival& a : *arrivals)
+            tenants_ = std::max(tenants_, a.tenant + 1);
+    }
+    admission_ = sys_.admission_;
+    quota_ = sys_.scheme_.tenantQuota;
+    // Single-tenant runs without admission keep no tenant accounting,
+    // so their stats dumps and artifacts keep their historical shape.
+    accounting_ = timed_ && (admission_ != nullptr || tenants_ > 1 ||
+                             quota_.active());
+    if (accounting_)
+        sys_.driverStats_->ensureTenants(tenants_);
+    quotaOn_ = quota_.active() && tenants_ > 1;
+    degrade_ =
+        admission_ != nullptr && admission_->config().degradeToCore;
+    simAssert(!degrade_ || sys_.fallbackTraces_ != nullptr,
+              "shed-to-core degradation needs the software fallback "
+              "view of the jobs (setSoftwareFallback)");
+
+    const std::size_t slots =
+        sys_.accels_.size() * static_cast<std::size_t>(tenants_);
+    reserved_.assign(sys_.accels_.size(), 0);
+    reservedTenant_.assign(slots, 0);
+    tenantInflight_.assign(static_cast<std::size_t>(tenants_), 0);
+    guaranteed_.assign(slots, 0);
+    if (quotaOn_) {
+        for (const auto& a : sys_.accels_) {
+            for (int t = 0; t < tenants_; ++t) {
+                guaranteed_[tenantSlot(*a, t)] = tenantGuaranteedSlots(
+                    quota_, a->params().qstEntries, t, tenants_);
+            }
+        }
+    }
+    for (Lane& lane : lanes_)
+        lane.pending.resize(static_cast<std::size_t>(tenants_));
+
+    const RunCounters before = sys_.runCountersNow();
+    if (!timed_) {
+        for (std::size_t j = 0; j < jobs_.size(); ++j)
+            laneFor(j).pending[0].push_back(Pending{j, 0});
+        pendingTotal_ = jobs_.size();
+        pumpAll();
+    } else {
+        // Pre-schedule the whole arrival timeline.
+        events_.reserve(events_.pending() + arrivals->size());
+        for (const traffic::Arrival& a : *arrivals) {
+            simAssert(a.queryIndex < jobs_.size(),
+                      "arrival references job {} of {}", a.queryIndex,
+                      jobs_.size());
+            simAssert(a.tenant >= 0, "arrival tenant {} is negative",
+                      a.tenant);
+            events_.scheduleAt(a.tick, [this, a]() { arrive(a); });
+        }
+    }
+    sys_.armFaultDaemons();
+    events_.run();
+    simAssert(issued_ + stats_.sheddedQueries == jobs_.size() &&
+                  inflight_ == 0 && pendingTotal_ == 0 && degrading_ == 0,
+              "blocking run stalled: {} issued + {} shed of {}, {} in "
+              "flight, {} queued, {} degrading",
+              issued_, stats_.sheddedQueries, jobs_.size(), inflight_,
+              pendingTotal_, degrading_);
+
+    stats_.cycles = lastRetire_;
+    stats_.maxInFlightObserved = inflightPeak_;
+    sys_.finishRun(stats_, before);
+    if (!accounting_)
+        return stats_;
+
+    stats_.admittedQueries = issued_;
+    stats_.tenants.reserve(static_cast<std::size_t>(tenants_));
+    for (int t = 0; t < tenants_; ++t) {
+        TenantStats* ts = tenantStats(t);
+        QeiRunStats::TenantSummary s;
+        s.tenant = t;
+        s.offered = ts->offered().value();
+        s.admitted = ts->admitted().value();
+        s.shed = ts->shed().value();
+        s.degraded = ts->degraded().value();
+        const LatencyDigest d = DriverMetrics::digest(ts->sojourn());
+        s.sojournP50 = d.p50;
+        s.sojournP99 = d.p99;
+        s.sojournMean = d.mean;
+        s.occupancyMean = ts->occupancy().mean();
+        stats_.tenants.push_back(s);
+    }
+    return stats_;
+}
+
+void
+QeiSystem::BlockingEngine::pumpAll()
+{
+    // A completion can unblock any lane waiting on its accelerator.
+    for (Lane& lane : lanes_)
+        pump(lane);
+}
+
+void
+QeiSystem::BlockingEngine::pump(Lane& lane)
+{
+    // Two-pass issue: a round-robin guaranteed pass (every tenant up
+    // to its quota share), then — only when that pass stalls — one
+    // work-conserving borrow (Weighted / no-quota tenants may exceed
+    // their share on idle capacity). Hard shares never borrow.
+    while (true) {
+        bool progress = false;
+        for (int i = 0; i < tenants_; ++i) {
+            const int t = (lane.rrCursor + i) % tenants_;
+            if (tryIssue(lane, t, false)) {
+                progress = true;
+                lane.rrCursor = (t + 1) % tenants_;
+            }
+        }
+        if (!progress && quotaOn_ && quota_.share != TenantShare::Hard) {
+            for (int i = 0; i < tenants_; ++i) {
+                const int t = (lane.rrCursor + i) % tenants_;
+                if (tryIssue(lane, t, true)) {
+                    progress = true;
+                    lane.rrCursor = (t + 1) % tenants_;
+                    break;
+                }
+            }
+        }
+        if (!progress)
+            break;
+    }
+}
+
+bool
+QeiSystem::BlockingEngine::tryIssue(Lane& lane, int tenant,
+                                    bool allow_borrow)
+{
+    std::deque<Pending>& q =
+        lane.pending[static_cast<std::size_t>(tenant)];
+    if (q.empty() || lane.inflight >= model_.maxInflight)
+        return false;
+    const Pending head = q.front();
+    const QueryJob& job = jobs_[head.jobIdx];
+    Accelerator* target = nullptr;
+    if (!sys_.plannerKeepsOnCore(job)) {
+        target = &sys_.acceleratorFor(job.keyAddr, lane.core);
+        const auto aid = static_cast<std::size_t>(target->id());
+        if (reserved_[aid] >= target->params().qstEntries)
+            return false; // software waits for a slot (Sec. IV-A)
+        const std::size_t slot = tenantSlot(*target, tenant);
+        // Hard partitions never exceed their share; Weighted shares
+        // borrow idle capacity, but only in the borrow pass.
+        if (quotaOn_ && reservedTenant_[slot] >= guaranteed_[slot] &&
+            (quota_.share == TenantShare::Hard || !allow_borrow))
+            return false;
+    }
+
+    lane.fetchTime =
+        std::max(lane.fetchTime, static_cast<double>(events_.now()));
+    lane.fetchTime += model_.issueGap;
+    stats_.coreInstructions += model_.windowInstr;
+    const Cycles issueAt = static_cast<Cycles>(lane.fetchTime);
+    const Cycles queueWait = timed_ && issueAt > head.arrivedAt
+                                 ? issueAt - head.arrivedAt
+                                 : 0;
+    const Issued issued{head.jobIdx, &lane, tenant, issueAt, queueWait,
+                        target};
+
+    q.pop_front();
+    --pendingTotal_;
+    ++issued_;
+    ++lane.inflight;
+    ++inflight_;
+    inflightPeak_ =
+        std::max(inflightPeak_, static_cast<double>(inflight_));
+
+    if (target == nullptr) {
+        // Planned core execution: the core runs the walk itself (no
+        // trap overhead — this is a decision, not a fault) and its
+        // pipeline stays busy until the walk retires. No QST slot is
+        // touched.
+        QstEntry entry = sys_.coreExecute(job, head.jobIdx, issueAt);
+        entry.tenant = tenant;
+        lane.fetchTime += static_cast<double>(entry.completed - issueAt);
+        events_.scheduleAt(entry.completed, [this, issued, entry]() {
+            complete(issued, entry);
+        });
+        return true;
+    }
+
+    const Cycles submitAt =
+        issueAt + sys_.submitLatency(lane.core, *target, issueAt);
+    ++reserved_[static_cast<std::size_t>(target->id())];
+    ++reservedTenant_[tenantSlot(*target, tenant)];
+    const int held = ++tenantInflight_[static_cast<std::size_t>(tenant)];
+    if (TenantStats* ts = tenantStats(tenant))
+        ts->occupancy().sample(static_cast<double>(held));
+    events_.scheduleAt(submitAt, [this, issued]() { submit(issued); });
+    return true;
+}
+
+void
+QeiSystem::BlockingEngine::submit(const Issued& q)
+{
+    const QueryJob& j = jobs_[q.jobIdx];
+    const int slot = q.target->enqueue(
+        j.headerAddr, j.keyAddr, kNullAddr, QueryMode::Blocking,
+        q.jobIdx,
+        [this, q](const QstEntry& raw) {
+            sys_.recoverThen(raw, jobs_[q.jobIdx],
+                             [this, q](const QstEntry& entry) {
+                                 complete(q, entry);
+                             });
+        },
+        q.tenant);
+    simAssert(slot >= 0, "QST overflow despite software tracking");
+}
+
+void
+QeiSystem::BlockingEngine::complete(const Issued& q,
+                                    const QstEntry& entry)
+{
+    const Cycles now = events_.now();
+    const Cycles respLat =
+        q.target != nullptr
+            ? sys_.responseLatency(q.lane->core, *q.target, now)
+            : 0;
+    lastRetire_ = std::max(lastRetire_, now + respLat);
+    const std::uint64_t digest =
+        sys_.retire(stats_, jobs_[q.jobIdx], entry, q.issueAt, respLat,
+                    q.queueWait);
+    if (accounting_)
+        stats_.admittedChecksum ^= digest;
+    if (admission_ != nullptr) {
+        // Admitted completions only: degraded work must not steer the
+        // Adaptive window, so the admission decision stream is
+        // identical whether shed queries are dropped or degraded.
+        admission_->onAdmittedCompletion(static_cast<double>(
+            q.queueWait + ((now + respLat) - q.issueAt)));
+    }
+    --q.lane->inflight;
+    --inflight_;
+    if (q.target != nullptr) {
+        --reserved_[static_cast<std::size_t>(q.target->id())];
+        --reservedTenant_[tenantSlot(*q.target, q.tenant)];
+        --tenantInflight_[static_cast<std::size_t>(q.tenant)];
+    }
+    pumpAll();
+}
+
+void
+QeiSystem::BlockingEngine::arrive(const traffic::Arrival& a)
+{
+    // Each arrival passes the admission layer, then either joins its
+    // tenant's FIFO, degrades to the core path, or is dropped.
+    TenantStats* ts = tenantStats(a.tenant);
+    if (ts != nullptr)
+        ts->offered().inc();
+    if (admission_ == nullptr ||
+        admission_->decide(a.tenant, a.tick, pendingTotal_)) {
+        if (ts != nullptr)
+            ts->admitted().inc();
+        laneFor(a.queryIndex)
+            .pending[static_cast<std::size_t>(a.tenant)]
+            .push_back(Pending{a.queryIndex, a.tick});
+        ++pendingTotal_;
+        pumpAll();
+        return;
+    }
+    ts->shed().inc();
+    ++stats_.sheddedQueries;
+    // Shedding IS forward progress: a long shed interval must not trip
+    // the no-retire watchdog.
+    sys_.watchdog().noteProgress();
+    if (degrade_)
+        degradeToCore(a, *ts);
+}
+
+void
+QeiSystem::BlockingEngine::degradeToCore(const traffic::Arrival& a,
+                                         TenantStats& ts)
+{
+    admission_->onDegraded();
+    ts.degraded().inc();
+    ++stats_.degradedQueries;
+    const Cycles start = std::max(degradeClock_, a.tick);
+    QstEntry entry =
+        sys_.coreExecute(jobs_[a.queryIndex], a.queryIndex, start);
+    entry.tenant = a.tenant;
+    degradeClock_ = entry.completed;
+    ++degrading_;
+    const Cycles wait = start - a.tick;
+    events_.scheduleAt(entry.completed, [this, entry, start, wait, a]() {
+        sys_.retire(stats_, jobs_[a.queryIndex], entry, start, 0, wait,
+                    /*degraded=*/true);
+        lastRetire_ = std::max(lastRetire_, entry.completed);
+        --degrading_;
+    });
+}
+
 QeiRunStats
 QeiSystem::runBlocking(const std::vector<QueryJob>& jobs,
                        int issuing_core, const RoiProfile& profile)
 {
-    QeiRunStats stats;
-    stats.queries = jobs.size();
-    breakdown_.reset();
-    driverStats_->reset();
-    if (jobs.empty()) {
-        fillBreakdownStats(stats);
-        return stats;
-    }
-
-    // Instructions the core executes per query: the surrounding
-    // independent work plus the QUERY_B instruction itself.
-    const std::uint32_t windowInstr = profile.nonQueryInstrPerOp + 1;
-    // A blocking query holds a ROB slot until it retires; with
-    // `windowInstr` instructions between queries the OoO window covers
-    // at most this many outstanding queries (Sec. VII-A).
-    const int robLimit = std::max(
-        1, chip_.core.robEntries / static_cast<int>(windowInstr));
-    const int lqLimit = chip_.core.loadQueueEntries;
-    const int maxInflight = std::min(robLimit, lqLimit);
-
-    const double issueGap =
-        static_cast<double>(profile.nonQueryInstrPerOp) /
-            chip_.core.issueWidth +
-        profile.frontendStallPerInstr * windowInstr +
-        static_cast<double>(profile.nonQueryMispredictsPerOp) *
-            static_cast<double>(chip_.core.branchMispredictPenalty);
-
-    std::size_t nextJob = 0;
-    int inflight = 0;
-    double fetchTime = 0.0;
-    Cycles lastRetire = 0;
-    double inflightPeak = 0.0;
-    // Software-side slot tracking (Sec. IV-A): queries issued but not
-    // yet completed, per accelerator instance, including those still
-    // in flight towards the Query Queue. Accelerator ids are dense
-    // [0, accelerators), so a flat array replaces the former
-    // std::map<const Accelerator*, int> — no tree walk per issue.
-    std::vector<int> reserved(accels_.size(), 0);
-
-    // Issue as many queries as the window and the QST allow; resumed
-    // from every completion.
-    std::function<void()> issueLoop = [&]() {
-        while (nextJob < jobs.size() && inflight < maxInflight) {
-            const QueryJob& job = jobs[nextJob];
-            if (plannerKeepsOnCore(job)) {
-                // Planned core execution: the core runs the walk
-                // itself (no trap overhead — this is a decision, not
-                // a fault) and its pipeline stays busy until the walk
-                // retires. No QST slot is touched.
-                fetchTime = std::max(
-                    fetchTime, static_cast<double>(events_.now()));
-                fetchTime += issueGap;
-                stats.coreInstructions += windowInstr;
-                const Cycles issueAt = static_cast<Cycles>(fetchTime);
-                const Cycles sw = coreExecuteCycles(nextJob);
-                fetchTime += static_cast<double>(sw);
-                const QstEntry entry =
-                    coreExecutedEntry(job, nextJob, issueAt, sw);
-                ++nextJob;
-                ++inflight;
-                inflightPeak = std::max(
-                    inflightPeak, static_cast<double>(inflight));
-                events_.scheduleAt(
-                    issueAt + sw,
-                    [this, entry, issueAt, &stats, &inflight,
-                     &lastRetire, &issueLoop]() {
-                        lastRetire =
-                            std::max(lastRetire, events_.now());
-                        recordCompletion(entry, issueAt, 0);
-                        stats.resultChecksum ^= resultDigest(entry);
-                        --inflight;
-                        issueLoop();
-                    });
-                continue;
-            }
-            Accelerator& target =
-                acceleratorFor(job.keyAddr, issuing_core);
-            if (reserved[static_cast<std::size_t>(target.id())] >=
-                target.params().qstEntries)
-                break; // software waits for a slot (Sec. IV-A)
-
-            fetchTime = std::max(
-                fetchTime, static_cast<double>(events_.now()));
-            fetchTime += issueGap;
-            stats.coreInstructions += windowInstr;
-
-            const Cycles issueAt = static_cast<Cycles>(fetchTime);
-            const Cycles submitAt =
-                issueAt + submitLatency(issuing_core, target, issueAt);
-
-            ++inflight;
-            ++reserved[static_cast<std::size_t>(target.id())];
-            inflightPeak =
-                std::max(inflightPeak, static_cast<double>(inflight));
-            const std::size_t jobIdx = nextJob;
-            ++nextJob;
-
-            events_.scheduleAt(submitAt, [this, &target, &jobs, jobIdx,
-                                          issuing_core, &stats,
-                                          &inflight, &lastRetire,
-                                          &reserved, &issueLoop,
-                                          issueAt]() {
-                const QueryJob& j = jobs[jobIdx];
-                const int slot = target.enqueue(
-                    j.headerAddr, j.keyAddr, kNullAddr,
-                    QueryMode::Blocking, jobIdx,
-                    [this, &target, &jobs, jobIdx, issuing_core, &stats,
-                     &inflight, &lastRetire, &reserved, &issueLoop,
-                     issueAt](const QstEntry& raw) {
-                        // Faulted or flushed? Re-run in software
-                        // before the core sees the retirement.
-                        QstEntry entry = raw;
-                        const Cycles sw =
-                            recoverInSoftware(entry, jobs[jobIdx]);
-                        const auto finish = [this, &target, &jobs,
-                                             jobIdx, issuing_core,
-                                             &stats, &inflight,
-                                             &lastRetire, &reserved,
-                                             &issueLoop, issueAt,
-                                             entry]() {
-                            const Cycles now = events_.now();
-                            const Cycles respLat = responseLatency(
-                                issuing_core, target, now);
-                            lastRetire =
-                                std::max(lastRetire, now + respLat);
-                            recordCompletion(entry, issueAt, respLat);
-                            if (!matchesExpectation(entry,
-                                                    jobs[jobIdx]))
-                                ++stats.mismatches;
-                            stats.resultChecksum ^=
-                                resultDigest(entry);
-                            --inflight;
-                            --reserved[static_cast<std::size_t>(
-                                target.id())];
-                            issueLoop();
-                        };
-                        if (sw > 0)
-                            events_.schedule(sw, finish);
-                        else
-                            finish();
-                    });
-                simAssert(slot >= 0,
-                          "QST overflow despite software tracking");
-            });
-        }
-    };
-
-    const FaultCounters before = faultCountersNow();
-    const PlannerCounters pBefore = plannerCountersNow();
-    issueLoop();
-    armFaultDaemons();
-    events_.run();
-    simAssert(nextJob == jobs.size() && inflight == 0,
-              "blocking run stalled: {}/{} issued, {} in flight",
-              nextJob, jobs.size(), inflight);
-
-    stats.cycles = lastRetire;
-    collectAccelStats(stats);
-    stats.maxInFlightObserved = inflightPeak;
-    fillBreakdownStats(stats);
-    fillFaultStats(stats, before);
-    fillPlannerStats(stats, pBefore);
-    return stats;
+    return BlockingEngine(*this, jobs, profile, issuing_core, 1)
+        .run(nullptr);
 }
 
 QeiRunStats
 QeiSystem::runBlockingMultiCore(const std::vector<QueryJob>& jobs,
                                 int cores, const RoiProfile& profile)
 {
-    QeiRunStats stats;
-    stats.queries = jobs.size();
-    breakdown_.reset();
-    driverStats_->reset();
-    if (jobs.empty()) {
-        fillBreakdownStats(stats);
-        return stats;
-    }
     simAssert(cores > 0 && cores <= memory_.cores(),
               "{} issuing cores on a {}-core chip", cores,
               memory_.cores());
+    return BlockingEngine(*this, jobs, profile, 0, cores).run(nullptr);
+}
 
-    const std::uint32_t windowInstr = profile.nonQueryInstrPerOp + 1;
-    const int robLimit = std::max(
-        1, chip_.core.robEntries / static_cast<int>(windowInstr));
-    const int maxInflight =
-        std::min(robLimit, chip_.core.loadQueueEntries);
-    const double issueGap =
-        static_cast<double>(profile.nonQueryInstrPerOp) /
-            chip_.core.issueWidth +
-        profile.frontendStallPerInstr * windowInstr;
-
-    // Per-issuing-core state: a private job stream, fetch clock, and
-    // in-flight window; all cores share the accelerators and memory
-    // system, which is where the contention shows up.
-    struct CoreState
-    {
-        std::vector<std::size_t> jobIdxs;
-        std::size_t next = 0;
-        int inflight = 0;
-        double fetchTime = 0.0;
-    };
-    std::vector<CoreState> coreState(static_cast<std::size_t>(cores));
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        coreState[j % static_cast<std::size_t>(cores)]
-            .jobIdxs.push_back(j);
-    }
-
-    Cycles lastRetire = 0;
-    // Dense per-accelerator reservation counters, as in runBlocking.
-    std::vector<int> reserved(accels_.size(), 0);
-
-    std::function<void(int)> issueLoop = [&](int core) {
-        CoreState& cs = coreState[static_cast<std::size_t>(core)];
-        while (cs.next < cs.jobIdxs.size() &&
-               cs.inflight < maxInflight) {
-            const std::size_t jobIdx = cs.jobIdxs[cs.next];
-            const QueryJob& job = jobs[jobIdx];
-            Accelerator& target = acceleratorFor(job.keyAddr, core);
-            if (reserved[static_cast<std::size_t>(target.id())] >=
-                target.params().qstEntries)
-                break;
-
-            cs.fetchTime = std::max(
-                cs.fetchTime, static_cast<double>(events_.now()));
-            cs.fetchTime += issueGap;
-            stats.coreInstructions += windowInstr;
-
-            const Cycles issueAt = static_cast<Cycles>(cs.fetchTime);
-            const Cycles submitAt =
-                issueAt + submitLatency(core, target, issueAt);
-            ++cs.inflight;
-            ++reserved[static_cast<std::size_t>(target.id())];
-            ++cs.next;
-
-            events_.scheduleAt(submitAt, [this, &target, &jobs, jobIdx,
-                                          core, &stats, &coreState,
-                                          &lastRetire, &reserved,
-                                          &issueLoop, issueAt]() {
-                const QueryJob& j = jobs[jobIdx];
-                const int slot = target.enqueue(
-                    j.headerAddr, j.keyAddr, kNullAddr,
-                    QueryMode::Blocking, jobIdx,
-                    [this, &target, &jobs, jobIdx, core, &stats,
-                     &coreState, &lastRetire, &reserved, &issueLoop,
-                     issueAt](const QstEntry& raw) {
-                        QstEntry entry = raw;
-                        const Cycles sw =
-                            recoverInSoftware(entry, jobs[jobIdx]);
-                        const auto finish = [this, &target, &jobs,
-                                             jobIdx, core, &stats,
-                                             &coreState, &lastRetire,
-                                             &reserved, &issueLoop,
-                                             issueAt, entry]() {
-                            const Cycles now = events_.now();
-                            const Cycles respLat =
-                                responseLatency(core, target, now);
-                            lastRetire =
-                                std::max(lastRetire, now + respLat);
-                            recordCompletion(entry, issueAt, respLat);
-                            if (!matchesExpectation(entry,
-                                                    jobs[jobIdx]))
-                                ++stats.mismatches;
-                            stats.resultChecksum ^=
-                                resultDigest(entry);
-                            --coreState[static_cast<std::size_t>(core)]
-                                  .inflight;
-                            --reserved[static_cast<std::size_t>(
-                                target.id())];
-                            // A completion can unblock any core
-                            // waiting on this accelerator's QST.
-                            for (std::size_t c = 0;
-                                 c < coreState.size(); ++c)
-                                issueLoop(static_cast<int>(c));
-                        };
-                        if (sw > 0)
-                            events_.schedule(sw, finish);
-                        else
-                            finish();
-                    });
-                simAssert(slot >= 0,
-                          "QST overflow despite software tracking");
-            });
-        }
-    };
-
-    const FaultCounters before = faultCountersNow();
-    for (int c = 0; c < cores; ++c)
-        issueLoop(c);
-    armFaultDaemons();
-    events_.run();
-    for (std::size_t c = 0; c < coreState.size(); ++c) {
-        simAssert(coreState[c].next == coreState[c].jobIdxs.size() &&
-                      coreState[c].inflight == 0,
-                  "multi-core run stalled on core {}: {}/{} issued, "
-                  "{} in flight",
-                  c, coreState[c].next, coreState[c].jobIdxs.size(),
-                  coreState[c].inflight);
-    }
-
-    stats.cycles = lastRetire;
-    collectAccelStats(stats);
-    fillBreakdownStats(stats);
-    fillFaultStats(stats, before);
-    return stats;
+QeiRunStats
+QeiSystem::runArrivals(const std::vector<QueryJob>& jobs,
+                       int issuing_core, const RoiProfile& profile,
+                       const std::vector<traffic::Arrival>& arrivals)
+{
+    return BlockingEngine(*this, jobs, profile, issuing_core, 1)
+        .run(&arrivals);
 }
 
 QeiRunStats
@@ -950,13 +1137,8 @@ QeiSystem::runNonBlocking(const std::vector<QueryJob>& jobs,
                           int poll_batch)
 {
     QeiRunStats stats;
-    stats.queries = jobs.size();
-    breakdown_.reset();
-    driverStats_->reset();
-    if (jobs.empty()) {
-        fillBreakdownStats(stats);
+    if (!beginRun(stats, jobs.size()))
         return stats;
-    }
 
     // QUERY_NB retires as soon as the accelerator accepts it: the only
     // core-side costs are the issue slot and the polling loop.
@@ -1007,26 +1189,17 @@ QeiSystem::runNonBlocking(const std::vector<QueryJob>& jobs,
                 j.headerAddr, j.keyAddr, j.resultAddr,
                 QueryMode::NonBlocking, jobIdx,
                 [&, jobIdx, issueAt](const QstEntry& raw) {
-                    QstEntry entry = raw;
-                    const Cycles sw =
-                        recoverInSoftware(entry, jobs[jobIdx]);
-                    const auto finish = [&, jobIdx, issueAt, entry]() {
+                    // The query retired at issue; the result is read
+                    // by the polling loop, whose cost is charged in
+                    // aggregate below — so no Response component here.
+                    const auto finish = [&, jobIdx,
+                                         issueAt](const QstEntry& entry) {
                         lastDone = std::max(lastDone, events_.now());
-                        // The query retired at issue; the result is
-                        // read by the polling loop, whose cost is
-                        // charged in aggregate below — so no Response
-                        // component here.
-                        recordCompletion(entry, issueAt, 0);
-                        if (!matchesExpectation(entry, jobs[jobIdx]))
-                            ++stats.mismatches;
-                        stats.resultChecksum ^= resultDigest(entry);
+                        retire(stats, jobs[jobIdx], entry, issueAt, 0);
                         --inflight;
                         ++completedInBatch;
                     };
-                    if (sw > 0)
-                        events_.schedule(sw, finish);
-                    else
-                        finish();
+                    recoverThen(raw, jobs[jobIdx], finish);
                 });
             simAssert(slot >= 0, "enqueue failed with a free slot");
         };
@@ -1040,41 +1213,31 @@ QeiSystem::runNonBlocking(const std::vector<QueryJob>& jobs,
         for (std::size_t k = 0; k < batchTarget; ++k) {
             const QueryJob& job = jobs[nextJob];
             if (plannerKeepsOnCore(job)) {
-                // Planned core execution (see runBlocking). The
-                // "non-blocking" query degenerates to a synchronous
-                // software walk on the issuing core.
+                // Planned core execution (see the blocking engine).
+                // The "non-blocking" query degenerates to a
+                // synchronous software walk on the issuing core.
                 fetchTime = std::max(
                     fetchTime, static_cast<double>(events_.now()));
                 fetchTime += issueGap;
                 stats.coreInstructions += issueInstr;
                 const Cycles issueAt = static_cast<Cycles>(fetchTime);
-                const Cycles sw = coreExecuteCycles(nextJob);
-                fetchTime += static_cast<double>(sw);
-                QstEntry entry =
-                    coreExecutedEntry(job, nextJob, issueAt, sw);
+                QstEntry entry = coreExecute(job, nextJob, issueAt);
                 entry.mode = QueryMode::NonBlocking;
+                fetchTime += static_cast<double>(entry.completed - issueAt);
                 ++nextJob;
                 ++inflight;
                 inflightPeak = std::max(
                     inflightPeak, static_cast<double>(inflight));
                 events_.scheduleAt(
-                    issueAt + sw,
-                    [this, entry, issueAt, &stats, &inflight,
+                    entry.completed,
+                    [this, &jobs, entry, issueAt, &stats, &inflight,
                      &lastDone, &completedInBatch]() {
                         lastDone = std::max(lastDone, events_.now());
-                        if (entry.resultAddr != kNullAddr &&
-                            vm_.tryTranslate(entry.resultAddr)) {
-                            // The core fills the result slot the
-                            // polling loop reads.
-                            vm_.write<std::uint64_t>(
-                                entry.resultAddr,
-                                entry.success ? 1 : 2);
-                            vm_.write<std::uint64_t>(
-                                entry.resultAddr + 8,
-                                entry.resultValue);
-                        }
-                        recordCompletion(entry, issueAt, 0);
-                        stats.resultChecksum ^= resultDigest(entry);
+                        // The core fills the result slot the polling
+                        // loop reads.
+                        writeResultSlot(entry);
+                        retire(stats, jobs[entry.queryId], entry,
+                               issueAt, 0);
                         --inflight;
                         ++completedInBatch;
                     });
@@ -1106,8 +1269,7 @@ QeiSystem::runNonBlocking(const std::vector<QueryJob>& jobs,
 
     // Poll-and-refill loop: issue a batch, poll until it completes,
     // then issue the next.
-    const FaultCounters before = faultCountersNow();
-    const PlannerCounters pBefore = plannerCountersNow();
+    const RunCounters before = runCountersNow();
     while (nextJob < jobs.size()) {
         issueBatch();
         armFaultDaemons();
@@ -1131,11 +1293,8 @@ QeiSystem::runNonBlocking(const std::vector<QueryJob>& jobs,
 
     stats.cycles = std::max(
         lastDone, static_cast<Cycles>(fetchTime));
-    collectAccelStats(stats);
     stats.maxInFlightObserved = inflightPeak;
-    fillBreakdownStats(stats);
-    fillFaultStats(stats, before);
-    fillPlannerStats(stats, pBefore);
+    finishRun(stats, before);
     return stats;
 }
 
@@ -1145,33 +1304,18 @@ QeiSystem::runBatched(const std::vector<QueryJob>& jobs,
                       const BatchConfig& batch)
 {
     QeiRunStats stats;
-    stats.queries = jobs.size();
-    breakdown_.reset();
-    driverStats_->reset();
     batchStats_->reset();
-    if (jobs.empty()) {
-        fillBreakdownStats(stats);
+    if (!beginRun(stats, jobs.size()))
         return stats;
-    }
     simAssert(batch.enabled(),
               "runBatched needs a batch size > 1 (got {})", batch.size);
-
-    // The accelerator-side coalescing counters are cumulative across
-    // runs; snapshot them for per-run deltas.
-    std::uint64_t headerHitsBefore = 0;
-    std::uint64_t lineHitsBefore = 0;
-    for (const auto& a : accels_) {
-        headerHitsBefore += a->batchHeaderHits();
-        lineHitsBefore += a->batchLineHits();
-    }
 
     // Planner partition: a QUERY_BATCH is planned as a unit, so
     // planner-kept queries never reach the reorderer — the class-level
     // verdict means whole batches either offload or stay on the core.
     // origIdx maps reorderer indices back to the original job vector
     // (identity when the planner keeps nothing).
-    const FaultCounters before = faultCountersNow();
-    const PlannerCounters pBefore = plannerCountersNow();
+    const RunCounters before = runCountersNow();
     std::vector<std::size_t> coreJobs;
     std::vector<std::size_t> origIdx;
     std::vector<QueryJob> accelJobs;
@@ -1226,25 +1370,16 @@ QeiSystem::runBatched(const std::vector<QueryJob>& jobs,
                 m.onComplete = [this, &jobs, &stats, &lastDone,
                                 &completedQueries, jobIdx,
                                 issueAt](const QstEntry& raw) {
-                    QstEntry entry = raw;
-                    const Cycles sw =
-                        recoverInSoftware(entry, jobs[jobIdx]);
+                    // Results surface through the polling loop,
+                    // charged in aggregate below.
                     const auto finish = [this, &jobs, &stats, &lastDone,
                                          &completedQueries, jobIdx,
-                                         issueAt, entry]() {
+                                         issueAt](const QstEntry& entry) {
                         lastDone = std::max(lastDone, events_.now());
-                        // Results surface through the polling loop,
-                        // charged in aggregate below.
-                        recordCompletion(entry, issueAt, 0);
-                        if (!matchesExpectation(entry, jobs[jobIdx]))
-                            ++stats.mismatches;
-                        stats.resultChecksum ^= resultDigest(entry);
+                        retire(stats, jobs[jobIdx], entry, issueAt, 0);
                         ++completedQueries;
                     };
-                    if (sw > 0)
-                        events_.schedule(sw, finish);
-                    else
-                        finish();
+                    recoverThen(raw, jobs[jobIdx], finish);
                 };
                 members.push_back(std::move(m));
             }
@@ -1314,24 +1449,16 @@ QeiSystem::runBatched(const std::vector<QueryJob>& jobs,
             profile.frontendStallPerInstr * issueInstr;
         stats.coreInstructions += issueInstr;
         const Cycles issueAt = static_cast<Cycles>(fetchTime);
-        const Cycles sw = coreExecuteCycles(jobIdx);
-        fetchTime += static_cast<double>(sw);
-        QstEntry entry = coreExecutedEntry(job, jobIdx, issueAt, sw);
+        QstEntry entry = coreExecute(job, jobIdx, issueAt);
         entry.mode = QueryMode::NonBlocking;
+        fetchTime += static_cast<double>(entry.completed - issueAt);
         events_.scheduleAt(
-            issueAt + sw,
-            [this, entry, issueAt, &stats, &lastDone,
+            entry.completed,
+            [this, &jobs, entry, issueAt, &stats, &lastDone,
              &completedQueries]() {
                 lastDone = std::max(lastDone, events_.now());
-                if (entry.resultAddr != kNullAddr &&
-                    vm_.tryTranslate(entry.resultAddr)) {
-                    vm_.write<std::uint64_t>(entry.resultAddr,
-                                             entry.success ? 1 : 2);
-                    vm_.write<std::uint64_t>(entry.resultAddr + 8,
-                                             entry.resultValue);
-                }
-                recordCompletion(entry, issueAt, 0);
-                stats.resultChecksum ^= resultDigest(entry);
+                writeResultSlot(entry);
+                retire(stats, jobs[entry.queryId], entry, issueAt, 0);
                 ++completedQueries;
             });
     }
@@ -1381,21 +1508,10 @@ QeiSystem::runBatched(const std::vector<QueryJob>& jobs,
     stats.coreInstructions += polls * kPollInstr;
 
     stats.cycles = std::max(lastDone, static_cast<Cycles>(fetchTime));
-    collectAccelStats(stats);
-    fillBreakdownStats(stats);
-    fillFaultStats(stats, before);
-    fillPlannerStats(stats, pBefore);
+    finishRun(stats, before);
     stats.batches = batchStats_->batches().value();
     stats.batchedQueries = batchStats_->queries().value();
     stats.batchBackoffs = batchStats_->backoffs().value();
-    std::uint64_t headerHitsAfter = 0;
-    std::uint64_t lineHitsAfter = 0;
-    for (const auto& a : accels_) {
-        headerHitsAfter += a->batchHeaderHits();
-        lineHitsAfter += a->batchLineHits();
-    }
-    stats.batchHeaderHits = headerHitsAfter - headerHitsBefore;
-    stats.batchLineHits = lineHitsAfter - lineHitsBefore;
     return stats;
 }
 

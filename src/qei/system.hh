@@ -29,11 +29,11 @@
 #include "sim/event_queue.hh"
 #include "sim/watchdog.hh"
 #include "trace/trace.hh"
+#include "traffic/traffic.hh"
 
 namespace qei {
 
 class AdmissionController;
-class Driver;
 class DriverMetrics;
 class OffloadPlanner;
 
@@ -93,7 +93,7 @@ struct QeiRunStats
     std::uint64_t qstBackoffs = 0;
 
     // -- overload resilience (admission + multi-tenant serving;
-    //    zeros on every path but the Driver's serving loop) --
+    //    zeros unless a runArrivals run keeps tenant accounting) --
     /** Arrivals admitted past the admission layer. */
     std::uint64_t admittedQueries = 0;
     /** Arrivals shed by the admission policy. */
@@ -228,15 +228,30 @@ class QeiSystem : public SimObject
                                int poll_batch = 32);
 
     /**
-     * Run @p jobs as blocking queries issued concurrently from
-     * @p cores cores (jobs are dealt round-robin). This is the
+     * Run @p jobs as blocking queries issued concurrently from cores
+     * [0, @p cores) (jobs are dealt round-robin). This is the
      * scalability scenario of Tab. I: per-core accelerators scale,
      * CHA instances share, and the single device stop becomes the
-     * bottleneck as issuing cores multiply.
+     * bottleneck as issuing cores multiply. With one core it is
+     * runBlocking on core 0, cycle for cycle.
      */
     QeiRunStats runBlockingMultiCore(const std::vector<QueryJob>& jobs,
                                      int cores,
                                      const RoiProfile& profile);
+
+    /**
+     * Run @p jobs as blocking queries that enter on the @p arrivals
+     * timeline (an open-loop traffic source) rather than all at t=0:
+     * each arrival waits in its tenant's software FIFO until
+     * @p issuing_core's window and the target QST have room, and its
+     * queue-wait is recorded. An attached admission controller, a
+     * multi-tenant stream or an active tenant quota also turns on
+     * shedding, quota-aware issue and per-tenant accounting
+     * (docs/robustness.md); otherwise no tenant stats are created.
+     */
+    QeiRunStats runArrivals(const std::vector<QueryJob>& jobs,
+                            int issuing_core, const RoiProfile& profile,
+                            const std::vector<traffic::Arrival>& arrivals);
 
     /**
      * Run @p jobs as QUERY_BATCH descriptors: the driver's reorderer
@@ -286,21 +301,19 @@ class QeiSystem : public SimObject
     FaultInjector* faultInjector() { return faults_.get(); }
 
     /**
-     * Attach (or detach, with nullptr) the offload planner: the
-     * closed-loop issue paths (QUERY_B, QUERY_NB, QUERY_BATCH)
-     * consult it per query and keep planned queries on the issuing
-     * core. Core execution needs the software view of the jobs
-     * (setSoftwareFallback); without one, the planner only counts
-     * decisions. The planner is borrowed — the owner (runQei) must
-     * outlive the runs that use it. Multi-core runs ignore it
-     * (placement there is the topology's job alone).
+     * Attach (or detach, with nullptr) the offload planner: every
+     * issue path consults it per query and keeps planned queries on
+     * the issuing core. Core execution needs the software view of
+     * the jobs (setSoftwareFallback); without one, the planner only
+     * counts decisions. The planner is borrowed — the owner (runQei)
+     * must outlive the runs that use it.
      */
     void setPlanner(OffloadPlanner* planner) { planner_ = planner; }
     OffloadPlanner* planner() { return planner_; }
 
     /**
      * Attach (or detach, with nullptr) a telemetry sampler: the run
-     * loops arm it alongside the fault daemons, and recordCompletion
+     * loops arm it alongside the fault daemons, and retire()
      * pushes every completed query's sojourn into its tail monitor.
      * The sampler is borrowed — the owner (runQei) drains and detaches
      * it before this system dies.
@@ -311,9 +324,9 @@ class QeiSystem : public SimObject
     }
 
     /**
-     * Attach (or detach, with nullptr) the admission controller: the
-     * Driver's serving loop consults it per arrival and feeds it per
-     * admitted completion. Borrowed — the owner (runQei) must outlive
+     * Attach (or detach, with nullptr) the admission controller:
+     * runArrivals consults it per arrival and feeds it per admitted
+     * completion. Borrowed — the owner (runQei) must outlive
      * the runs that use it. Null (the default, and whenever the
      * configured policy is None) means every arrival is admitted and
      * no "system.admission" node exists, keeping historical artifacts
@@ -365,7 +378,7 @@ class QeiSystem : public SimObject
     /**
      * Per-query sojourn / queue-wait / service histograms, registered
      * as the "driver" child (system.driver.*). Filled by
-     * recordCompletion on every run; the Driver resets them per run.
+     * retire() and reset at the start of every run.
      */
     DriverMetrics& driverMetrics() { return *driverStats_; }
     /** QUERY_BATCH amortization counters (system.batch.*). */
@@ -380,9 +393,12 @@ class QeiSystem : public SimObject
     }
 
   private:
-    /** The open-loop submit loop lives in driver.cc and reuses the
-     *  issue/completion plumbing below. */
-    friend class Driver;
+    /**
+     * The blocking-issue engine behind runBlocking,
+     * runBlockingMultiCore and runArrivals: one issuing lane per core,
+     * per-tenant FIFOs, one issue step and one completion path.
+     */
+    class BlockingEngine;
 
     /** Core->accelerator submission latency at time @p now. */
     Cycles submitLatency(int core, const Accelerator& target,
@@ -392,8 +408,21 @@ class QeiSystem : public SimObject
                            Cycles now);
 
     /**
-     * Fold one completed query into the breakdown (and, when tracing,
-     * emit its Query span plus the Breakdown spans tiling it).
+     * Hand an accelerator's completion of @p job to @p finish: a
+     * faulted or flushed entry is first re-run in software
+     * (recoverInSoftware), and @p finish then runs once that re-run's
+     * cycles have elapsed; a clean entry finishes at once.
+     */
+    template <typename Finish>
+    void recoverThen(const QstEntry& raw, const QueryJob& job,
+                     Finish finish);
+
+    /**
+     * Retire one completed query of @p job into @p stats: fold it into
+     * the breakdown and the driver histograms (and, when tracing, emit
+     * its Query span plus the Breakdown spans tiling it), count a
+     * mismatch against the job's expectation, and fold its digest into
+     * the result checksum. @return that digest.
      * @p issue_at is when the core issued the QUERY instruction;
      * @p response_latency the accelerator->core return cost (0 for
      * non-blocking queries, whose polling is charged in aggregate);
@@ -405,13 +434,16 @@ class QeiSystem : public SimObject
      * sojourn/queue-wait/service histograms and the metrics tail
      * monitor, so serving percentiles describe admitted work.
      */
-    void recordCompletion(const QstEntry& entry, Cycles issue_at,
-                          Cycles response_latency,
-                          Cycles queue_wait = 0,
-                          bool degraded = false);
+    std::uint64_t retire(QeiRunStats& stats, const QueryJob& job,
+                         const QstEntry& entry, Cycles issue_at,
+                         Cycles response_latency, Cycles queue_wait = 0,
+                         bool degraded = false);
 
-    /** Gather per-accelerator counters into @p stats. */
-    void collectAccelStats(QeiRunStats& stats) const;
+    /**
+     * Software writes a query's outcome into its non-blocking result
+     * slot (the 16 B the polling loop reads), if it has a mapped one.
+     */
+    void writeResultSlot(const QstEntry& entry);
 
     /** Validate a completed entry against the job's expectation. */
     static bool matchesExpectation(const QstEntry& entry,
@@ -434,6 +466,12 @@ class QeiSystem : public SimObject
     void ensureFallbackCore();
 
     /**
+     * Cycles the fallback core spends on query @p query_id's software
+     * walk (0 when the software view has no such query).
+     */
+    Cycles fallbackWalk(std::uint64_t query_id);
+
+    /**
      * Service a faulted completion: re-execute the query on the
      * fallback core, patch @p entry to the functional outcome, and
      * charge the extra cycles to the SwFallback component.
@@ -442,22 +480,16 @@ class QeiSystem : public SimObject
     Cycles recoverInSoftware(QstEntry& entry, const QueryJob& job);
 
     /**
-     * Cycles the issuing core spends running query @p query_id's
-     * software walk itself — a *planned* core execution, so unlike
-     * recoverInSoftware there is no trap/OS overhead. Needs the
+     * Run query @p query_id's software walk on the issuing core from
+     * @p issue_at — a *planned* core execution, so unlike
+     * recoverInSoftware there is no trap/OS overhead — and return its
+     * completed entry: the functional outcome from the job's
+     * expectation, the whole walk (at least one cycle) charged to
+     * SwFallback, enqueued == issue so Submit is zero. Needs the
      * software fallback view of the jobs.
      */
-    Cycles coreExecuteCycles(std::uint64_t query_id);
-
-    /**
-     * Synthesize the completed-entry record of a planner-kept query:
-     * the functional outcome from the job's expectation, the whole
-     * duration charged to SwFallback (the core-executed-walk
-     * component), enqueued == issue so Submit is zero.
-     */
-    QstEntry coreExecutedEntry(const QueryJob& job,
-                               std::uint64_t query_id, Cycles issue_at,
-                               Cycles sw_cycles) const;
+    QstEntry coreExecute(const QueryJob& job, std::uint64_t query_id,
+                         Cycles issue_at);
 
     /**
      * True when the planner keeps this query on the core. Only
@@ -481,27 +513,35 @@ class QeiSystem : public SimObject
     /** QST + event-queue snapshot for the watchdog's panic message. */
     std::string dumpForWatchdog() const;
 
-    /** Injector counter snapshot, for per-run deltas. */
-    struct FaultCounters
+    /**
+     * Snapshot of the counters that outlive a run (injector, planner,
+     * accelerator batch coalescing), for per-run deltas.
+     */
+    struct RunCounters
     {
         std::uint64_t injected = 0;
         std::uint64_t swFallbacks = 0;
         Cycles swFallbackCycles = 0;
         std::uint64_t flushes = 0;
-    };
-    FaultCounters faultCountersNow() const;
-    void fillFaultStats(QeiRunStats& stats,
-                        const FaultCounters& before) const;
-
-    /** Planner counter snapshot, for per-run deltas. */
-    struct PlannerCounters
-    {
         std::uint64_t decisions = 0;
         std::uint64_t coreExecutes = 0;
+        std::uint64_t batchHeaderHits = 0;
+        std::uint64_t batchLineHits = 0;
     };
-    PlannerCounters plannerCountersNow() const;
-    void fillPlannerStats(QeiRunStats& stats,
-                          const PlannerCounters& before) const;
+    RunCounters runCountersNow() const;
+
+    /**
+     * Start a run of @p jobs queries: reset the breakdown and the
+     * driver histograms. @return false, with @p stats complete, when
+     * there is nothing to run.
+     */
+    bool beginRun(QeiRunStats& stats, std::size_t jobs);
+
+    /**
+     * Close a run: accelerator totals, the breakdown, and the counter
+     * deltas since @p before.
+     */
+    void finishRun(QeiRunStats& stats, const RunCounters& before) const;
 
     ChipConfig chip_;
     EventQueue& events_;

@@ -5,10 +5,11 @@
  * A Workload (src/workloads) builds data structures and prepares
  * matched query streams; a TrafficSource turns "N queries" into a
  * timeline of arrivals. The Driver (src/qei/driver.hh) consumes that
- * timeline: closed-loop sources delegate to the legacy back-to-back
- * issue loops (bit-identical to the historical runQei behaviour),
- * while open-loop sources feed an event-driven submit loop that
- * queues arrivals against QST capacity and measures sojourn time.
+ * timeline: a closed-loop source means the whole stream is queued at
+ * t=0 and issued back to back (the historical runQei behaviour),
+ * while an open-loop source's arrivals are handed to the system's
+ * blocking-issue engine (QeiSystem::runArrivals), which queues them
+ * against the core's window and QST capacity and measures sojourn.
  *
  * Determinism contract: schedule() must be a pure function of the
  * constructor arguments (rate, seed, ...) and @p count — no global
@@ -63,8 +64,8 @@ class TrafficSource
     /**
      * True when the source has no arrival clock of its own — the next
      * query "arrives" the moment the previous one retires. The Driver
-     * routes closed-loop sources through the legacy issue loops so
-     * their results stay bit-identical to the pre-traffic-layer code.
+     * runs closed-loop sources as a backlog queued at t=0, so their
+     * results stay bit-identical to the pre-traffic-layer code.
      */
     virtual bool closedLoop() const { return false; }
 };

@@ -48,7 +48,7 @@ namespace {
  * standard probe set (per-accelerator completion rate), the live
  * gauges a registry can't express (summed QST occupancy, event-queue
  * depth, NoC link utilisation), the backoff-rate series, and the
- * sojourn tail monitor recordCompletion feeds. Series names use the
+ * sojourn tail monitor QeiSystem::retire feeds. Series names use the
  * sampler's dotted path ("system.metrics.*") so artifact consumers
  * address them like any other stat.
  */
@@ -125,8 +125,8 @@ runQei(World& world, const Prepared& prepared,
         system.setPlanner(planner.get());
     }
     // Admission control: constructed only for a non-None policy, so
-    // historical runs carry no "system.admission" stats node. The
-    // Driver's serving loop consults it per arrival.
+    // historical runs carry no "system.admission" stats node.
+    // QeiSystem::runArrivals consults it per arrival.
     std::unique_ptr<AdmissionController> admission;
     if (config.admission.active()) {
         admission =

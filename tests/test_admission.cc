@@ -260,8 +260,9 @@ TEST(Admission, TenantQuotaGuaranteedSlots)
 TEST(Admission, NonePolicySingleTenantKeepsLegacyArtifacts)
 {
     // The overload layer is strictly opt-in: a default (None)
-    // AdmissionConfig must leave open-loop runs on the legacy path,
-    // with bit-identical results and an unchanged stats-tree shape.
+    // AdmissionConfig must leave open-loop runs without tenant
+    // accounting, with bit-identical results and an unchanged
+    // stats-tree shape.
     auto run = [](bool explicit_default) {
         Fixture f(150);
         std::string statsJson;
@@ -291,9 +292,9 @@ TEST(Admission, NonePolicySingleTenantKeepsLegacyArtifacts)
 
 TEST(Admission, PermissiveServingMatchesLegacyOutcome)
 {
-    // A never-shedding policy routes through the serving loop but
-    // must produce the same functional outcome as the legacy open
-    // loop (the digest is order-independent by construction).
+    // A never-shedding policy turns tenant accounting on but must
+    // produce the same functional outcome as the plain open loop
+    // (the digest is order-independent by construction).
     auto traffic = []() {
         return std::make_shared<PoissonOpenLoop>(150.0, /*seed=*/5);
     };

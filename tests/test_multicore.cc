@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ds/chained_hash.hh"
 #include "workloads/workload.hh"
 
@@ -34,15 +36,25 @@ struct MultiHarness
         }
     }
 
+    /** Run @p body on a fresh system over the reset World. */
+    template <typename Body>
     QeiRunStats
-    run(const SchemeConfig& scheme, int cores)
+    onFreshSystem(const SchemeConfig& scheme, Body body)
     {
         world.resetTiming();
         world.warmLlc();
         QeiSystem system(world.chip, world.events, world.hierarchy,
                          world.vm, world.firmware, scheme);
-        return system.runBlockingMultiCore(prep.jobs, cores,
-                                           prep.profile);
+        return body(system);
+    }
+
+    QeiRunStats
+    run(const SchemeConfig& scheme, int cores)
+    {
+        return onFreshSystem(scheme, [&](QeiSystem& system) {
+            return system.runBlockingMultiCore(prep.jobs, cores,
+                                               prep.profile);
+        });
     }
 
     World world;
@@ -65,20 +77,46 @@ TEST(MultiCore, AllQueriesCompleteCorrectly)
     }
 }
 
-TEST(MultiCore, OneCoreuEqualsSingleCoreSemantics)
+TEST(MultiCore, OneCoreEqualsRunBlocking)
+{
+    // One issuing core is runBlocking on core 0: same issue model
+    // (mispredict term included), same engine, cycle for cycle.
+    MultiHarness h;
+    for (std::uint32_t mispredicts : {0u, 1u}) {
+        h.prep.profile.nonQueryMispredictsPerOp = mispredicts;
+        const QeiRunStats multi =
+            h.run(SchemeConfig::coreIntegrated(), 1);
+        const QeiRunStats single = h.onFreshSystem(
+            SchemeConfig::coreIntegrated(), [&](QeiSystem& system) {
+                return system.runBlocking(h.prep.jobs, 0,
+                                          h.prep.profile);
+            });
+        EXPECT_EQ(multi.cycles, single.cycles) << mispredicts;
+        EXPECT_EQ(multi.resultChecksum, single.resultChecksum)
+            << mispredicts;
+        EXPECT_EQ(multi.coreInstructions, single.coreInstructions)
+            << mispredicts;
+        EXPECT_EQ(multi.breakdownCycles, single.breakdownCycles)
+            << mispredicts;
+    }
+}
+
+TEST(MultiCore, ReportsInFlightPeakAcrossCores)
 {
     MultiHarness h;
-    const QeiRunStats multi =
-        h.run(SchemeConfig::coreIntegrated(), 1);
-    const QeiRunStats single =
-        runQei(h.world, h.prep, DriverConfig(SchemeConfig::coreIntegrated()));
-    // Same machinery, same load: cycles agree to within a few percent
-    // (the multi-core runner skips the per-query retire bookkeeping
-    // order but nothing structural).
-    const double ratio = static_cast<double>(multi.cycles) /
-                         static_cast<double>(single.cycles);
-    EXPECT_GT(ratio, 0.9);
-    EXPECT_LT(ratio, 1.1);
+    const QeiRunStats one = h.run(SchemeConfig::coreIntegrated(), 1);
+    const QeiRunStats eight =
+        h.run(SchemeConfig::coreIntegrated(), 8);
+    // The per-core ROB/LQ window for this profile.
+    const CoreParams& core = h.world.chip.core;
+    const int window = std::min(
+        core.robEntries /
+            static_cast<int>(h.prep.profile.nonQueryInstrPerOp + 1),
+        core.loadQueueEntries);
+    EXPECT_GT(one.maxInFlightObserved, 0.0);
+    EXPECT_LE(one.maxInFlightObserved, window);
+    EXPECT_GT(eight.maxInFlightObserved, one.maxInFlightObserved);
+    EXPECT_LE(eight.maxInFlightObserved, 8.0 * window);
 }
 
 TEST(MultiCore, DistributedSchemesScale)

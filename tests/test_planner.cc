@@ -276,6 +276,35 @@ TEST(PlannerRun, SyntheticModelKeepsQueriesOnCore)
     EXPECT_EQ(onCore.swFallbacks, 0u);
 }
 
+TEST(PlannerRun, SyntheticModelKeepsOpenLoopQueriesOnCore)
+{
+    // The open-loop path honours the core-execute verdict too: every
+    // arrival runs on the core, with the static run's answers.
+    auto model = std::make_shared<CostModel>();
+    model->set("dpdk", {1.0, {{"CHA-TLB", 100.0}}});
+
+    PreparedWorkload pw = prepareOne(0, 192);
+    const QeiRunStats accel =
+        runQei(*pw.world, pw.prep, DriverConfig(Topology::chaTlb()));
+
+    PlannerConfig cfg = PlannerConfig::cost("dpdk");
+    cfg.model = model;
+    const QeiRunStats onCore = runQei(
+        *pw.world, pw.prep,
+        DriverConfig(Topology::chaTlb())
+            .withPlanner(cfg)
+            .withTraffic(std::make_shared<traffic::PoissonOpenLoop>(
+                accel.cyclesPerQuery(), 5)));
+
+    EXPECT_EQ(onCore.plannerCoreExecutes, onCore.queries);
+    EXPECT_EQ(onCore.mismatches, 0u);
+    EXPECT_EQ(onCore.resultChecksum, accel.resultChecksum);
+    EXPECT_EQ(onCore.swFallbacks, 0u);
+    // Arrivals queue behind the core-executed walks.
+    EXPECT_EQ(onCore.queueWait.count, onCore.queries);
+    EXPECT_GT(onCore.queueWait.max, 0.0);
+}
+
 TEST(PlannerRun, ShardedDeploymentSurvivesFaultsAndFlushes)
 {
     // Clean single-deployment reference.

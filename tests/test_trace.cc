@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 
@@ -341,3 +342,134 @@ TEST(Trace, MatrixTraceFilesAreWellFormed)
 }
 
 #endif // QEI_TRACING
+
+namespace {
+
+/**
+ * Completions per queryId in one run, read off the Category::Query
+ * spans (QeiSystem::retire emits exactly one per retired query). The
+ * XOR result checksum cannot see a query that completes twice; this
+ * count can.
+ */
+std::map<std::uint64_t, int>
+queryCompletions(World& world, const std::function<void()>& run)
+{
+    world.traceSink.drain();
+    run();
+    const trace::TraceBuffer buf = world.traceSink.drain();
+    EXPECT_EQ(buf.dropped, 0u);
+    std::map<std::uint64_t, int> seen;
+    for (const trace::TraceEvent& e : buf.events) {
+        if (e.category == trace::Category::Query)
+            ++seen[e.queryId];
+    }
+    return seen;
+}
+
+void
+expectEachQueryOnce(const std::map<std::uint64_t, int>& seen,
+                    std::size_t queries, const std::string& path)
+{
+    EXPECT_EQ(seen.size(), queries) << path;
+    for (const auto& [qid, count] : seen) {
+        EXPECT_LT(qid, queries) << path;
+        EXPECT_EQ(count, 1) << path << ": query " << qid;
+    }
+}
+
+} // namespace
+
+TEST(ExactlyOnce, EveryIssuePathCompletesEachQueryOnce)
+{
+    if (!trace::kCompiledIn)
+        GTEST_SKIP() << "tracing compiled out (-DQEI_TRACING=OFF)";
+
+    World world(7);
+    const auto workload = makeWorkloadFactories()[0]();
+    workload->build(world);
+    const Prepared prep = workload->prepare(world, 160);
+    const std::size_t n = prep.jobs.size();
+    world.traceSink.enable(std::size_t{1} << 20);
+    const DriverConfig core(SchemeConfig::coreIntegrated());
+
+    auto viaDriver = [&](const std::string& path, DriverConfig config) {
+        QeiRunStats stats;
+        expectEachQueryOnce(
+            queryCompletions(world,
+                             [&] { stats = runQei(world, prep, config); }),
+            n, path);
+        EXPECT_EQ(stats.mismatches, 0u) << path;
+        return stats;
+    };
+
+    const QeiRunStats b = viaDriver("QUERY_B", core);
+    for (int poll : {1, 16}) {
+        viaDriver("QUERY_NB poll " + std::to_string(poll),
+                  DriverConfig(core)
+                      .withMode(QueryMode::NonBlocking)
+                      .withPollBatch(poll));
+    }
+    BatchConfig batch;
+    batch.size = 8;
+    viaDriver("QUERY_BATCH 8", DriverConfig(core).withBatch(batch));
+
+    // Open loop at 10% of the closed-loop capacity.
+    const double gap = 10.0 * b.cyclesPerQuery();
+    viaDriver("open loop 10%",
+              DriverConfig(core).withTraffic(
+                  std::make_shared<traffic::PoissonOpenLoop>(gap, 3)));
+    std::vector<traffic::TenantMix::Stream> streams;
+    for (int t = 0; t < 4; ++t) {
+        streams.push_back(
+            {std::make_shared<traffic::PoissonOpenLoop>(gap, 11 + t),
+             1.0});
+    }
+    const QeiRunStats mix = viaDriver(
+        "4-tenant mix",
+        DriverConfig(core).withTraffic(
+            std::make_shared<traffic::TenantMix>(std::move(streams))));
+    EXPECT_EQ(mix.tenants.size(), 4u);
+
+    for (int cores : {1, 4}) {
+        expectEachQueryOnce(
+            queryCompletions(world,
+                             [&] {
+                                 world.resetTiming();
+                                 world.warmLlc();
+                                 QeiSystem system(
+                                     world.chip, world.events,
+                                     world.hierarchy, world.vm,
+                                     world.firmware,
+                                     SchemeConfig::coreIntegrated(),
+                                     &world.traceSink);
+                                 system.runBlockingMultiCore(
+                                     prep.jobs, cores, prep.profile);
+                             }),
+            n, "multi-core " + std::to_string(cores));
+    }
+
+    // Recovered queries (page faults, bad headers) still retire once.
+    ChipConfig chip = defaultChip();
+    chip.faults = parseFaultSpec("pf=0.02,bh=0.01,seed=3");
+    World faulty(7, chip);
+    const auto fworkload = makeWorkloadFactories()[0]();
+    fworkload->build(faulty);
+    const Prepared fprep = fworkload->prepare(faulty, 160);
+    faulty.traceSink.enable(std::size_t{1} << 20);
+    for (QueryMode mode : {QueryMode::Blocking, QueryMode::NonBlocking}) {
+        const std::string path =
+            mode == QueryMode::Blocking ? "faulty QUERY_B"
+                                        : "faulty QUERY_NB";
+        QeiRunStats stats;
+        expectEachQueryOnce(queryCompletions(faulty,
+                                             [&] {
+                                                 stats = runQei(
+                                                     faulty, fprep,
+                                                     DriverConfig(core)
+                                                         .withMode(mode));
+                                             }),
+                            fprep.jobs.size(), path);
+        EXPECT_GT(stats.faultsInjected, 0u) << path;
+        EXPECT_EQ(stats.mismatches, 0u) << path;
+    }
+}
