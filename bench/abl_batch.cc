@@ -22,7 +22,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -37,20 +36,6 @@ using validate::Expectation;
 using validate::Relation;
 
 const std::vector<int> kBatchSizes{1, 8, 32};
-
-struct CellSpec
-{
-    std::size_t workloadIdx; ///< into makeWorkloadFactories() order
-    std::uint64_t worldSeed;
-    std::size_t queries;
-};
-
-struct CellResult
-{
-    int batchSize;
-    QeiRunStats stats;
-    trace::TraceBuffer trace;
-};
 
 /** Self-anchored expectations: amortization shape + bit-identity. */
 validate::Suite
@@ -148,75 +133,46 @@ int
 main(int argc, char** argv)
 {
     const BenchOptions options = parseBenchArgs(argc, argv);
+    const std::size_t cap = parseQueryCap(options, argv[0]);
     BenchReport report("abl_batch", options);
     std::printf("=== Ablation: QUERY_BATCH batched execution ===\n");
 
-    // Positional query cap for CI smoke runs.
-    std::size_t queryCap = 0;
-    if (!options.positional.empty())
-        queryCap = static_cast<std::size_t>(
-            std::strtoull(options.positional[0].c_str(), nullptr, 10));
-    auto capped = [queryCap](std::size_t q) {
-        return queryCap != 0 && queryCap < q ? queryCap : q;
-    };
+    const std::vector<std::string> names{"dpdk", "jvm", "rocksdb",
+                                         "snort", "flann"};
+    const std::vector<std::size_t> queries{1536, 1024, 512, 256, 512};
 
-    const std::vector<CellSpec> specs{
-        {0, 42, capped(1536)}, // dpdk
-        {1, 42, capped(1024)}, // jvm
-        {2, 42, capped(512)},  // rocksdb
-        {3, 42, capped(256)},  // snort
-        {4, 42, capped(512)},  // flann
-    };
-    const std::vector<std::string> specNames{"dpdk", "jvm", "rocksdb",
-                                             "snort", "flann"};
-
-    TraceCollector tracer(options.tracePath);
-
-    // One cell per (workload, batch size); every cell builds its own
-    // World from the spec seed, so results are bit-identical at any
-    // --threads setting. batch=1 is the untouched scalar path.
-    const std::size_t cells = specs.size() * kBatchSizes.size();
-    auto sweep = parallelMap(
-        options.threads, cells, [&](std::size_t c) -> CellResult {
-            const std::size_t w = c / kBatchSizes.size();
-            const CellSpec& spec = specs[w];
-            const int batchSize =
-                kBatchSizes[c % kBatchSizes.size()];
-
-            auto workload = makeWorkloadFactories()[spec.workloadIdx]();
-            World world(spec.worldSeed);
-            workload->build(world);
-            const Prepared prep =
-                workload->prepare(world, spec.queries);
-            tracer.arm(world);
+    // One row per workload, one cell per batch size; batch=1 is the
+    // untouched scalar path.
+    Sweep<QeiRunStats> sweep;
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        const std::size_t row = sweep.row(workloadRow(
+            makeWorkloadFactories()[w], capQueries(queries[w], cap)));
+        for (const int batchSize : kBatchSizes) {
             DriverConfig config(SchemeConfig::coreIntegrated());
             if (batchSize > 1) {
                 config.withBatch(BatchConfig{
                     batchSize, BatchReorder::ByKeyLocality, true});
             }
-            const QeiRunStats stats = runQei(world, prep, config);
-            CellResult out{batchSize, stats, {}};
-            if (tracer.enabled())
-                out.trace = world.traceSink.drain();
-            return out;
-        });
+            sweep.cell(row, names[w] + "/batch-" + std::to_string(batchSize),
+                       config);
+        }
+    }
+    const std::vector<QeiRunStats> results =
+        sweep.run(options.threads, !options.tracePath.empty());
 
     TablePrinter table;
     table.header({"workload", "batch", "cyc/query", "speedup",
                   "mem/query", "hdr hits", "line hits", "checksum"});
 
-    for (std::size_t w = 0; w < specs.size(); ++w) {
+    for (std::size_t w = 0; w < names.size(); ++w) {
         const QeiRunStats& scalar =
-            sweep[w * kBatchSizes.size()].stats; // batch=1 cell
+            results[w * kBatchSizes.size()]; // batch=1 cell
         Json points = Json::array();
         std::uint64_t mismatches = 0;
         bool checksumsMatch = true;
         for (std::size_t b = 0; b < kBatchSizes.size(); ++b) {
-            const CellResult& cell = sweep[w * kBatchSizes.size() + b];
-            const QeiRunStats& s = cell.stats;
-            tracer.add(specNames[w] + "/batch-" +
-                           std::to_string(cell.batchSize),
-                       cell.trace);
+            const int batchSize = kBatchSizes[b];
+            const QeiRunStats& s = results[w * kBatchSizes.size() + b];
             const double speedup =
                 s.cycles ? static_cast<double>(scalar.cycles) /
                                static_cast<double>(s.cycles)
@@ -230,7 +186,7 @@ main(int argc, char** argv)
             checksumsMatch = checksumsMatch && checksumOk;
             mismatches += s.mismatches;
 
-            table.row({specNames[w], std::to_string(cell.batchSize),
+            table.row({names[w], std::to_string(batchSize),
                        TablePrinter::num(s.cyclesPerQuery()),
                        TablePrinter::num(speedup),
                        TablePrinter::num(memPerQuery),
@@ -239,7 +195,7 @@ main(int argc, char** argv)
                        checksumOk ? "ok" : "MISMATCH"});
 
             Json p = Json::object();
-            p["batch"] = cell.batchSize;
+            p["batch"] = batchSize;
             p["cycles"] = s.cycles;
             p["cycles_per_query"] = s.cyclesPerQuery();
             p["speedup_vs_scalar"] = speedup;
@@ -254,12 +210,12 @@ main(int argc, char** argv)
         }
         // Points live directly under the workload name so
         // expectations address them as "<w>.[batch=32].<key>".
-        report.data()[specNames[w]] = std::move(points);
+        report.data()[names[w]] = std::move(points);
         Json summary = Json::object();
         summary["scalar_cycles_per_query"] = scalar.cyclesPerQuery();
         summary["checksum_matches_all"] = checksumsMatch ? 1 : 0;
         summary["mismatches"] = mismatches;
-        report.data()[specNames[w] + "_summary"] = std::move(summary);
+        report.data()[names[w] + "_summary"] = std::move(summary);
     }
     table.print();
     std::printf(
@@ -270,6 +226,6 @@ main(int argc, char** argv)
 
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
+    const bool traceOk = sweep.writeTrace(options.tracePath);
     return report.finish() && traceOk ? 0 : 1;
 }

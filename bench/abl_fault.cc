@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,21 +52,16 @@ mixes()
     return kMixes;
 }
 
-/** Build the workload fresh and run it under @p mix's fault config. */
-QeiRunStats
-runMix(const Mix& mix)
+/** @p mix's machine: its own fault config in place of whatever
+ *  QEI_FAULTS put into defaultChip(), so the reference run is
+ *  genuinely fault-free even under `run_benches.sh --faults`. */
+ChipConfig
+mixChip(const Mix& mix)
 {
     ChipConfig chip = defaultChip();
-    // Explicit per-mix fault config: overwrite whatever QEI_FAULTS
-    // put into defaultChip(), so the reference run is genuinely
-    // fault-free even under `run_benches.sh --faults`.
     chip.faults = mix.spec[0] != '\0' ? parseFaultSpec(mix.spec)
                                       : FaultConfig{};
-    std::unique_ptr<Workload> workload = makeWorkloadFactories()[0]();
-    World world(kSeed, chip);
-    workload->build(world);
-    const Prepared prepared = workload->prepare(world, kQueries);
-    return runQei(world, prepared, DriverConfig(SchemeConfig::coreIntegrated()).withMode(mix.mode));
+    return chip;
 }
 
 using validate::Expectation;
@@ -161,12 +155,17 @@ main(int argc, char** argv)
     std::printf("=== Ablation: fault injection + software fallback "
                 "(Sec. IV-D) ===\n");
 
-    // Every mix builds its own World from the same seed, so the cells
-    // are independent and fan out across --threads.
+    // One row per mix, since each mix is its own ChipConfig.
     const std::vector<Mix>& all = mixes();
-    const std::vector<QeiRunStats> results = parallelMap(
-        options.threads, all.size(),
-        [&](std::size_t i) { return runMix(all[i]); });
+    Sweep<QeiRunStats> sweep;
+    for (const Mix& mix : all) {
+        const std::size_t row = sweep.row(workloadRow(
+            makeWorkloadFactories()[0], kQueries, kSeed, mixChip(mix)));
+        sweep.cell(row, mix.label,
+                   DriverConfig(SchemeConfig::coreIntegrated())
+                       .withMode(mix.mode));
+    }
+    const std::vector<QeiRunStats> results = sweep.run(options.threads);
 
     const QeiRunStats& none = results[0];
     TablePrinter table;

@@ -81,78 +81,59 @@ main(int argc, char** argv)
         schemesToRun.push_back(scheme);
     }
 
-    TraceCollector tracer(options.tracePath);
-
-    struct ScalingResult
-    {
-        std::vector<std::string> row;
-        Json s;
-        std::vector<std::pair<std::string, trace::TraceBuffer>> traces;
-    };
-
-    // One task per scheme; each builds its own world + prepared query
-    // stream from seed 42, matching the serial sweep exactly.
-    auto results = parallelMap(
-        options.threads, schemesToRun.size(),
-        [&](std::size_t i) -> ScalingResult {
-            const SchemeConfig& scheme = schemesToRun[i];
-            const auto jvm = makeWorkloadFactories()[1]();
-            World world(42);
-            jvm->build(world);
-            const Prepared prepared = jvm->prepare(world, 2400);
-
-            ScalingResult result;
-            std::vector<std::string> row{scheme.name()};
-            double oneCore = 0.0;
-            double sixteen = 0.0;
-            Json points = Json::array();
-            for (int cores : {1, 4, 8, 16}) {
-                world.resetTiming();
-                world.warmLlc();
-                tracer.arm(world);
-                QeiSystem system(world.chip, world.events,
-                                 world.hierarchy, world.vm,
-                                 world.firmware, scheme,
-                                 &world.traceSink);
-                const QeiRunStats stats = system.runBlockingMultiCore(
-                    prepared.jobs, cores, prepared.profile);
-                simAssert(stats.mismatches == 0, "mismatches on {}",
-                          scheme.name());
-                if (tracer.enabled()) {
-                    result.traces.emplace_back(
-                        scheme.name() + "/" + std::to_string(cores) +
-                            "-cores",
-                        world.traceSink.drain());
-                }
-                row.push_back(
-                    TablePrinter::num(stats.cyclesPerQuery(), 1));
-                if (cores == 1)
-                    oneCore = stats.cyclesPerQuery();
-                if (cores == 16)
-                    sixteen = stats.cyclesPerQuery();
-                Json p = Json::object();
-                p["cores"] = cores;
-                p["cycles_per_query"] = stats.cyclesPerQuery();
-                p["qei"] = toJson(stats);
-                points.push_back(std::move(p));
-            }
-            row.push_back(TablePrinter::speedup(oneCore / sixteen));
-
-            Json s = Json::object();
-            s["scheme"] = scheme.name();
-            s["points"] = std::move(points);
-            s["scaling_16_core"] = oneCore / sixteen;
-            result.row = std::move(row);
-            result.s = std::move(s);
-            return result;
-        });
+    // One jvm row; one cell per (scheme, core count), each issuing the
+    // same prepared stream from that many cores.
+    const std::vector<int> coreCounts{1, 4, 8, 16};
+    Sweep<QeiRunStats> sweep;
+    const std::size_t jvm =
+        sweep.row(workloadRow(makeWorkloadFactories()[1], 2400));
+    for (const SchemeConfig& scheme : schemesToRun) {
+        for (const int cores : coreCounts) {
+            sweep.cell(
+                jvm, scheme.name() + "/" + std::to_string(cores) + "-cores",
+                [scheme, cores](World& world, const PreparedRow& row,
+                                const auto&) {
+                    world.resetTiming();
+                    world.warmLlc();
+                    QeiSystem system(world.chip, world.events,
+                                     world.hierarchy, world.vm,
+                                     world.firmware, scheme,
+                                     &world.traceSink);
+                    const QeiRunStats stats = system.runBlockingMultiCore(
+                        row.prepared.jobs, cores, row.prepared.profile);
+                    simAssert(stats.mismatches == 0, "mismatches on {}",
+                              scheme.name());
+                    return stats;
+                });
+        }
+    }
+    const std::vector<QeiRunStats> results =
+        sweep.run(options.threads, !options.tracePath.empty());
 
     Json schemes = Json::array();
-    for (auto& result : results) {
-        table.row(result.row);
-        schemes.push_back(std::move(result.s));
-        for (const auto& [label, buf] : result.traces)
-            tracer.add(label, buf);
+    for (std::size_t i = 0; i < schemesToRun.size(); ++i) {
+        std::vector<std::string> row{schemesToRun[i].name()};
+        Json points = Json::array();
+        for (std::size_t k = 0; k < coreCounts.size(); ++k) {
+            const QeiRunStats& stats = results[i * coreCounts.size() + k];
+            row.push_back(TablePrinter::num(stats.cyclesPerQuery(), 1));
+            Json p = Json::object();
+            p["cores"] = coreCounts[k];
+            p["cycles_per_query"] = stats.cyclesPerQuery();
+            p["qei"] = toJson(stats);
+            points.push_back(std::move(p));
+        }
+        const double scaling =
+            results[i * coreCounts.size()].cyclesPerQuery() /
+            results[(i + 1) * coreCounts.size() - 1].cyclesPerQuery();
+        row.push_back(TablePrinter::speedup(scaling));
+        table.row(row);
+
+        Json s = Json::object();
+        s["scheme"] = schemesToRun[i].name();
+        s["points"] = std::move(points);
+        s["scaling_16_core"] = scaling;
+        schemes.push_back(std::move(s));
     }
     table.print();
     std::printf("expectation: per-core / per-CHA schemes approach "
@@ -162,6 +143,6 @@ main(int argc, char** argv)
     report.data()["schemes"] = std::move(schemes);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
+    const bool traceOk = sweep.writeTrace(options.tracePath);
     return report.finish() && traceOk ? 0 : 1;
 }

@@ -77,64 +77,48 @@ main(int argc, char** argv)
     table.header({"scheme", "peak link util", "mean link util",
                   "NoC bytes/query"});
 
-    TraceCollector tracer(options.tracePath);
-
-    struct HotspotResult
+    // One jvm row; one non-blocking flood cell per scheme, read off the
+    // mesh it leaves behind.
+    struct Hotspot
     {
-        std::vector<std::string> row;
-        Json s;
-        std::string name;
-        trace::TraceBuffer traceBuf;
+        double peak, mean, bytesPerQuery;
     };
-
-    // One task per scheme; each already built a fresh world, so the
-    // parallel fan-out changes nothing about the measurement.
     const auto allSchemes = SchemeConfig::allSchemes();
-    auto results = parallelMap(
-        options.threads, allSchemes.size(),
-        [&](std::size_t i) -> HotspotResult {
-            const SchemeConfig& scheme = allSchemes[i];
-            const auto jvm = makeWorkloadFactories()[1]();
-            World world(42);
-            jvm->build(world);
-            const Prepared prepared = jvm->prepare(world, 1200);
-            tracer.arm(world);
-            const QeiRunStats stats = runQei(world, prepared, DriverConfig(scheme).withMode(QueryMode::NonBlocking).withPollBatch(120));
-
-            HotspotResult out;
-            out.name = scheme.name();
-            if (tracer.enabled())
-                out.traceBuf = world.traceSink.drain();
-            out.row = {scheme.name(),
-                       TablePrinter::percent(
-                           world.hierarchy.mesh().peakLinkUtilisation()),
-                       TablePrinter::percent(
-                           world.hierarchy.mesh().meanLinkUtilisation()),
-                       TablePrinter::num(
-                           static_cast<double>(
-                               world.hierarchy.mesh().totalBytes()) /
-                               static_cast<double>(stats.queries),
-                           0)};
-
-            Json s = Json::object();
-            s["scheme"] = scheme.name();
-            s["peak_link_utilisation"] =
-                world.hierarchy.mesh().peakLinkUtilisation();
-            s["mean_link_utilisation"] =
-                world.hierarchy.mesh().meanLinkUtilisation();
-            s["noc_bytes_per_query"] =
-                static_cast<double>(
-                    world.hierarchy.mesh().totalBytes()) /
-                static_cast<double>(stats.queries);
-            out.s = std::move(s);
-            return out;
-        });
+    Sweep<Hotspot> sweep;
+    const std::size_t jvm =
+        sweep.row(workloadRow(makeWorkloadFactories()[1], 1200));
+    for (const SchemeConfig& scheme : allSchemes) {
+        sweep.cell(jvm, "jvm/" + scheme.name(),
+                   [scheme](World& world, const PreparedRow& row,
+                            const auto&) {
+                       const QeiRunStats stats = runQei(
+                           world, row.prepared,
+                           DriverConfig(scheme)
+                               .withMode(QueryMode::NonBlocking)
+                               .withPollBatch(120));
+                       const Mesh& mesh = world.hierarchy.mesh();
+                       return Hotspot{
+                           mesh.peakLinkUtilisation(),
+                           mesh.meanLinkUtilisation(),
+                           static_cast<double>(mesh.totalBytes()) /
+                               static_cast<double>(stats.queries)};
+                   });
+    }
+    const std::vector<Hotspot> results =
+        sweep.run(options.threads, !options.tracePath.empty());
 
     Json schemes = Json::array();
-    for (auto& result : results) {
-        table.row(result.row);
-        schemes.push_back(std::move(result.s));
-        tracer.add("jvm/" + result.name, result.traceBuf);
+    for (std::size_t i = 0; i < allSchemes.size(); ++i) {
+        const Hotspot& h = results[i];
+        table.row({allSchemes[i].name(), TablePrinter::percent(h.peak),
+                   TablePrinter::percent(h.mean),
+                   TablePrinter::num(h.bytesPerQuery, 0)});
+        Json s = Json::object();
+        s["scheme"] = allSchemes[i].name();
+        s["peak_link_utilisation"] = h.peak;
+        s["mean_link_utilisation"] = h.mean;
+        s["noc_bytes_per_query"] = h.bytesPerQuery;
+        schemes.push_back(std::move(s));
     }
     table.print();
     std::printf("expectation: the single-stop Device schemes "
@@ -144,6 +128,6 @@ main(int argc, char** argv)
     report.data()["schemes"] = std::move(schemes);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
+    const bool traceOk = sweep.writeTrace(options.tracePath);
     return report.finish() && traceOk ? 0 : 1;
 }

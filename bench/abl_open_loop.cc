@@ -5,8 +5,8 @@
  * at a fraction of the accelerator's saturation rate, what do the
  * p50/p99/p999 sojourn times (queue-wait + service) look like?
  *
- * Each cell first calibrates the closed-loop service rate for its
- * workload, then offers load at 30/50/70/80/90% of that rate through
+ * Each workload first calibrates its closed-loop service rate, then
+ * offers load at 30/50/70/80/90% of that rate through
  * traffic::PoissonOpenLoop, and finally locates the knee of the
  * p99-vs-load curve (the largest slope break across the sweep).
  * Expectation bands are self-anchored: the paper has no open-loop
@@ -19,7 +19,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 
@@ -75,37 +74,12 @@ detectKnee(const std::vector<int>& loads,
     return best;
 }
 
-struct CellSpec
-{
-    std::size_t workloadIdx; ///< into makeWorkloadFactories() order
-    std::uint64_t worldSeed;
-    std::size_t queries;
-};
-
-struct CellResult
-{
-    int loadPct;
-    double meanGap; ///< offered inter-arrival gap, cycles
-    QeiRunStats stats;
-    trace::TraceBuffer trace;
-};
-
-/**
- * Closed-loop cycles/query for this cell's workload: the saturation
- * service rate the load sweep is anchored to. Deterministic per
- * (workload, seed, queries), so every thread computes the same gap.
- */
+/** Mean inter-arrival gap offering @p load_pct% of the service rate
+ *  whose closed-loop gap is @p service_gap. */
 double
-calibrateServiceGap(const CellSpec& spec)
+offeredGap(double service_gap, int load_pct)
 {
-    auto workload = makeWorkloadFactories()[spec.workloadIdx]();
-    World world(spec.worldSeed);
-    workload->build(world);
-    const Prepared prep = workload->prepare(world, spec.queries);
-    const QeiRunStats closed = runQei(
-        world, prep, DriverConfig(SchemeConfig::coreIntegrated()));
-    return static_cast<double>(closed.cycles) /
-           static_cast<double>(closed.queries);
+    return service_gap * 100.0 / static_cast<double>(load_pct);
 }
 
 /** Self-anchored expectations: queueing shape, not absolute cycles. */
@@ -178,93 +152,73 @@ int
 main(int argc, char** argv)
 {
     const BenchOptions options = parseBenchArgs(argc, argv);
+    const std::size_t cap = parseQueryCap(options, argv[0]);
     BenchReport report("abl_open_loop", options);
     std::printf("=== Ablation: open-loop serving latency ===\n");
 
-    // Positional query cap for CI smoke runs.
-    std::size_t queryCap = 0;
-    if (!options.positional.empty())
-        queryCap = static_cast<std::size_t>(
-            std::strtoull(options.positional[0].c_str(), nullptr, 10));
-    auto capped = [queryCap](std::size_t q) {
-        return queryCap != 0 && queryCap < q ? queryCap : q;
+    const std::vector<std::string> names{"dpdk", "jvm"};
+
+    // One row per workload; the prologue calibrates its closed-loop
+    // service rate, and each cell offers a fraction of that rate.
+    Sweep<QeiRunStats, double> sweep;
+    sweep.prologue(calibrateServiceGap);
+    const auto factories = makeWorkloadFactories();
+    const std::vector<std::size_t> rows{
+        sweep.row(workloadRow(factories[0], capQueries(1500, cap), 43)),
+        sweep.row(workloadRow(factories[1], capQueries(800, cap), 42)),
     };
-
-    const std::vector<CellSpec> specs{
-        {0, 43, capped(1500)}, // dpdk
-        {1, 42, capped(800)},  // jvm
-    };
-    const std::vector<std::string> specNames{"dpdk", "jvm"};
-
-    TraceCollector tracer(options.tracePath);
-
-    // Phase 1: calibrate each workload's closed-loop service rate.
-    const auto gaps =
-        parallelMap(options.threads, specs.size(),
-                    [&](std::size_t i) -> double {
-                        return calibrateServiceGap(specs[i]);
-                    });
-
-    // Phase 2: one cell per (workload, offered load); every cell
-    // builds its own World from the spec seed, so results are
-    // bit-identical at any --threads setting.
-    const std::size_t cells = specs.size() * kLoadsPct.size();
-    auto sweep = parallelMap(
-        options.threads, cells, [&](std::size_t c) -> CellResult {
-            const std::size_t w = c / kLoadsPct.size();
-            const CellSpec& spec = specs[w];
-            const int loadPct = kLoadsPct[c % kLoadsPct.size()];
-            const double meanGap =
-                gaps[w] * 100.0 / static_cast<double>(loadPct);
-
-            auto workload =
-                makeWorkloadFactories()[spec.workloadIdx]();
-            World world(spec.worldSeed);
-            workload->build(world);
-            const Prepared prep =
-                workload->prepare(world, spec.queries);
-            tracer.arm(world);
-            const QeiRunStats stats = runQei(
-                world, prep,
-                DriverConfig(SchemeConfig::coreIntegrated())
-                    .withLabel(specNames[w] + "/load-" +
-                               std::to_string(loadPct))
-                    .withTraffic(
-                        std::make_shared<traffic::PoissonOpenLoop>(
-                            meanGap, /*seed=*/1000 + c)));
-            CellResult out{loadPct, meanGap, stats, {}};
-            if (tracer.enabled())
-                out.trace = world.traceSink.drain();
-            return out;
-        });
+    for (std::size_t w = 0; w < rows.size(); ++w) {
+        for (std::size_t l = 0; l < kLoadsPct.size(); ++l) {
+            const std::string label =
+                names[w] + "/load-" + std::to_string(kLoadsPct[l]);
+            const std::uint64_t arrivalSeed =
+                1000 + w * kLoadsPct.size() + l;
+            sweep.cell(rows[w], label,
+                       [label, arrivalSeed,
+                        loadPct = kLoadsPct[l]](World& world,
+                                                const PreparedRow& row,
+                                                const double& gap) {
+                           return runQei(
+                               world, row.prepared,
+                               DriverConfig(
+                                   SchemeConfig::coreIntegrated())
+                                   .withLabel(label)
+                                   .withTraffic(std::make_shared<
+                                                traffic::PoissonOpenLoop>(
+                                       offeredGap(gap, loadPct),
+                                       arrivalSeed)));
+                       });
+        }
+    }
+    const std::vector<QeiRunStats> results =
+        sweep.run(options.threads, !options.tracePath.empty());
 
     TablePrinter table;
     table.header({"workload", "load", "offered gap", "sojourn p50",
                   "sojourn p99", "sojourn p999", "queue-wait p99"});
 
     std::map<std::string, Knee> knees;
-    for (std::size_t w = 0; w < specs.size(); ++w) {
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        const double gap = sweep.prologueOf(rows[w]);
         Json points = Json::array();
         std::uint64_t mismatches = 0;
         std::vector<double> p99s;
         for (std::size_t l = 0; l < kLoadsPct.size(); ++l) {
-            const CellResult& cell = sweep[w * kLoadsPct.size() + l];
-            const QeiRunStats& s = cell.stats;
+            const int loadPct = kLoadsPct[l];
+            const double meanGap = offeredGap(gap, loadPct);
+            const QeiRunStats& s = results[w * kLoadsPct.size() + l];
             p99s.push_back(s.sojourn.p99);
-            tracer.add(specNames[w] + "/load-" +
-                           std::to_string(cell.loadPct),
-                       cell.trace);
-            table.row({specNames[w],
-                       std::to_string(cell.loadPct) + "%",
-                       TablePrinter::num(cell.meanGap),
+            table.row({names[w],
+                       std::to_string(loadPct) + "%",
+                       TablePrinter::num(meanGap),
                        TablePrinter::num(s.sojourn.p50),
                        TablePrinter::num(s.sojourn.p99),
                        TablePrinter::num(s.sojourn.p999),
                        TablePrinter::num(s.queueWait.p99)});
 
             Json p = Json::object();
-            p["load_pct"] = cell.loadPct;
-            p["offered_gap_cycles"] = cell.meanGap;
+            p["load_pct"] = loadPct;
+            p["offered_gap_cycles"] = meanGap;
             p["sojourn_p50"] = s.sojourn.p50;
             p["sojourn_p99"] = s.sojourn.p99;
             p["sojourn_p999"] = s.sojourn.p999;
@@ -279,19 +233,19 @@ main(int argc, char** argv)
         }
         // The per-load points live directly under the workload name
         // so expectations address them as "<w>.[load_pct=90].<key>".
-        report.data()[specNames[w]] = std::move(points);
+        report.data()[names[w]] = std::move(points);
         const Knee knee = detectKnee(kLoadsPct, p99s);
-        knees[specNames[w]] = knee;
+        knees[names[w]] = knee;
         Json summary = Json::object();
-        summary["service_gap_cycles"] = gaps[w];
+        summary["service_gap_cycles"] = gap;
         summary["mismatches"] = mismatches;
         summary["knee_load_pct"] = knee.loadPct;
         summary["knee_p99"] = knee.p99;
         summary["knee_slope_break"] = knee.slopeBreak;
-        report.data()[specNames[w] + "_summary"] = std::move(summary);
+        report.data()[names[w] + "_summary"] = std::move(summary);
         std::printf("%s: p99 knee at %d%% load (slope break %.2f "
                     "cycles per load-%%)\n",
-                    specNames[w].c_str(), knee.loadPct,
+                    names[w].c_str(), knee.loadPct,
                     knee.slopeBreak);
     }
     table.print();
@@ -301,6 +255,6 @@ main(int argc, char** argv)
 
     report.setTable(table);
     report.setValidation(paperExpectations(knees));
-    const bool traceOk = tracer.write();
+    const bool traceOk = sweep.writeTrace(options.tracePath);
     return report.finish() && traceOk ? 0 : 1;
 }

@@ -24,7 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,7 +40,7 @@ namespace {
 using validate::Expectation;
 using validate::Relation;
 
-struct CellSpec
+struct OverloadCell
 {
     const char* name;
     int loadPct; ///< offered load vs the calibrated service rate
@@ -58,7 +57,7 @@ struct CellSpec
  * knee sits just below 100 by construction). Paired cells that gates
  * compare keep everything but the probed knob identical.
  */
-const std::vector<CellSpec> kCells{
+const std::vector<OverloadCell> kCells{
     // No admission: the melt-down baseline (plain open loop).
     {"none-100", 100, 1, AdmissionPolicy::None, false,
      TenantShare::None, false},
@@ -97,29 +96,27 @@ const std::vector<CellSpec> kCells{
      TenantShare::Hard, true},
 };
 
-struct CellResult
+/** Admitted queries; legacy cells (no admission layer) admit all. */
+std::uint64_t
+admittedOf(const QeiRunStats& s)
 {
-    QeiRunStats stats;
-    double goodput = 0.0; ///< admitted queries per kilocycle
-};
+    return s.admittedQueries > 0 || s.sheddedQueries > 0
+               ? s.admittedQueries
+               : s.queries;
+}
 
-/** Closed-loop cycles/query: the saturation anchor for the sweep. */
+/** Admitted queries per kilocycle. */
 double
-calibrateServiceGap(std::uint64_t seed, std::size_t queries)
+goodput(const QeiRunStats& s)
 {
-    auto workload = makeWorkloadFactories()[0](); // dpdk
-    World world(seed);
-    workload->build(world);
-    const Prepared prep = workload->prepare(world, queries);
-    const QeiRunStats closed = runQei(
-        world, prep, DriverConfig(SchemeConfig::coreIntegrated()));
-    return static_cast<double>(closed.cycles) /
-           static_cast<double>(closed.queries);
+    return s.cycles > 0 ? 1024.0 * static_cast<double>(admittedOf(s)) /
+                              static_cast<double>(s.cycles)
+                        : 0.0;
 }
 
 /** Arrival source for one cell; paired cells share the seed. */
 std::shared_ptr<traffic::TrafficSource>
-makeTraffic(const CellSpec& spec, double gap)
+makeTraffic(const OverloadCell& spec, double gap)
 {
     if (!spec.adversary) {
         const double meanGap =
@@ -152,7 +149,7 @@ makeTraffic(const CellSpec& spec, double gap)
 
 /** Admission config for one cell. */
 AdmissionConfig
-makeAdmission(const CellSpec& spec, double gap, double slo)
+makeAdmission(const OverloadCell& spec, double gap, double slo)
 {
     AdmissionConfig adm;
     adm.policy = spec.policy;
@@ -241,8 +238,7 @@ admitFrac(const QeiRunStats& stats, int tenant)
 }
 
 validate::Suite
-expectations(const std::map<std::string, CellResult>& cells,
-             double slo)
+expectations(const std::map<std::string, QeiRunStats>& cells)
 {
     validate::Suite suite;
     suite.title = "Ablation — overload resilience";
@@ -257,10 +253,9 @@ expectations(const std::map<std::string, CellResult>& cells,
     const std::string kSelf =
         "self-anchored: asserts overload shape, no paper band";
 
-    const QeiRunStats& a400 = cells.at("adaptive-400").stats;
-    const QeiRunStats& a400deg =
-        cells.at("adaptive-400-degrade").stats;
-    const QeiRunStats& none400 = cells.at("none-400").stats;
+    const QeiRunStats& a400 = cells.at("adaptive-400");
+    const QeiRunStats& a400deg = cells.at("adaptive-400-degrade");
+    const QeiRunStats& none400 = cells.at("none-400");
 
     // (1) Admitted p99 bounded past saturation: orders of magnitude
     // below the unprotected queue, and within a small multiple of
@@ -364,7 +359,6 @@ expectations(const std::map<std::string, CellResult>& cells,
         "no-mismatches", "Sec. IV",
         "functional correctness across every overload cell",
         "summary.mismatches", "queries", 0.0, kSelf));
-    (void)slo;
     return suite;
 }
 
@@ -374,29 +368,14 @@ int
 main(int argc, char** argv)
 {
     const BenchOptions options = parseBenchArgs(argc, argv);
+    const std::size_t queries =
+        capQueries(1200, parseQueryCap(options, argv[0]));
     BenchReport report("abl_overload", options);
     std::printf("=== Ablation: overload resilience ===\n");
 
-    // Positional query cap for CI smoke runs.
-    std::size_t queries = 1200;
-    if (!options.positional.empty()) {
-        const std::size_t cap = static_cast<std::size_t>(
-            std::strtoull(options.positional[0].c_str(), nullptr, 10));
-        if (cap != 0 && cap < queries)
-            queries = cap;
-    }
-    const std::uint64_t kSeed = 43; // dpdk world, same as abl_open_loop
-
-    // Phase 1: closed-loop saturation rate — the load sweep's anchor.
-    const double gap = calibrateServiceGap(kSeed, queries);
-
-    auto runCell = [&](const CellSpec& spec,
-                       double slo) -> CellResult {
-        auto workload = makeWorkloadFactories()[0]();
-        World world(kSeed);
-        workload->build(world);
-        const Prepared prep = workload->prepare(world, queries);
-
+    auto runCell = [&](World& world, const Prepared& prep,
+                       const OverloadCell& spec, double gap,
+                       double slo) {
         SchemeConfig scheme = SchemeConfig::coreIntegrated();
         scheme.tenantQuota.share = spec.share;
         DriverConfig config{scheme};
@@ -405,44 +384,50 @@ main(int argc, char** argv)
         if (spec.policy != AdmissionPolicy::None)
             config.withAdmission(makeAdmission(spec, gap, slo));
 
-        CellResult out;
-        out.stats = runQei(world, prep, config);
-        // Legacy cells (no admission layer) admit everything.
-        const std::uint64_t admitted =
-            out.stats.admittedQueries > 0 ||
-                    out.stats.sheddedQueries > 0
-                ? out.stats.admittedQueries
-                : out.stats.queries;
-        out.goodput = out.stats.cycles > 0
-                          ? 1024.0 * static_cast<double>(admitted) /
-                                static_cast<double>(out.stats.cycles)
-                          : 0.0;
-        return out;
+        return runQei(world, prep, config);
     };
 
-    // Phase 1b: the unprotected 1x-load cell doubles as the SLO
-    // anchor — open-loop queueing inflates p99 well above the
+    // One dpdk row (seed 43, as abl_open_loop). Its prologue measures
+    // the closed-loop saturation rate — the load sweep's anchor — and
+    // runs the unprotected 1x-load cell, which doubles as the SLO
+    // anchor: open-loop queueing inflates p99 well above the
     // closed-loop service time, so the SLO must come from a measured
     // light-load tail, not the service gap.
-    const CellResult baseCell = runCell(kCells[0], 0.0);
-    const double slo = 2.5 * baseCell.stats.sojourn.p99;
+    struct Anchor
+    {
+        double gap = 0.0;
+        double slo = 0.0;
+        QeiRunStats base;
+    };
+    Sweep<QeiRunStats, Anchor> sweep;
+    sweep.prologue([&](World& world, const PreparedRow& row) {
+        Anchor anchor;
+        anchor.gap = calibrateServiceGap(world, row);
+        anchor.base =
+            runCell(world, row.prepared, kCells[0], anchor.gap, 0.0);
+        anchor.slo = 2.5 * anchor.base.sojourn.p99;
+        return anchor;
+    });
+    const std::size_t row =
+        sweep.row(workloadRow(makeWorkloadFactories()[0], queries, 43));
+    for (std::size_t c = 1; c < kCells.size(); ++c) {
+        sweep.cell(row, kCells[c].name,
+                   [&, c](World& world, const PreparedRow& row,
+                          const Anchor& anchor) {
+                       return runCell(world, row.prepared, kCells[c],
+                                      anchor.gap, anchor.slo);
+                   });
+    }
+    std::vector<QeiRunStats> results = sweep.run(options.threads);
+    const Anchor& anchor = sweep.prologueOf(row);
+    const double gap = anchor.gap;
+    const double slo = anchor.slo;
     std::printf("calibrated service gap: %.1f cycles/query, 1x-load "
                 "p99 = %.0f, adaptive SLO p99 = %.0f cycles\n",
-                gap, baseCell.stats.sojourn.p99, slo);
+                gap, anchor.base.sojourn.p99, slo);
+    results.insert(results.begin(), anchor.base);
 
-    // Phase 2: the remaining cells; every cell builds its own World
-    // from the shared seed, so results are bit-identical at any
-    // --threads setting.
-    auto rest = parallelMap(
-        options.threads, kCells.size() - 1,
-        [&](std::size_t c) -> CellResult {
-            return runCell(kCells[c + 1], slo);
-        });
-    std::vector<CellResult> results;
-    results.push_back(baseCell);
-    results.insert(results.end(), rest.begin(), rest.end());
-
-    std::map<std::string, CellResult> cells;
+    std::map<std::string, QeiRunStats> cells;
     for (std::size_t c = 0; c < kCells.size(); ++c)
         cells[kCells[c].name] = results[c];
 
@@ -452,13 +437,10 @@ main(int argc, char** argv)
     Json cellsJson = Json::object();
     std::uint64_t mismatches = 0;
     for (std::size_t c = 0; c < kCells.size(); ++c) {
-        const CellSpec& spec = kCells[c];
-        const QeiRunStats& s = results[c].stats;
+        const OverloadCell& spec = kCells[c];
+        const QeiRunStats& s = results[c];
         mismatches += s.mismatches;
-        const std::uint64_t admitted =
-            s.admittedQueries > 0 || s.sheddedQueries > 0
-                ? s.admittedQueries
-                : s.queries;
+        const std::uint64_t admitted = admittedOf(s);
         table.row({spec.name, std::to_string(spec.loadPct) + "%",
                    std::to_string(spec.tenants),
                    toString(spec.policy),
@@ -466,7 +448,7 @@ main(int argc, char** argv)
                    std::to_string(s.sheddedQueries),
                    std::to_string(s.degradedQueries),
                    TablePrinter::num(s.sojourn.p99),
-                   TablePrinter::num(results[c].goodput)});
+                   TablePrinter::num(goodput(s))});
 
         Json cell = Json::object();
         cell["load_pct"] = spec.loadPct;
@@ -479,7 +461,7 @@ main(int argc, char** argv)
         cell["shed"] = s.sheddedQueries;
         cell["degraded"] = s.degradedQueries;
         cell["cycles"] = s.cycles;
-        cell["goodput_per_kcycle"] = results[c].goodput;
+        cell["goodput_per_kcycle"] = goodput(s);
         cell["sojourn_p50"] = s.sojourn.p50;
         cell["sojourn_p99"] = s.sojourn.p99;
         cell["sojourn_p999"] = s.sojourn.p999;
@@ -498,35 +480,35 @@ main(int argc, char** argv)
     table.print();
     report.data()["cells"] = std::move(cellsJson);
 
-    const CellResult& a100 = cells.at("adaptive-100");
-    const CellResult& a200 = cells.at("adaptive-200");
-    const CellResult& a300 = cells.at("adaptive-300");
-    const CellResult& a400 = cells.at("adaptive-400");
+    const QeiRunStats& a100 = cells.at("adaptive-100");
+    const QeiRunStats& a200 = cells.at("adaptive-200");
+    const QeiRunStats& a300 = cells.at("adaptive-300");
+    const QeiRunStats& a400 = cells.at("adaptive-400");
     Json summary = Json::object();
     summary["service_gap_cycles"] = gap;
     summary["slo_p99_cycles"] = slo;
     summary["queries_per_cell"] = queries;
     summary["mismatches"] = mismatches;
     summary["adaptive400_p99_over_slo"] =
-        a400.stats.sojourn.p99 / slo;
+        a400.sojourn.p99 / slo;
     summary["adaptive_p99_400_over_200"] =
-        a200.stats.sojourn.p99 > 0.0
-            ? a400.stats.sojourn.p99 / a200.stats.sojourn.p99
+        a200.sojourn.p99 > 0.0
+            ? a400.sojourn.p99 / a200.sojourn.p99
             : 0.0;
     summary["goodput_400_over_300"] =
-        a300.goodput > 0.0 ? a400.goodput / a300.goodput : 0.0;
+        goodput(a300) > 0.0 ? goodput(a400) / goodput(a300) : 0.0;
     summary["goodput_400_over_100"] =
-        a100.goodput > 0.0 ? a400.goodput / a100.goodput : 0.0;
+        goodput(a100) > 0.0 ? goodput(a400) / goodput(a100) : 0.0;
     summary["shed_frac_adaptive400"] =
-        a400.stats.queries > 0
-            ? static_cast<double>(a400.stats.sheddedQueries) /
-                  static_cast<double>(a400.stats.queries)
+        a400.queries > 0
+            ? static_cast<double>(a400.sheddedQueries) /
+                  static_cast<double>(a400.queries)
             : 0.0;
-    summary["fairness_ratio_4t"] = fairnessRatio(a400.stats);
+    summary["fairness_ratio_4t"] = fairnessRatio(a400);
     summary["fairness_ratio_16t"] =
-        fairnessRatio(cells.at("adaptive-16t-200").stats);
-    const QeiRunStats& advOpen = cells.at("adversary-open").stats;
-    const QeiRunStats& advGuard = cells.at("adversary-guard").stats;
+        fairnessRatio(cells.at("adaptive-16t-200"));
+    const QeiRunStats& advOpen = cells.at("adversary-open");
+    const QeiRunStats& advGuard = cells.at("adversary-guard");
     summary["bg_p99_open"] = backgroundP99(advOpen);
     summary["bg_p99_guard"] = backgroundP99(advGuard);
     summary["adv_p99_guard"] = tenantOf(advGuard, 0).sojournP99;
@@ -544,6 +526,6 @@ main(int argc, char** argv)
                 "bucket contain the bursty adversary\n");
 
     report.setTable(table);
-    report.setValidation(expectations(cells, slo));
+    report.setValidation(expectations(cells));
     return report.finish() ? 0 : 1;
 }

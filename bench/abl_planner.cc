@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -44,72 +43,6 @@ using validate::Relation;
 
 const std::vector<std::string> kWorkloads{"dpdk", "jvm", "rocksdb",
                                           "snort", "flann"};
-
-/** One experiment cell; every cell builds its own World. */
-struct CellSpec
-{
-    enum class Kind {
-        Static,       ///< canonical scheme on one workload
-        PlannerCost,  ///< planner cost-mode deployment on one workload
-        MixedStatic,  ///< canonical scheme on the dpdk+flann trace
-        MixedPlanner, ///< planner heterogeneous union on that trace
-        Shard,        ///< planner sharded deployment (dpdk)
-    };
-    Kind kind;
-    std::size_t workloadIdx = 0; ///< into makeWorkloadFactories()
-    std::size_t schemeIdx = 0;   ///< into Topology::allPaper()
-    int shards = 1;
-    bool steal = false;
-    int batch = 1; ///< QUERY_BATCH size for shard cells (1 = scalar)
-};
-
-struct CellResult
-{
-    std::string label;
-    QeiRunStats stats;
-    trace::TraceBuffer trace;
-};
-
-/** dpdk and flann interleaved 1:1 in one World, plus the key-space
- *  class ranges the planner partitions on. Traces stay index-aligned
- *  with jobs so queryId-based fallback lookups keep working. */
-Prepared
-prepareMixed(World& world, std::size_t queries_per_class,
-             std::vector<ClassRange>* classes_out)
-{
-    const auto factories = makeWorkloadFactories();
-    auto dpdk = factories[0]();
-    auto flann = factories[4]();
-    dpdk->build(world);
-    flann->build(world);
-    Prepared a = dpdk->prepare(world, queries_per_class);
-    Prepared b = flann->prepare(world, queries_per_class);
-
-    auto rangeOf = [](const Prepared& p, const std::string& name) {
-        Addr lo = ~Addr{0};
-        Addr hi = 0;
-        for (const QueryJob& j : p.jobs) {
-            lo = std::min(lo, j.keyAddr);
-            hi = std::max(hi, j.keyAddr);
-        }
-        return ClassRange{lo, hi + 1, name};
-    };
-    if (classes_out)
-        *classes_out = {rangeOf(a, "dpdk"), rangeOf(b, "flann")};
-
-    Prepared mixed;
-    mixed.profile = a.profile; // one profile for every compared run
-    const std::size_t n = std::min(a.jobs.size(), b.jobs.size());
-    mixed.jobs.reserve(2 * n);
-    mixed.traces.reserve(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-        mixed.jobs.push_back(a.jobs[i]);
-        mixed.traces.push_back(a.traces[i]);
-        mixed.jobs.push_back(b.jobs[i]);
-        mixed.traces.push_back(b.traces[i]);
-    }
-    return mixed;
-}
 
 /** Paper-style expectations; bands calibrated on the default query
  *  counts (seed in main). */
@@ -199,202 +132,148 @@ int
 main(int argc, char** argv)
 {
     const BenchOptions options = parseBenchArgs(argc, argv);
+    const std::size_t cap = parseQueryCap(options, argv[0]);
     BenchReport report("abl_planner", options);
     std::printf(
         "=== Ablation: cost-model-driven offload planner ===\n");
 
-    // Positional query cap for CI smoke runs.
-    std::size_t queryCap = 0;
-    if (!options.positional.empty())
-        queryCap = static_cast<std::size_t>(
-            std::strtoull(options.positional[0].c_str(), nullptr, 10));
-    auto capped = [queryCap](std::size_t q) {
-        return queryCap != 0 && queryCap < q ? queryCap : q;
-    };
-
-    const std::uint64_t kSeed = 42;
-    const std::vector<std::size_t> queryCounts{
-        capped(1536), // dpdk
-        capped(1024), // jvm
-        capped(512),  // rocksdb
-        capped(256),  // snort
-        capped(512),  // flann
-    };
-    const std::size_t mixedPerClass = capped(512);
-
+    const std::vector<std::size_t> queryCounts{1536, 1024, 512, 256,
+                                               512};
     const std::vector<Topology> schemes = Topology::allPaper();
 
-    // Cell list: (a) workload x (5 static + planner), (b) mixed x
-    // (5 static + planner union), (c) dpdk shard variants.
-    std::vector<CellSpec> specs;
+    // Six rows: one per workload, plus the mixed dpdk+flann trace.
+    // Cells: (a) workload x (5 static + planner), (b) mixed x (5
+    // static + planner union), (c) dpdk shard variants, on dpdk's row.
+    Sweep<QeiRunStats> runner;
+    auto addCell = [&](std::size_t row, const std::string& label,
+                       DriverConfig config) {
+        runner.cell(row, label, config.withLabel(label));
+    };
+    auto plannerConfig = [](const PlannerConfig& cfg) {
+        return DriverConfig(plannerTopology(cfg)).withPlanner(cfg);
+    };
     for (std::size_t w = 0; w < kWorkloads.size(); ++w) {
-        for (std::size_t s = 0; s < schemes.size(); ++s)
-            specs.push_back({CellSpec::Kind::Static, w, s});
-        specs.push_back({CellSpec::Kind::PlannerCost, w});
+        const std::size_t row = runner.row(workloadRow(
+            makeWorkloadFactories()[w], capQueries(queryCounts[w], cap)));
+        for (const Topology& topo : schemes)
+            addCell(row, kWorkloads[w] + "/" + topo.name(), topo);
+        addCell(row, kWorkloads[w] + "/planner-cost",
+                plannerConfig(PlannerConfig::cost(kWorkloads[w])));
     }
-    const std::size_t mixedFirst = specs.size();
-    for (std::size_t s = 0; s < schemes.size(); ++s)
-        specs.push_back({CellSpec::Kind::MixedStatic, 0, s});
-    specs.push_back({CellSpec::Kind::MixedPlanner});
-    const std::size_t shardFirst = specs.size();
-    specs.push_back({CellSpec::Kind::Shard, 0, 0, 1, true});
-    specs.push_back({CellSpec::Kind::Shard, 0, 0, 8, true});
-    specs.push_back({CellSpec::Kind::Shard, 0, 0, 8, false});
-    specs.push_back({CellSpec::Kind::Shard, 0, 0, 8, true, 8});
+    const std::size_t mixedFirst = runner.cells();
+    const std::size_t mixedRow =
+        runner.row(mixedTraceRow(capQueries(512, cap)));
+    for (const Topology& topo : schemes)
+        addCell(mixedRow, "mixed/" + topo.name(), topo);
+    // The union routes on the class ranges of this World's own keys.
+    runner.cell(mixedRow, "mixed/planner-mix",
+                [&](World& world, const PreparedRow& row, const auto&) {
+                    const PlannerConfig cfg = PlannerConfig::mixed(
+                        row.kept<MixedTrace>().classes);
+                    return runQei(world, row.prepared,
+                                  plannerConfig(cfg).withLabel(
+                                      "mixed/planner-mix"));
+                });
 
-    TraceCollector tracer(options.tracePath);
+    struct Shard
+    {
+        int shards;
+        bool steal;
+        int batch; ///< QUERY_BATCH size (1 = scalar)
+    };
+    const std::vector<Shard> shards{
+        {1, true, 1}, {8, true, 1}, {8, false, 1}, {8, true, 8}};
+    const std::size_t shardFirst = runner.cells();
+    for (const Shard& shard : shards) {
+        DriverConfig config =
+            plannerConfig(PlannerConfig::shard("dpdk", shard.shards,
+                                               shard.steal))
+                .withMode(QueryMode::NonBlocking);
+        if (shard.batch > 1) {
+            config.withBatch(BatchConfig{
+                shard.batch, BatchReorder::ByKeyLocality, true});
+        }
+        addCell(0, "dpdk/" + config.topology.name() +
+                       (shard.batch > 1 ? "+batch8" : ""),
+                config); // dpdk's row
+    }
 
-    // Every cell builds its own World from the same seed, so results
-    // are bit-identical at any --threads setting.
-    auto sweep = parallelMap(
-        options.threads, specs.size(),
-        [&](std::size_t c) -> CellResult {
-            const CellSpec& spec = specs[c];
-            World world(kSeed);
-            Prepared prep;
-            std::vector<ClassRange> classes;
-            if (spec.kind == CellSpec::Kind::MixedStatic ||
-                spec.kind == CellSpec::Kind::MixedPlanner) {
-                prep = prepareMixed(world, mixedPerClass, &classes);
-            } else {
-                auto workload =
-                    makeWorkloadFactories()[spec.workloadIdx]();
-                workload->build(world);
-                prep = workload->prepare(
-                    world, queryCounts[spec.workloadIdx]);
-            }
-            tracer.arm(world);
-
-            CellResult out;
-            DriverConfig config;
-            switch (spec.kind) {
-              case CellSpec::Kind::Static:
-                config = DriverConfig(schemes[spec.schemeIdx]);
-                out.label = kWorkloads[spec.workloadIdx] + "/" +
-                            schemes[spec.schemeIdx].name();
-                break;
-              case CellSpec::Kind::PlannerCost: {
-                const PlannerConfig cfg = PlannerConfig::cost(
-                    kWorkloads[spec.workloadIdx]);
-                config = DriverConfig(plannerTopology(cfg))
-                             .withPlanner(cfg);
-                out.label =
-                    kWorkloads[spec.workloadIdx] + "/planner-cost";
-                break;
-              }
-              case CellSpec::Kind::MixedStatic:
-                config = DriverConfig(schemes[spec.schemeIdx]);
-                out.label =
-                    "mixed/" + schemes[spec.schemeIdx].name();
-                break;
-              case CellSpec::Kind::MixedPlanner: {
-                const PlannerConfig cfg =
-                    PlannerConfig::mixed(classes);
-                config = DriverConfig(plannerTopology(cfg))
-                             .withPlanner(cfg);
-                out.label = "mixed/planner-mix";
-                break;
-              }
-              case CellSpec::Kind::Shard: {
-                const PlannerConfig cfg = PlannerConfig::shard(
-                    "dpdk", spec.shards, spec.steal);
-                config = DriverConfig(plannerTopology(cfg))
-                             .withPlanner(cfg)
-                             .withMode(QueryMode::NonBlocking);
-                if (spec.batch > 1) {
-                    config.withBatch(BatchConfig{
-                        spec.batch, BatchReorder::ByKeyLocality,
-                        true});
-                }
-                out.label = "dpdk/" + config.topology.name() +
-                            (spec.batch > 1 ? "+batch8" : "");
-                break;
-              }
-            }
-            config.withLabel(out.label);
-            out.stats = runQei(world, prep, config);
-            if (tracer.enabled())
-                out.trace = world.traceSink.drain();
-            return out;
-        });
-
-    for (const CellResult& cell : sweep)
-        tracer.add(cell.label, cell.trace);
+    const std::vector<QeiRunStats> sweep =
+        runner.run(options.threads, !options.tracePath.empty());
 
     TablePrinter table;
     table.header({"section", "cell", "cyc/query", "vs best static",
                   "decisions", "checksum"});
 
-    // -- (a) per-workload static vs planner --
-    const std::size_t perWorkload = schemes.size() + 1;
-    for (std::size_t w = 0; w < kWorkloads.size(); ++w) {
-        const std::size_t base = w * perWorkload;
-        Cycles bestStatic = 0;
-        std::string bestName;
-        std::uint64_t mismatches = 0;
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
-            const QeiRunStats& st = sweep[base + s].stats;
-            mismatches += st.mismatches;
-            if (bestStatic == 0 || st.cycles < bestStatic) {
-                bestStatic = st.cycles;
-                bestName = schemes[s].name();
-            }
+    // Sections (a) and (b) are five static cells then the planner's,
+    // starting at cell @p first; the best static is the fewest cycles.
+    auto bestStatic = [&](std::size_t first) {
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < first + schemes.size(); ++c) {
+            if (sweep[c].cycles < sweep[best].cycles)
+                best = c;
         }
-        const QeiRunStats& planner =
-            sweep[base + schemes.size()].stats;
-        mismatches += planner.mismatches;
-        const QeiRunStats& bestRun =
-            sweep[base +
-                  static_cast<std::size_t>(
-                      std::find_if(schemes.begin(), schemes.end(),
-                                   [&](const Topology& t) {
-                                       return t.name() == bestName;
-                                   }) -
-                      schemes.begin())]
-                .stats;
-        const double ratio =
-            planner.cycles
-                ? static_cast<double>(bestStatic) /
-                      static_cast<double>(planner.cycles)
-                : 0.0;
-        const bool checksumOk =
-            planner.resultChecksum == bestRun.resultChecksum;
-        const bool consulted =
-            planner.plannerDecisions == planner.queries &&
-            planner.plannerCoreExecutes == 0;
-
+        return best;
+    };
+    auto vsBest = [](const QeiRunStats& best, const QeiRunStats& st) {
+        return st.cycles ? static_cast<double>(best.cycles) /
+                               static_cast<double>(st.cycles)
+                         : 0.0;
+    };
+    // Table rows and JSON points for one section; checksums are
+    // compared against @p reference.
+    auto sectionPoints = [&](const std::string& section,
+                             std::size_t first, std::size_t best,
+                             const std::string& plannerName,
+                             const QeiRunStats& reference,
+                             bool coreExecutes) {
         Json points = Json::array();
         for (std::size_t s = 0; s <= schemes.size(); ++s) {
-            const QeiRunStats& st = sweep[base + s].stats;
-            const std::string name = s < schemes.size()
-                                         ? schemes[s].name()
-                                         : "planner-cost";
-            table.row(
-                {kWorkloads[w], name,
-                 TablePrinter::num(st.cyclesPerQuery()),
-                 TablePrinter::num(
-                     st.cycles ? static_cast<double>(bestStatic) /
-                                     static_cast<double>(st.cycles)
-                               : 0.0),
-                 std::to_string(st.plannerDecisions),
-                 st.resultChecksum == bestRun.resultChecksum
-                     ? "ok"
-                     : "MISMATCH"});
+            const QeiRunStats& st = sweep[first + s];
+            const std::string name =
+                s < schemes.size() ? schemes[s].name() : plannerName;
+            table.row({section, name,
+                       TablePrinter::num(st.cyclesPerQuery()),
+                       TablePrinter::num(vsBest(sweep[best], st)),
+                       std::to_string(st.plannerDecisions),
+                       st.resultChecksum == reference.resultChecksum
+                           ? "ok"
+                           : "MISMATCH"});
             Json p = Json::object();
             p["scheme"] = name;
             p["cycles"] = st.cycles;
             p["cycles_per_query"] = st.cyclesPerQuery();
             p["planner_decisions"] = st.plannerDecisions;
-            p["planner_core_executes"] = st.plannerCoreExecutes;
+            if (coreExecutes)
+                p["planner_core_executes"] = st.plannerCoreExecutes;
             points.push_back(std::move(p));
         }
-        report.data()[kWorkloads[w]] = std::move(points);
+        return points;
+    };
+
+    // -- (a) per-workload static vs planner --
+    const std::size_t perWorkload = schemes.size() + 1;
+    for (std::size_t w = 0; w < kWorkloads.size(); ++w) {
+        const std::size_t base = w * perWorkload;
+        const std::size_t best = bestStatic(base);
+        const QeiRunStats& bestRun = sweep[best];
+        const QeiRunStats& planner = sweep[base + schemes.size()];
+        std::uint64_t mismatches = 0;
+        for (std::size_t s = 0; s <= schemes.size(); ++s)
+            mismatches += sweep[base + s].mismatches;
+        const bool consulted =
+            planner.plannerDecisions == planner.queries &&
+            planner.plannerCoreExecutes == 0;
+
+        report.data()[kWorkloads[w]] = sectionPoints(
+            kWorkloads[w], base, best, "planner-cost", bestRun, true);
         Json summary = Json::object();
-        summary["best_static"] = bestName;
+        summary["best_static"] = schemes[best - base].name();
         summary["best_static_cycles_per_query"] =
             bestRun.cyclesPerQuery();
-        summary["planner_vs_best_static"] = ratio;
-        summary["planner_checksum_matches"] = checksumOk ? 1 : 0;
+        summary["planner_vs_best_static"] = vsBest(bestRun, planner);
+        summary["planner_checksum_matches"] =
+            planner.resultChecksum == bestRun.resultChecksum ? 1 : 0;
         summary["planner_consulted"] = consulted ? 1 : 0;
         summary["mismatches"] = mismatches;
         report.data()[kWorkloads[w] + "_summary"] = std::move(summary);
@@ -402,54 +281,21 @@ main(int argc, char** argv)
 
     // -- (b) mixed dpdk+flann trace --
     {
-        const QeiRunStats& planner =
-            sweep[mixedFirst + schemes.size()].stats;
-        Cycles bestStatic = 0;
-        std::string bestName;
+        const std::size_t best = bestStatic(mixedFirst);
+        const QeiRunStats& planner = sweep[mixedFirst + schemes.size()];
         bool beatsAll = true;
         bool checksumsMatch = true;
-        Json points = Json::array();
         for (std::size_t s = 0; s < schemes.size(); ++s) {
-            const QeiRunStats& st = sweep[mixedFirst + s].stats;
-            if (bestStatic == 0 || st.cycles < bestStatic) {
-                bestStatic = st.cycles;
-                bestName = schemes[s].name();
-            }
+            const QeiRunStats& st = sweep[mixedFirst + s];
             beatsAll = beatsAll && planner.cycles < st.cycles;
             checksumsMatch = checksumsMatch &&
-                             st.resultChecksum ==
-                                 planner.resultChecksum;
+                             st.resultChecksum == planner.resultChecksum;
         }
-        for (std::size_t s = 0; s <= schemes.size(); ++s) {
-            const QeiRunStats& st = sweep[mixedFirst + s].stats;
-            const std::string name = s < schemes.size()
-                                         ? schemes[s].name()
-                                         : "planner-mix";
-            table.row(
-                {"mixed", name,
-                 TablePrinter::num(st.cyclesPerQuery()),
-                 TablePrinter::num(
-                     st.cycles ? static_cast<double>(bestStatic) /
-                                     static_cast<double>(st.cycles)
-                               : 0.0),
-                 std::to_string(st.plannerDecisions),
-                 st.resultChecksum == planner.resultChecksum
-                     ? "ok"
-                     : "MISMATCH"});
-            Json p = Json::object();
-            p["scheme"] = name;
-            p["cycles"] = st.cycles;
-            p["cycles_per_query"] = st.cyclesPerQuery();
-            p["planner_decisions"] = st.plannerDecisions;
-            points.push_back(std::move(p));
-        }
-        report.data()["mixed"] = std::move(points);
+        report.data()["mixed"] = sectionPoints(
+            "mixed", mixedFirst, best, "planner-mix", planner, false);
         Json summary = Json::object();
-        summary["best_static"] = bestName;
-        summary["planner_vs_best_static"] =
-            planner.cycles ? static_cast<double>(bestStatic) /
-                                 static_cast<double>(planner.cycles)
-                           : 0.0;
+        summary["best_static"] = schemes[best - mixedFirst].name();
+        summary["planner_vs_best_static"] = vsBest(sweep[best], planner);
         summary["planner_beats_all"] = beatsAll ? 1 : 0;
         summary["checksum_matches_all"] = checksumsMatch ? 1 : 0;
         report.data()["mixed_summary"] = std::move(summary);
@@ -459,23 +305,24 @@ main(int argc, char** argv)
     {
         // Reference results: section (a)'s dpdk CHA-TLB cell (same
         // seed and query count, canonical single-family deployment).
-        const QeiRunStats& canonical = sweep[0].stats;
+        const QeiRunStats& canonical = sweep[0];
         bool checksumsMatch = true;
         Json points = Json::array();
-        for (std::size_t i = shardFirst; i < specs.size(); ++i) {
-            const QeiRunStats& st = sweep[i].stats;
+        for (std::size_t i = shardFirst; i < sweep.size(); ++i) {
+            const Shard& shard = shards[i - shardFirst];
+            const QeiRunStats& st = sweep[i];
             const bool ok =
                 st.resultChecksum == canonical.resultChecksum;
             checksumsMatch = checksumsMatch && ok;
-            table.row({"shard", sweep[i].label,
+            table.row({"shard", runner.label(i),
                        TablePrinter::num(st.cyclesPerQuery()), "-",
                        std::to_string(st.plannerDecisions),
                        ok ? "ok" : "MISMATCH"});
             Json p = Json::object();
-            p["cell"] = sweep[i].label;
-            p["shards"] = specs[i].shards;
-            p["steal"] = specs[i].steal ? 1 : 0;
-            p["batch"] = specs[i].batch;
+            p["cell"] = runner.label(i);
+            p["shards"] = shard.shards;
+            p["steal"] = shard.steal ? 1 : 0;
+            p["batch"] = shard.batch;
             p["cycles"] = st.cycles;
             p["cycles_per_query"] = st.cyclesPerQuery();
             p["qst_backoffs"] = st.qstBackoffs;
@@ -483,8 +330,8 @@ main(int argc, char** argv)
             points.push_back(std::move(p));
         }
         report.data()["shard"] = std::move(points);
-        const QeiRunStats& shard1 = sweep[shardFirst].stats;
-        const QeiRunStats& shard8 = sweep[shardFirst + 1].stats;
+        const QeiRunStats& shard1 = sweep[shardFirst];
+        const QeiRunStats& shard8 = sweep[shardFirst + 1];
         Json summary = Json::object();
         summary["checksum_matches_all"] = checksumsMatch ? 1 : 0;
         summary["shard8_vs_shard1"] =
@@ -504,6 +351,6 @@ main(int argc, char** argv)
 
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
+    const bool traceOk = runner.writeTrace(options.tracePath);
     return report.finish() && traceOk ? 0 : 1;
 }

@@ -79,77 +79,49 @@ main(int argc, char** argv)
 
     const std::vector<int> sizes{2, 5, 10, 20, 40};
 
-    TraceCollector tracer(options.tracePath);
-
-    struct SweepPoint
-    {
-        double jvmSpeedup, jvmOccupancy;
-        double dpdkSpeedup, dpdkOccupancy;
-        trace::TraceBuffer jvmTrace, dpdkTrace;
-    };
-
-    // One task per QST size; each builds private jvm/dpdk worlds from
-    // the same seeds the serial sweep used, so points are identical.
-    auto sweep = parallelMap(
-        options.threads, sizes.size(),
-        [&](std::size_t i) -> SweepPoint {
-            const int entries = sizes[i];
-            SchemeConfig scheme = SchemeConfig::coreIntegrated();
-            scheme.qstEntries = entries;
-            auto workloads = makeAllWorkloads();
-
-            World jvmWorld(42);
-            workloads[1]->build(jvmWorld);
-            const Prepared jvmPrep = workloads[1]->prepare(jvmWorld, 800);
-            const CoreRunResult jvmBase =
-                runBaseline(jvmWorld, jvmPrep);
-            tracer.arm(jvmWorld);
-            const QeiRunStats jvmStats =
-                runQei(jvmWorld, jvmPrep, DriverConfig(scheme));
-
-            World dpdkWorld(43);
-            workloads[0]->build(dpdkWorld);
-            const Prepared dpdkPrep =
-                workloads[0]->prepare(dpdkWorld, 1500);
-            const CoreRunResult dpdkBase =
-                runBaseline(dpdkWorld, dpdkPrep);
-            tracer.arm(dpdkWorld);
-            const QeiRunStats dpdkStats =
-                runQei(dpdkWorld, dpdkPrep, DriverConfig(scheme));
-
-            SweepPoint point{speedupOf(jvmBase, jvmStats),
-                             jvmStats.avgQstOccupancy / entries,
-                             speedupOf(dpdkBase, dpdkStats),
-                             dpdkStats.avgQstOccupancy / entries,
-                             {},
-                             {}};
-            if (tracer.enabled()) {
-                point.jvmTrace = jvmWorld.traceSink.drain();
-                point.dpdkTrace = dpdkWorld.traceSink.drain();
-            }
-            return point;
-        });
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const std::string entries = std::to_string(sizes[i]);
-        tracer.add("jvm/qst-" + entries, sweep[i].jvmTrace);
-        tracer.add("dpdk/qst-" + entries, sweep[i].dpdkTrace);
+    // Two rows, jvm and dpdk, with the baseline as their prologue.
+    // Cells alternate jvm/dpdk per size, the trace's process order.
+    Sweep<QeiRunStats, CoreRunResult> sweep;
+    sweep.prologue([](World& world, const PreparedRow& row) {
+        return runBaseline(world, row.prepared);
+    });
+    const auto factories = makeWorkloadFactories();
+    const std::size_t jvm = sweep.row(workloadRow(factories[1], 800, 42));
+    const std::size_t dpdk =
+        sweep.row(workloadRow(factories[0], 1500, 43));
+    for (const int entries : sizes) {
+        SchemeConfig scheme = SchemeConfig::coreIntegrated();
+        scheme.qstEntries = entries;
+        const std::string suffix = "/qst-" + std::to_string(entries);
+        sweep.cell(jvm, "jvm" + suffix, DriverConfig(scheme));
+        sweep.cell(dpdk, "dpdk" + suffix, DriverConfig(scheme));
     }
+    const std::vector<QeiRunStats> results =
+        sweep.run(options.threads, !options.tracePath.empty());
 
     Json points = Json::array();
     for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const SweepPoint& point = sweep[i];
-        table.row({std::to_string(sizes[i]),
-                   TablePrinter::speedup(point.jvmSpeedup),
-                   TablePrinter::percent(point.jvmOccupancy),
-                   TablePrinter::speedup(point.dpdkSpeedup),
-                   TablePrinter::percent(point.dpdkOccupancy)});
+        const int entries = sizes[i];
+        const QeiRunStats& jvmStats = results[2 * i];
+        const QeiRunStats& dpdkStats = results[2 * i + 1];
+        const double jvmSpeedup =
+            speedupOf(sweep.prologueOf(jvm), jvmStats);
+        const double jvmOccupancy = jvmStats.avgQstOccupancy / entries;
+        const double dpdkSpeedup =
+            speedupOf(sweep.prologueOf(dpdk), dpdkStats);
+        const double dpdkOccupancy = dpdkStats.avgQstOccupancy / entries;
+        table.row({std::to_string(entries),
+                   TablePrinter::speedup(jvmSpeedup),
+                   TablePrinter::percent(jvmOccupancy),
+                   TablePrinter::speedup(dpdkSpeedup),
+                   TablePrinter::percent(dpdkOccupancy)});
 
         Json p = Json::object();
-        p["qst_entries"] = sizes[i];
-        p["jvm_speedup"] = point.jvmSpeedup;
-        p["jvm_occupancy"] = point.jvmOccupancy;
-        p["dpdk_speedup"] = point.dpdkSpeedup;
-        p["dpdk_occupancy"] = point.dpdkOccupancy;
+        p["qst_entries"] = entries;
+        p["jvm_speedup"] = jvmSpeedup;
+        p["jvm_occupancy"] = jvmOccupancy;
+        p["dpdk_speedup"] = dpdkSpeedup;
+        p["dpdk_occupancy"] = dpdkOccupancy;
         points.push_back(std::move(p));
     }
     table.print();
@@ -160,6 +132,6 @@ main(int argc, char** argv)
     report.data()["sweep"] = std::move(points);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
+    const bool traceOk = sweep.writeTrace(options.tracePath);
     return report.finish() && traceOk ? 0 : 1;
 }

@@ -81,77 +81,57 @@ main(int argc, char** argv)
     table.header({"workload", "key bytes", "with remote cmp",
                   "local only", "remote compares/query"});
 
-    TraceCollector tracer(options.tracePath);
-
-    struct AblResult
+    // One row per workload. The prologue runs the software baseline
+    // and reads the key length off the first job's header; the cells
+    // run Core-integrated with and without the remote comparators.
+    struct Anchor
     {
-        std::vector<std::string> row;
-        Json w;
-        std::string name;
-        trace::TraceBuffer remoteTrace, localTrace;
+        CoreRunResult baseline;
+        std::uint16_t keyLen = 0;
     };
-
-    // One task per workload, each with a private world.
-    const auto factories = makeWorkloadFactories();
-    auto results = parallelMap(
-        options.threads, factories.size(),
-        [&](std::size_t i) -> AblResult {
-            const auto workload = factories[i]();
-            World world(42);
-            workload->build(world);
-            const Prepared prepared =
-                workload->prepare(world, workload->defaultQueries());
-            const CoreRunResult baseline = runBaseline(world, prepared);
-
-            SchemeConfig remote = SchemeConfig::coreIntegrated();
-            SchemeConfig local = SchemeConfig::coreIntegrated();
-            local.remoteComparators = false;
-
-            AblResult out;
-            out.name = workload->name();
-            tracer.arm(world);
-            const QeiRunStats withRemote =
-                runQei(world, prepared, DriverConfig(remote));
-            if (tracer.enabled())
-                out.remoteTrace = world.traceSink.drain();
-            tracer.arm(world);
-            const QeiRunStats localOnly = runQei(world, prepared, DriverConfig(local));
-            if (tracer.enabled())
-                out.localTrace = world.traceSink.drain();
-
-            // Key length from the first job's header.
-            const StructHeader h = StructHeader::readFrom(
-                world.vm, prepared.jobs.front().headerAddr);
-
-            out.row = {workload->name(), std::to_string(h.keyLen),
-                       TablePrinter::speedup(
-                           speedupOf(baseline, withRemote)),
-                       TablePrinter::speedup(
-                           speedupOf(baseline, localOnly)),
-                       TablePrinter::num(
-                           static_cast<double>(
-                               withRemote.remoteCompares) /
-                               static_cast<double>(withRemote.queries),
-                           2)};
-
-            Json w = Json::object();
-            w["workload"] = workload->name();
-            w["key_bytes"] = h.keyLen;
-            w["speedup_remote_cmp"] = speedupOf(baseline, withRemote);
-            w["speedup_local_only"] = speedupOf(baseline, localOnly);
-            w["remote_compares_per_query"] =
-                static_cast<double>(withRemote.remoteCompares) /
-                static_cast<double>(withRemote.queries);
-            out.w = std::move(w);
-            return out;
-        });
+    Sweep<QeiRunStats, Anchor> sweep;
+    sweep.prologue([](World& world, const PreparedRow& row) {
+        return Anchor{runBaseline(world, row.prepared),
+                      StructHeader::readFrom(
+                          world.vm, row.prepared.jobs.front().headerAddr)
+                          .keyLen};
+    });
+    SchemeConfig remote = SchemeConfig::coreIntegrated();
+    SchemeConfig local = SchemeConfig::coreIntegrated();
+    local.remoteComparators = false;
+    std::vector<std::string> names;
+    for (const WorkloadFactory& factory : makeWorkloadFactories()) {
+        names.push_back(factory()->name());
+        const std::size_t row = sweep.row(workloadRow(factory, 0));
+        sweep.cell(row, names.back() + "/remote-cmp",
+                   DriverConfig(remote));
+        sweep.cell(row, names.back() + "/local-only", DriverConfig(local));
+    }
+    const std::vector<QeiRunStats> results =
+        sweep.run(options.threads, !options.tracePath.empty());
 
     Json workloads = Json::array();
-    for (auto& result : results) {
-        table.row(result.row);
-        workloads.push_back(std::move(result.w));
-        tracer.add(result.name + "/remote-cmp", result.remoteTrace);
-        tracer.add(result.name + "/local-only", result.localTrace);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const Anchor& anchor = sweep.prologueOf(i);
+        const QeiRunStats& withRemote = results[2 * i];
+        const QeiRunStats& localOnly = results[2 * i + 1];
+        const double comparesPerQuery =
+            static_cast<double>(withRemote.remoteCompares) /
+            static_cast<double>(withRemote.queries);
+        table.row({names[i], std::to_string(anchor.keyLen),
+                   TablePrinter::speedup(
+                       speedupOf(anchor.baseline, withRemote)),
+                   TablePrinter::speedup(
+                       speedupOf(anchor.baseline, localOnly)),
+                   TablePrinter::num(comparesPerQuery, 2)});
+
+        Json w = Json::object();
+        w["workload"] = names[i];
+        w["key_bytes"] = anchor.keyLen;
+        w["speedup_remote_cmp"] = speedupOf(anchor.baseline, withRemote);
+        w["speedup_local_only"] = speedupOf(anchor.baseline, localOnly);
+        w["remote_compares_per_query"] = comparesPerQuery;
+        workloads.push_back(std::move(w));
     }
     table.print();
     std::printf("expectation: long-key workloads (rocksdb 100B) "
@@ -161,6 +141,6 @@ main(int argc, char** argv)
     report.data()["workloads"] = std::move(workloads);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
+    const bool traceOk = sweep.writeTrace(options.tracePath);
     return report.finish() && traceOk ? 0 : 1;
 }

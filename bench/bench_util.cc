@@ -1,9 +1,14 @@
 #include "bench_util.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <fstream>
+#include <mutex>
 
 #include "fault/fault_config.hh"
 #include "metrics/metrics.hh"
@@ -466,85 +471,6 @@ BenchReport::finish()
     return validationOk;
 }
 
-WorkloadRun
-runWorkload(Workload& workload, const MatrixOptions& options)
-{
-    WorkloadRun run;
-    run.name = workload.name();
-    const bool armTrace =
-        options.captureTrace || !options.tracePath.empty();
-
-    // The baseline cell's time includes building the row's World.
-    const auto start = Clock::now();
-    World world(options.seed, options.chip);
-    workload.build(world);
-    run.prepared = workload.prepare(
-        world, options.queries == 0 ? workload.defaultQueries()
-                                    : options.queries);
-
-    // Arm after build/prepare so the timeline covers only the measured
-    // region; each cell drains its own events below.
-    if (armTrace) {
-        world.traceSink.enable(options.traceCapacity
-                                   ? options.traceCapacity
-                                   : trace::TraceSink::kDefaultCapacity);
-    }
-
-    // runBaseline/runQei reset every per-run counter (and the trace
-    // intern tables) up front, so a post-run capture is exactly this
-    // cell's activity, as on a fresh World.
-    auto finishCell = [&](const std::string& label,
-                          Clock::time_point cellStart) {
-        run.activity[label] = ChipActivity::capture(world.hierarchy);
-        if (armTrace)
-            run.traces[label] = world.traceSink.drain();
-        run.cellWallMs[label] = msSince(cellStart);
-    };
-    run.baseline = runBaseline(world, run.prepared);
-    finishCell("baseline", start);
-
-    // Cost-model class for every cell of this row; Inherit mode means
-    // the planner only engages under --planner / QEI_PLANNER.
-    PlannerConfig plannerCfg;
-    plannerCfg.workload = run.name;
-    for (const Topology& topo : options.topologies) {
-        const auto cellStart = Clock::now();
-        const std::string name = topo.name();
-        std::string statsJson;
-        run.schemes[name] = runQei(
-            world, run.prepared,
-            DriverConfig(topo)
-                .withMode(options.mode)
-                .withPollBatch(options.pollBatch)
-                .withBatch(options.batch)
-                .withLabel(run.name + "/" + name)
-                .withPlanner(plannerCfg)
-                .captureStats(options.captureStats ? &statsJson
-                                                   : nullptr));
-        if (options.captureStats)
-            run.statsJson[name] = std::move(statsJson);
-        finishCell(name, cellStart);
-    }
-    run.hostWallMs = msSince(start);
-    return run;
-}
-
-std::vector<WorkloadRun>
-runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
-                  const MatrixOptions& options)
-{
-    // One task per row, each with a private Workload + World; results
-    // come back in workload order whatever the completion order.
-    std::vector<WorkloadRun> runs =
-        parallelMap(options.threads, workloads.size(),
-                    [&](std::size_t w) {
-                        return runWorkload(*workloads[w](), options);
-                    });
-    if (!options.tracePath.empty())
-        writeMatrixTraces(runs, options.tracePath);
-    return runs;
-}
-
 namespace {
 
 /** `out.json` -> `out`; other paths pass through unchanged. */
@@ -574,7 +500,103 @@ writeJsonFile(const std::string& path, const Json& doc)
     return true;
 }
 
+/** Write @p events as one Perfetto timeline file. */
+bool
+writeTimeline(const std::string& path, Json events)
+{
+    Json doc = Json::object();
+    doc["traceEvents"] = std::move(events);
+    doc["displayTimeUnit"] = "ms";
+    return writeJsonFile(path, doc);
+}
+
+/** What one matrix cell yields. */
+struct MatrixCell
+{
+    CoreRunResult baseline;
+    QeiRunStats stats;
+    ChipActivity activity;
+    std::string statsJson;
+};
+
 } // namespace
+
+std::vector<WorkloadRun>
+runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
+                  const MatrixOptions& options)
+{
+    // The prologue keeps a copy of each row's stream for
+    // WorkloadRun::prepared.
+    Sweep<MatrixCell, Prepared> sweep;
+    sweep.prologue(
+        [](World&, const PreparedRow& row) { return row.prepared; });
+    std::vector<WorkloadRun> runs(workloads.size());
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        runs[w].name = workloads[w]()->name();
+        const std::size_t row = sweep.row(workloadRow(
+            workloads[w], options.queries, options.seed, options.chip));
+        sweep.cell(row, "baseline",
+                   [](World& world, const PreparedRow& row,
+                      const Prepared&) {
+                       return MatrixCell{
+                           runBaseline(world, row.prepared), {},
+                           ChipActivity::capture(world.hierarchy), {}};
+                   });
+        // Inherit planner mode: the cost-model class only engages
+        // under --planner / QEI_PLANNER.
+        PlannerConfig planner;
+        planner.workload = runs[w].name;
+        for (const Topology& topo : options.topologies) {
+            const DriverConfig config =
+                DriverConfig(topo)
+                    .withMode(options.mode)
+                    .withPollBatch(options.pollBatch)
+                    .withBatch(options.batch)
+                    .withLabel(runs[w].name + "/" + topo.name())
+                    .withPlanner(planner);
+            sweep.cell(row, topo.name(),
+                       [config, stats = options.captureStats](
+                           World& world, const PreparedRow& row,
+                           const Prepared&) {
+                           MatrixCell out;
+                           DriverConfig cfg = config;
+                           out.stats = runQei(
+                               world, row.prepared,
+                               cfg.captureStats(
+                                   stats ? &out.statsJson : nullptr));
+                           out.activity =
+                               ChipActivity::capture(world.hierarchy);
+                           return out;
+                       });
+        }
+    }
+    const bool armTrace =
+        options.captureTrace || !options.tracePath.empty();
+    std::vector<MatrixCell> cells =
+        sweep.run(options.threads, armTrace, options.traceCapacity);
+
+    const std::size_t stride = 1 + options.topologies.size();
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        WorkloadRun& run = runs[c / stride];
+        const std::string& label = sweep.label(c);
+        if (c % stride == 0) {
+            run.prepared = sweep.prologueOf(c / stride);
+            run.baseline = cells[c].baseline;
+        } else {
+            run.schemes[label] = cells[c].stats;
+            if (options.captureStats)
+                run.statsJson[label] = std::move(cells[c].statsJson);
+        }
+        run.activity[label] = cells[c].activity;
+        if (armTrace)
+            run.traces[label] = sweep.trace(c);
+        run.cellWallMs[label] = sweep.wallMs(c);
+        run.hostWallMs += sweep.wallMs(c);
+    }
+    if (!options.tracePath.empty())
+        writeMatrixTraces(runs, options.tracePath);
+    return runs;
+}
 
 bool
 writeMatrixTraces(const std::vector<WorkloadRun>& runs,
@@ -597,10 +619,7 @@ writeMatrixTraces(const std::vector<WorkloadRun>& runs,
             ++files;
         }
     }
-    Json doc = Json::object();
-    doc["traceEvents"] = std::move(merged);
-    doc["displayTimeUnit"] = "ms";
-    ok = writeJsonFile(path, doc) && ok;
+    ok = writeTimeline(path, std::move(merged)) && ok;
     if (ok) {
         std::printf("wrote %s (+%zu per-cell traces)\n", path.c_str(),
                     files);
@@ -608,52 +627,207 @@ writeMatrixTraces(const std::vector<WorkloadRun>& runs,
     return ok;
 }
 
-TraceCollector::TraceCollector(std::string trace_path,
-                               std::size_t capacity)
-    : path_(std::move(trace_path)), capacity_(capacity)
+SweepRow
+workloadRow(WorkloadFactory factory, std::size_t queries,
+            std::uint64_t seed, const ChipConfig& chip)
+{
+    return {seed, chip,
+            [factory = std::move(factory), queries](World& world) {
+                std::shared_ptr<Workload> workload = factory();
+                workload->build(world);
+                Prepared prepared = workload->prepare(
+                    world, queries ? queries : workload->defaultQueries());
+                return PreparedRow{std::move(prepared),
+                                   std::move(workload)};
+            }};
+}
+
+SweepRow
+mixedTraceRow(std::size_t queries_per_class)
+{
+    // Traces stay index-aligned with jobs so queryId-based fallback
+    // lookups keep working.
+    SweepRow row;
+    row.make = [queries_per_class](World& world) -> PreparedRow {
+        const auto factories = makeWorkloadFactories();
+        auto keep = std::make_shared<MixedTrace>();
+        keep->dpdk = factories[0]();
+        keep->flann = factories[4]();
+        keep->dpdk->build(world);
+        keep->flann->build(world);
+        Prepared a = keep->dpdk->prepare(world, queries_per_class);
+        Prepared b = keep->flann->prepare(world, queries_per_class);
+
+        auto rangeOf = [](const Prepared& p, const std::string& name) {
+            Addr lo = ~Addr{0};
+            Addr hi = 0;
+            for (const QueryJob& j : p.jobs) {
+                lo = std::min(lo, j.keyAddr);
+                hi = std::max(hi, j.keyAddr);
+            }
+            return ClassRange{lo, hi + 1, name};
+        };
+        keep->classes = {rangeOf(a, "dpdk"), rangeOf(b, "flann")};
+
+        Prepared mixed;
+        mixed.profile = a.profile; // one profile for every compared run
+        const std::size_t n = std::min(a.jobs.size(), b.jobs.size());
+        mixed.jobs.reserve(2 * n);
+        mixed.traces.reserve(2 * n);
+        for (std::size_t i = 0; i < n; ++i) {
+            mixed.jobs.push_back(a.jobs[i]);
+            mixed.traces.push_back(a.traces[i]);
+            mixed.jobs.push_back(b.jobs[i]);
+            mixed.traces.push_back(b.traces[i]);
+        }
+        return {std::move(mixed), std::move(keep)};
+    };
+    return row;
+}
+
+void
+runSweepCells(const std::vector<SweepRow>& rows,
+              const std::vector<std::size_t>& cell_rows, int threads,
+              const SweepHook& prologue, const SweepHook& cell,
+              std::vector<double>& wall_ms)
+{
+    const std::size_t n = cell_rows.size();
+    wall_ms.assign(n, 0.0);
+    // Unstarted cells of each row, in declaration order; guarded by
+    // mutex once the workers start.
+    std::mutex mutex;
+    std::vector<std::deque<std::size_t>> pending(rows.size());
+    for (std::size_t c = 0; c < n; ++c) {
+        simAssert(cell_rows[c] < rows.size(), "cell on undeclared row");
+        pending[cell_rows[c]].push_back(c);
+    }
+    const auto prologueOnce =
+        std::make_unique<std::once_flag[]>(rows.size());
+
+    // The next cell for a worker whose World belongs to @p row.
+    auto claim = [&](std::size_t row) -> std::optional<std::size_t> {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (row == rows.size() || pending[row].empty()) {
+            // The first row with the most unstarted cells.
+            row = static_cast<std::size_t>(
+                std::max_element(pending.begin(), pending.end(),
+                                 [](const auto& a, const auto& b) {
+                                     return a.size() < b.size();
+                                 }) -
+                pending.begin());
+            if (pending[row].empty())
+                return std::nullopt;
+        }
+        const std::size_t c = pending[row].front();
+        pending[row].pop_front();
+        return c;
+    };
+
+    auto worker = [&](std::size_t) {
+        std::unique_ptr<World> world;
+        PreparedRow prepared;
+        std::size_t row = rows.size(); // no World yet
+        while (const std::optional<std::size_t> c = claim(row)) {
+            const auto start = Clock::now();
+            if (cell_rows[*c] != row) {
+                row = cell_rows[*c];
+                prepared = {}; // may reference the old World
+                world.reset();
+                world = std::make_unique<World>(rows[row].seed,
+                                                rows[row].chip);
+                prepared = rows[row].make(*world);
+                if (prologue) {
+                    std::call_once(prologueOnce[row], [&] {
+                        prologue(row, *world, prepared);
+                    });
+                }
+            }
+            cell(*c, *world, prepared);
+            wall_ms[*c] = msSince(start);
+        }
+        return 0;
+    };
+    const std::size_t workers = std::min<std::size_t>(
+        static_cast<std::size_t>(std::max(threads, 1)), n);
+    parallelMap(static_cast<int>(workers), workers, worker);
+}
+
+bool
+writeSweepTrace(const std::string& path,
+                const std::vector<std::string>& labels,
+                const std::vector<trace::TraceBuffer>& traces)
+{
+    if (path.empty())
+        return true;
+    Json events = Json::array();
+    for (std::size_t c = 0; c < traces.size(); ++c) {
+        trace::appendPerfettoEvents(events, traces[c],
+                                    static_cast<int>(c) + 1, labels[c]);
+    }
+    if (!writeTimeline(path, std::move(events)))
+        return false;
+    std::printf("wrote %s\n", path.c_str());
+    return true;
+}
+
+double
+calibrateServiceGap(World& world, const PreparedRow& row)
+{
+    const QeiRunStats closed =
+        runQei(world, row.prepared,
+               DriverConfig(SchemeConfig::coreIntegrated()));
+    return static_cast<double>(closed.cycles) /
+           static_cast<double>(closed.queries);
+}
+
+std::size_t
+parseQueryCap(const BenchOptions& options, const char* prog)
+{
+    if (options.positional.empty())
+        return 0;
+    const std::string& text = options.positional.front();
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long cap =
+        std::strtoull(text.c_str(), &end, 10);
+    if (options.positional.size() > 1) {
+        usageError(prog, fmt("expected one query count, got '{}' too",
+                             options.positional[1]));
+    }
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || cap == 0) {
+        usageError(prog, fmt("expected a positive query count, got "
+                             "'{}'",
+                             text));
+    }
+    return static_cast<std::size_t>(cap);
+}
+
+TraceCollector::TraceCollector(std::string trace_path)
+    : path_(std::move(trace_path))
 {
 }
 
 void
 TraceCollector::arm(World& world)
 {
-    if (!enabled())
-        return;
-    world.traceSink.enable(capacity_ ? capacity_
-                                     : trace::TraceSink::kDefaultCapacity);
+    if (!path_.empty())
+        world.traceSink.enable();
 }
 
 void
 TraceCollector::collect(const std::string& label, World& world)
 {
-    if (!enabled())
+    if (path_.empty())
         return;
-    add(label, world.traceSink.drain());
-}
-
-void
-TraceCollector::add(const std::string& label,
-                    const trace::TraceBuffer& buf)
-{
-    if (!enabled())
-        return;
-    trace::appendPerfettoEvents(events_, buf, nextPid_, label);
-    ++nextPid_;
+    labels_.push_back(label);
+    traces_.push_back(world.traceSink.drain());
 }
 
 bool
 TraceCollector::write()
 {
-    if (!enabled())
-        return true;
-    Json doc = Json::object();
-    doc["traceEvents"] = std::move(events_);
-    doc["displayTimeUnit"] = "ms";
-    events_ = Json::array();
-    if (!writeJsonFile(path_, doc))
-        return false;
-    std::printf("wrote %s\n", path_.c_str());
-    return true;
+    return writeSweepTrace(path_, labels_, traces_);
 }
 
 Json

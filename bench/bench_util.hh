@@ -1,15 +1,16 @@
 /**
  * @file
- * Shared plumbing for the per-figure/table benchmark harnesses: build
- * a workload once, run the software baseline and every integration
- * scheme on identical query streams, and report.
+ * Shared plumbing for the per-figure/table benchmark harnesses:
+ * argument parsing, the JSON report, and the one sweep runner every
+ * multi-cell harness is built on.
  *
- * The (workload x scheme) matrix most harnesses run is parallel by
- * row: each workload builds one World and runs its baseline and every
- * scheme on it in order, and rows share nothing, so
- * runWorkloadMatrix() fans the rows across a qei::ThreadPool. Results
- * are assembled in workload/scheme order regardless of completion
- * order, making the numbers bit-identical at any `--threads` setting.
+ * A Sweep is rows (how to build and prepare a World), an optional
+ * prologue run once per row, and cells (one experiment each on a
+ * row's prepared World). The runner builds each row's World as few
+ * times as the thread count allows — exactly once at `--threads 1` —
+ * and returns results in declaration order, so the numbers are
+ * bit-identical at any `--threads` setting. The (workload x scheme)
+ * matrix, runWorkloadMatrix(), is one client of it.
  */
 
 #ifndef QEI_BENCH_BENCH_UTIL_HH
@@ -17,9 +18,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/json.hh"
@@ -51,8 +55,8 @@ struct BenchOptions
      */
     std::string metricsPath;
     /**
-     * Host threads for experiment fan-out (runWorkloadMatrix /
-     * parallelMap). 1 = serial; defaults from QEI_BENCH_THREADS.
+     * Host threads for experiment fan-out (Sweep::run). 1 = serial;
+     * defaults from QEI_BENCH_THREADS.
      */
     int threads = 1;
     /**
@@ -183,9 +187,9 @@ struct WorkloadRun
      *  when the matrix armed trace capture. */
     std::map<std::string, trace::TraceBuffer> traces;
     /**
-     * Host wall time of each cell, keyed like `activity`. The
-     * baseline cell also covers the row's World construction, build
-     * and prepare.
+     * Host wall time of each cell, keyed like `activity`. The first
+     * cell on each World also covers building and preparing it (see
+     * SweepRunner::wallMs).
      */
     std::map<std::string, double> cellWallMs;
     /** Host wall time of the whole row (the sum of its cells). */
@@ -229,7 +233,7 @@ struct MatrixOptions
     /** QUERY_BATCH config for every cell; default scalar (size 1). */
     BatchConfig batch;
     bool captureStats = false;
-    /** Host threads; 1 runs every row inline on this thread. */
+    /** Host threads; 1 runs every cell inline on this thread. */
     int threads = 1;
     /**
      * Merged Perfetto timeline destination; per-cell files are written
@@ -245,25 +249,9 @@ struct MatrixOptions
 };
 
 /**
- * Run one matrix row: construct a World from @p options' seed and
- * chip, build @p workload and prepare its query stream once, then run
- * the software baseline and every topology in order on that World.
- * Every run resets the World's per-run state first, so each cell is
- * bit-identical to one on a fresh World. Stats dumps and trace
- * buffers are captured per cell as @p options asks; `threads` and
- * writing the `tracePath` files are left to runWorkloadMatrix().
- */
-WorkloadRun runWorkload(Workload& workload,
-                        const MatrixOptions& options = {});
-
-/**
- * Run the full (workload x topology) matrix: one runWorkload() row per
- * workload, fanned across min(threads, workloads) host threads. Rows
- * share nothing and cells are independent of the World they share, so
- * the returned runs are bit-identical at any thread count; results
- * come back in workload order. With only five paper rows, more than
- * five threads cannot help, and the slowest row (jvm) bounds the
- * wall time.
+ * Run the full (workload x topology) matrix as a Sweep: one row per
+ * workload, whose cells are the baseline and one per topology.
+ * Results come back in workload order, identical at any thread count.
  */
 std::vector<WorkloadRun> runWorkloadMatrix(
     const std::vector<WorkloadFactory>& workloads,
@@ -273,8 +261,234 @@ std::vector<WorkloadRun> runWorkloadMatrix(
 std::vector<std::string> schemeNames();
 
 /**
- * Trace capture for harnesses that drive Worlds by hand (the latency
- * sweeps and ablations, which don't go through runWorkloadMatrix):
+ * What a row's make step returns: the prepared stream, plus whatever
+ * must live as long as the World (the Workload that built it, fig10's
+ * SimTupleSpace, abl_planner's class ranges), read back by kept<T>().
+ */
+struct PreparedRow
+{
+    Prepared prepared;
+    std::shared_ptr<const void> keep;
+
+    template <typename T>
+    const T&
+    kept() const
+    {
+        return *static_cast<const T*>(keep.get());
+    }
+};
+
+/** How to make one prepared World; a row's cells all run on one. */
+struct SweepRow
+{
+    std::uint64_t seed = 42;
+    ChipConfig chip = defaultChip();
+    /** Build and prepare a fresh World; runs once per World built for
+     *  the row, so it may depend on nothing else. */
+    std::function<PreparedRow(World&)> make;
+};
+
+/** Row that builds @p factory's workload and prepares @p queries
+ *  queries (0 = its default). */
+SweepRow workloadRow(WorkloadFactory factory, std::size_t queries,
+                     std::uint64_t seed = 42,
+                     const ChipConfig& chip = defaultChip());
+
+/** What the mixed row keeps: both builders, and the key-space class
+ *  ranges a planner union partitions on. */
+struct MixedTrace
+{
+    std::unique_ptr<Workload> dpdk, flann;
+    std::vector<ClassRange> classes;
+};
+
+/** abl_planner's mixed trace: dpdk and flann, @p queries_per_class
+ *  each, interleaved 1:1 in one World; keeps a MixedTrace. */
+SweepRow mixedTraceRow(std::size_t queries_per_class);
+
+/**
+ * The scheduler behind Sweep::run(): run @p cell(c, ...) for every
+ * cell c (on row @p cell_rows[c]) across min(threads, cells) workers,
+ * calling @p prologue(row, ...), if set, exactly once per row on the
+ * first World built for it. @p wall_ms[c] gets each cell's host time,
+ * which includes building its World (and the prologue) only when the
+ * cell was that World's first.
+ *
+ * Each worker keeps the World it built last and takes the next
+ * unstarted cell of that row. Only when the row has none left does it
+ * build another, picking the row with the most unstarted cells (the
+ * first on a tie). So at one thread every row is built exactly once,
+ * and no row more than min(threads, its cells) times. runBaseline()
+ * and runQei() reset per-run state first, so a cell's result cannot
+ * depend on which World it ran on.
+ */
+using SweepHook =
+    std::function<void(std::size_t, World&, const PreparedRow&)>;
+void runSweepCells(const std::vector<SweepRow>& rows,
+                   const std::vector<std::size_t>& cell_rows,
+                   int threads, const SweepHook& prologue,
+                   const SweepHook& cell, std::vector<double>& wall_ms);
+
+/** One Perfetto file, process c + 1 = @p traces[c] as @p labels[c];
+ *  no-op for an empty @p path. @return false on I/O failure. */
+bool writeSweepTrace(const std::string& path,
+                     const std::vector<std::string>& labels,
+                     const std::vector<trace::TraceBuffer>& traces);
+
+/**
+ * The one sweep runner every multi-cell harness uses: rows say how to
+ * make a prepared World, an optional prologue runs once per row, and
+ * cells are callbacks on (World&, const PreparedRow&, prologue result)
+ * — or, for QeiRunStats results, a DriverConfig to run:
+ *
+ *   Sweep<QeiRunStats, double> sweep;
+ *   sweep.prologue(calibrateServiceGap);
+ *   const std::size_t r = sweep.row(workloadRow(factory, 800));
+ *   sweep.cell(r, "jvm/qst-10", DriverConfig(scheme));
+ *   sweep.cell(r, "jvm/open", [](World& w, const PreparedRow& row,
+ *                                const double& gap) { ... });
+ *   const auto results = sweep.run(options.threads, tracing);
+ *   sweep.writeTrace(options.tracePath);
+ *
+ * The runner owns the thread fan-out (runSweepCells), arms and drains
+ * the trace around each cell, and times each cell. Results come back
+ * in declaration order, so output is identical at any thread count.
+ */
+template <typename Result, typename Prologue = std::monostate>
+class Sweep
+{
+  public:
+    using CellFn = std::function<Result(World&, const PreparedRow&,
+                                        const Prologue&)>;
+
+    /** Declare a row; @return its index. */
+    std::size_t
+    row(SweepRow row)
+    {
+        rows_.push_back(std::move(row));
+        return rows_.size() - 1;
+    }
+
+    void
+    prologue(std::function<Prologue(World&, const PreparedRow&)> fn)
+    {
+        prologue_ = std::move(fn);
+    }
+
+    /** Declare a cell on @p row; @p label names its trace process. */
+    void
+    cell(std::size_t row, std::string label, CellFn fn)
+    {
+        cellRows_.push_back(row);
+        labels_.push_back(std::move(label));
+        cells_.push_back(std::move(fn));
+    }
+
+    void
+    cell(std::size_t row, std::string label, DriverConfig config)
+    {
+        cell(row, std::move(label),
+             [config = std::move(config)](World& world,
+                                          const PreparedRow& row,
+                                          const Prologue&) {
+                 return runQei(world, row.prepared, config);
+             });
+    }
+
+    /**
+     * Run every cell; results in declaration order. With
+     * @p capture_trace each cell runs with the World's sink armed
+     * (@p trace_capacity events, 0 = the default) and keeps its
+     * drained buffer.
+     */
+    std::vector<Result>
+    run(int threads, bool capture_trace = false,
+        std::size_t trace_capacity = 0)
+    {
+        std::vector<std::optional<Result>> results(cells_.size());
+        prologues_.assign(rows_.size(), Prologue{});
+        traces_.assign(capture_trace ? cells_.size() : 0, {});
+        SweepHook prologue;
+        if (prologue_) {
+            prologue = [this](std::size_t r, World& world,
+                              const PreparedRow& row) {
+                prologues_[r] = prologue_(world, row);
+            };
+        }
+        runSweepCells(
+            rows_, cellRows_, threads, prologue,
+            [&](std::size_t c, World& world, const PreparedRow& row) {
+                if (capture_trace)
+                    world.traceSink.enable(trace_capacity);
+                results[c] =
+                    cells_[c](world, row, prologues_[cellRows_[c]]);
+                if (capture_trace)
+                    traces_[c] = world.traceSink.drain();
+            },
+            wallMs_);
+        std::vector<Result> out;
+        for (std::optional<Result>& result : results)
+            out.push_back(std::move(*result));
+        return out;
+    }
+
+    std::size_t cells() const { return cells_.size(); }
+    const std::string& label(std::size_t c) const { return labels_[c]; }
+    /** Cell @p c's drained timeline, when run() captured traces. */
+    const trace::TraceBuffer& trace(std::size_t c) const
+    {
+        return traces_[c];
+    }
+    /** Cell @p c's host wall time (see runSweepCells). */
+    double wallMs(std::size_t c) const { return wallMs_[c]; }
+    const Prologue& prologueOf(std::size_t row) const
+    {
+        return prologues_[row];
+    }
+
+    bool
+    writeTrace(const std::string& path) const
+    {
+        return writeSweepTrace(path, labels_, traces_);
+    }
+
+  private:
+    std::vector<SweepRow> rows_;
+    std::function<Prologue(World&, const PreparedRow&)> prologue_;
+    std::vector<std::size_t> cellRows_;
+    std::vector<std::string> labels_;
+    std::vector<CellFn> cells_;
+    std::vector<Prologue> prologues_;
+    std::vector<trace::TraceBuffer> traces_;
+    std::vector<double> wallMs_;
+};
+
+/**
+ * Closed-loop cycles/query of @p row's stream on the Core-integrated
+ * scheme: the saturation service rate the open-loop harnesses anchor
+ * their offered load to. Shaped as a Sweep prologue.
+ */
+double calibrateServiceGap(World& world, const PreparedRow& row);
+
+/**
+ * The optional positional query cap of the sweep harnesses (CI smoke
+ * runs pass a reduced count); 0 when absent. Anything but one positive
+ * integer prints usage and exits 2 — a typo must not silently run the
+ * full-size experiment.
+ */
+std::size_t parseQueryCap(const BenchOptions& options,
+                          const char* prog);
+
+/** @p queries, lowered to @p cap when a cap is set. */
+inline std::size_t
+capQueries(std::size_t queries, std::size_t cap)
+{
+    return cap != 0 && cap < queries ? cap : queries;
+}
+
+/**
+ * Trace capture for a harness that drives one World by hand
+ * (abl_flush):
  *
  *   TraceCollector tracer(options.tracePath);
  *   tracer.arm(world);                 // before the timed region
@@ -289,10 +503,7 @@ std::vector<std::string> schemeNames();
 class TraceCollector
 {
   public:
-    explicit TraceCollector(std::string trace_path,
-                            std::size_t capacity = 0);
-
-    bool enabled() const { return !path_.empty(); }
+    explicit TraceCollector(std::string trace_path);
 
     /** Enable (or re-arm) @p world's sink for the next run. */
     void arm(World& world);
@@ -300,21 +511,13 @@ class TraceCollector
     /** Drain @p world's sink as the Perfetto process @p label. */
     void collect(const std::string& label, World& world);
 
-    /**
-     * Merge an already-drained buffer as the process @p label. For
-     * harnesses that fan tasks over parallelMap: drain inside the
-     * task (the sink is task-private), add serially afterwards.
-     */
-    void add(const std::string& label, const trace::TraceBuffer& buf);
-
     /** Write the merged timeline. @return false on I/O failure. */
     bool write();
 
   private:
     std::string path_;
-    std::size_t capacity_;
-    Json events_ = Json::array();
-    int nextPid_ = 1;
+    std::vector<std::string> labels_;
+    std::vector<trace::TraceBuffer> traces_;
 };
 
 /**

@@ -99,88 +99,62 @@ main(int argc, char** argv)
         header.push_back(std::to_string(c) + " cyc");
     table.header(header);
 
-    struct SweepResult
-    {
-        std::vector<std::string> row;
-        Json w;
-        std::vector<std::pair<std::string, trace::TraceBuffer>> traces;
-        std::string name;
-        bool monotonic = true;
-        double retention = 0.0; ///< speedup@2000 / speedup@50
-    };
-
-    TraceCollector tracer(options.tracePath);
-
-    // One task per workload: each owns a private world; the sweep
-    // reruns the same queries on it.
-    const auto factories = makeWorkloadFactories();
-    auto results = parallelMap(
-        options.threads, factories.size(),
-        [&](std::size_t i) -> SweepResult {
-            const auto workload = factories[i]();
-            World world(42);
-            workload->build(world);
-            const Prepared prepared =
-                workload->prepare(world, workload->defaultQueries());
-            const CoreRunResult baseline = runBaseline(world, prepared);
-
-            SweepResult result;
-            result.name = workload->name();
-            Json points = Json::array();
-            std::vector<std::string> row{workload->name()};
-            double first = 0.0;
-            double prev = 0.0;
-            double last = 0.0;
-            bool haveFirst = false;
-            for (Cycles c : sweep) {
-                tracer.arm(world);
-                const QeiRunStats stats = runQei(world, prepared, DriverConfig(SchemeConfig::deviceIndirect(c)));
-                if (tracer.enabled()) {
-                    result.traces.emplace_back(
-                        workload->name() + "/dev-" + std::to_string(c),
-                        world.traceSink.drain());
-                }
-                const double speedup = speedupOf(baseline, stats);
-                if (!haveFirst) {
-                    first = speedup;
-                    haveFirst = true;
-                } else if (speedup > prev) {
-                    result.monotonic = false;
-                }
-                prev = speedup;
-                last = speedup;
-                row.push_back(TablePrinter::speedup(speedup));
-                Json p = Json::object();
-                p["interface_latency"] = c;
-                p["speedup"] = speedup;
-                p["qei"] = toJson(stats);
-                points.push_back(std::move(p));
-            }
-
-            Json w = Json::object();
-            w["workload"] = workload->name();
-            w["baseline"] = toJson(baseline);
-            w["sweep"] = std::move(points);
-            result.row = std::move(row);
-            result.w = std::move(w);
-            result.retention = first > 0.0 ? last / first : 0.0;
-            return result;
-        });
+    // One row per workload, the baseline as its prologue, one cell per
+    // interface latency.
+    Sweep<QeiRunStats, CoreRunResult> runner;
+    runner.prologue([](World& world, const PreparedRow& row) {
+        return runBaseline(world, row.prepared);
+    });
+    std::vector<std::string> names;
+    for (const WorkloadFactory& factory : makeWorkloadFactories()) {
+        names.push_back(factory()->name());
+        const std::size_t row = runner.row(workloadRow(factory, 0));
+        for (const Cycles c : sweep) {
+            runner.cell(row, names.back() + "/dev-" + std::to_string(c),
+                        DriverConfig(SchemeConfig::deviceIndirect(c)));
+        }
+    }
+    const std::vector<QeiRunStats> results =
+        runner.run(options.threads, !options.tracePath.empty());
 
     Json workloads = Json::array();
     bool allMonotonic = true;
     double dpdkRetention = 0.0;
     double flannRetention = 0.0;
-    for (auto& result : results) {
-        table.row(result.row);
-        workloads.push_back(std::move(result.w));
-        for (const auto& [label, buf] : result.traces)
-            tracer.add(label, buf);
-        allMonotonic = allMonotonic && result.monotonic;
-        if (result.name == "dpdk")
-            dpdkRetention = result.retention;
-        else if (result.name == "flann")
-            flannRetention = result.retention;
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        const CoreRunResult& baseline = runner.prologueOf(w);
+        Json points = Json::array();
+        std::vector<std::string> row{names[w]};
+        double first = 0.0;
+        double prev = 0.0;
+        for (std::size_t i = 0; i < sweep.size(); ++i) {
+            const QeiRunStats& stats = results[w * sweep.size() + i];
+            const double speedup = speedupOf(baseline, stats);
+            if (i == 0)
+                first = speedup;
+            else if (speedup > prev)
+                allMonotonic = false;
+            prev = speedup;
+            row.push_back(TablePrinter::speedup(speedup));
+            Json p = Json::object();
+            p["interface_latency"] = sweep[i];
+            p["speedup"] = speedup;
+            p["qei"] = toJson(stats);
+            points.push_back(std::move(p));
+        }
+        table.row(row);
+
+        Json wj = Json::object();
+        wj["workload"] = names[w];
+        wj["baseline"] = toJson(baseline);
+        wj["sweep"] = std::move(points);
+        workloads.push_back(std::move(wj));
+        // speedup@2000 / speedup@50
+        const double retention = first > 0.0 ? prev / first : 0.0;
+        if (names[w] == "dpdk")
+            dpdkRetention = retention;
+        else if (names[w] == "flann")
+            flannRetention = retention;
     }
     table.print();
     std::printf("paper reference: monotonic drop with latency; device "
@@ -191,6 +165,6 @@ main(int argc, char** argv)
     report.setTable(table);
     report.setValidation(paperExpectations(allMonotonic, dpdkRetention,
                                            flannRetention));
-    const bool traceOk = tracer.write();
+    const bool traceOk = runner.writeTrace(options.tracePath);
     return report.finish() && traceOk ? 0 : 1;
 }

@@ -20,11 +20,6 @@ using namespace qei::bench;
 
 namespace {
 
-struct TupleSetup
-{
-    Prepared prepared;
-};
-
 using validate::Expectation;
 using validate::Relation;
 
@@ -87,11 +82,16 @@ paperExpectations(std::uint64_t total_mismatches)
     return suite;
 }
 
-/** Build the matched baseline/QEI streams for one tuple count. */
-TupleSetup
-makeSetup(World& world, SimTupleSpace& space, int packets)
+/**
+ * Install @p tuples tuples of rules in @p world and build the matched
+ * baseline/QEI streams for @p packets packets; the tuple space is kept.
+ */
+PreparedRow
+makeSetup(World& world, int tuples, int packets)
 {
-    TupleSetup setup;
+    auto space = std::make_shared<SimTupleSpace>(world.vm, tuples, 4096,
+                                                 16, world.rng);
+    PreparedRow setup{{}, space};
     setup.prepared.profile.nonQueryInstrPerOp = 10; // per sub-lookup
     setup.prepared.profile.nonQueryBranchesPerOp = 2;
     setup.prepared.profile.roiFraction = 0.44;
@@ -102,18 +102,18 @@ makeSetup(World& world, SimTupleSpace& space, int packets)
         if (world.rng.chance(0.8)) {
             const int t = static_cast<int>(
                 world.rng.below(static_cast<std::uint64_t>(
-                    space.tupleCount())));
-            packet = space.sampleInstalledKey(t, world.rng);
+                    space->tupleCount())));
+            packet = space->sampleInstalledKey(t, world.rng);
         } else {
-            packet = randomKey(world.rng, space.keyLen());
+            packet = randomKey(world.rng, space->keyLen());
         }
 
-        std::vector<QueryTrace> traces = space.classify(packet);
-        for (int t = 0; t < space.tupleCount(); ++t) {
-            const Key sub = space.subKey(packet, t);
+        std::vector<QueryTrace> traces = space->classify(packet);
+        for (int t = 0; t < space->tupleCount(); ++t) {
+            const Key sub = space->subKey(packet, t);
             QueryJob job;
-            job.headerAddr = space.table(t).headerAddr();
-            job.keyAddr = space.table(t).stageKey(sub);
+            job.headerAddr = space->table(t).headerAddr();
+            job.keyAddr = space->table(t).stageKey(sub);
             job.resultAddr = world.vm.alloc(16, 16);
             job.expectFound =
                 traces[static_cast<std::size_t>(t)].found;
@@ -143,50 +143,45 @@ main(int argc, char** argv)
         header.push_back(s);
     table.header(header);
 
-    // Fan the (tuple count x {baseline, schemes}) cells across the
-    // pool; every cell rebuilds its own world + tuple space from the
-    // same seed, so the numbers match the serial path exactly.
+    // One row per tuple count, each with its own World seed; cells
+    // are the baseline and one per scheme.
     const std::vector<int> tupleCounts{5, 10, 15};
     const auto schemes = SchemeConfig::allSchemes();
     const std::size_t stride = 1 + schemes.size();
-
-    TraceCollector tracer(options.tracePath);
 
     struct CellOut
     {
         CoreRunResult baseline;
         QeiRunStats stats;
-        std::string traceLabel;
-        trace::TraceBuffer traceBuf;
     };
-    auto cells = parallelMap(
-        options.threads, tupleCounts.size() * stride,
-        [&](std::size_t index) -> CellOut {
-            const int tuples =
-                tupleCounts[index / stride];
-            const std::size_t s = index % stride; // 0 = baseline
-            World world(1000 + static_cast<std::uint64_t>(tuples));
-            SimTupleSpace space(world.vm, tuples, 4096, 16, world.rng);
-            TupleSetup setup = makeSetup(world, space, 120);
-
-            CellOut out;
-            tracer.arm(world);
-            if (s == 0) {
-                out.baseline = runBaseline(world, setup.prepared);
-                out.traceLabel = "baseline";
-            } else {
-                out.stats =
-                    runQei(world, setup.prepared, DriverConfig(schemes[s - 1]).withMode(QueryMode::NonBlocking).withPollBatch(32 * tuples));
-                out.traceLabel = schemes[s - 1].name();
-            }
-            out.traceLabel =
-                std::to_string(tuples) + "-tuples/" + out.traceLabel;
-            if (tracer.enabled())
-                out.traceBuf = world.traceSink.drain();
-            return out;
-        });
-    for (const CellOut& cell : cells)
-        tracer.add(cell.traceLabel, cell.traceBuf);
+    Sweep<CellOut> sweep;
+    for (const int tuples : tupleCounts) {
+        const std::size_t row = sweep.row(
+            {1000 + static_cast<std::uint64_t>(tuples), defaultChip(),
+             [tuples](World& world) {
+                 return makeSetup(world, tuples, 120);
+             }});
+        const std::string prefix = std::to_string(tuples) + "-tuples/";
+        sweep.cell(row, prefix + "baseline",
+                   [](World& world, const PreparedRow& row, const auto&) {
+                       return CellOut{runBaseline(world, row.prepared),
+                                      {}};
+                   });
+        for (const SchemeConfig& scheme : schemes) {
+            const DriverConfig config =
+                DriverConfig(scheme)
+                    .withMode(QueryMode::NonBlocking)
+                    .withPollBatch(32 * tuples);
+            sweep.cell(row, prefix + scheme.name(),
+                       [config](World& world, const PreparedRow& row,
+                                const auto&) {
+                           return CellOut{
+                               {}, runQei(world, row.prepared, config)};
+                       });
+        }
+    }
+    const std::vector<CellOut> cells =
+        sweep.run(options.threads, !options.tracePath.empty());
 
     Json points = Json::array();
     std::uint64_t totalMismatches = 0;
@@ -228,6 +223,6 @@ main(int argc, char** argv)
                 "Device schemes recover versus blocking mode; "
                 "Core-integrated limited by its 10-entry QST at high "
                 "tuple counts but competitive at low ones\n");
-    const bool traceOk = tracer.write();
+    const bool traceOk = sweep.writeTrace(options.tracePath);
     return report.finish() && traceOk ? 0 : 1;
 }

@@ -34,18 +34,18 @@ namespace qei {
  * owns every piece of mutable simulation state an experiment touches
  * (SimMemory, VirtualMemory, MemoryHierarchy, EventQueue, its own
  * FirmwareStore copy from FirmwareStore::factory(), and the Rng), and
- * StatsRegistry instances are built per QeiSystem, so two tasks
- * running on different Worlds never race. Parallel runners
- * (bench_util::runWorkloadMatrix, qei::parallelMap) rely on this:
- * give each task its own World + Workload instance and touch nothing
- * static. The only process-wide state simulation code may share is
- * the logging layer, which is thread-safe (common/logging.hh).
+ * StatsRegistry instances are built per QeiSystem, so two threads
+ * running on different Worlds never race. The sweep runner
+ * (bench::Sweep, which runWorkloadMatrix uses) relies on this: each
+ * worker builds its own World and Workload instance, and cells touch
+ * nothing static. The only process-wide state simulation code may
+ * share is the logging layer, which is thread-safe
+ * (common/logging.hh).
  *
- * Within one task, runs on a World are sequential and independent:
+ * Within one thread, runs on a World are sequential and independent:
  * runBaseline() and runQei() start with resetTiming() + warmLlc(), so
- * a matrix row builds and prepares its World once and runs the
- * baseline and every topology on it, each cell bit-identical to one
- * on a fresh World.
+ * a sweep builds and prepares a row's World once and runs any number
+ * of cells on it, each bit-identical to one on a fresh World.
  */
 struct World
 {

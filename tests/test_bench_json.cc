@@ -1,7 +1,7 @@
 /**
  * Golden test for the benchmark `--json` path: run a small workload
- * through the same runWorkload -> toJson pipeline fig07_speedup uses
- * and validate the artifact schema against the in-memory results.
+ * through the same runWorkloadMatrix -> toJson pipeline fig07_speedup
+ * uses and validate the artifact schema against the in-memory results.
  */
 
 #include <gtest/gtest.h>
@@ -20,11 +20,12 @@ const WorkloadRun&
 goldenRun()
 {
     static const WorkloadRun run = [] {
-        auto workloads = makeAllWorkloads();
         MatrixOptions options;
         options.queries = 400;
         options.captureStats = true;
-        return runWorkload(*workloads.front(), options);
+        return runWorkloadMatrix({makeWorkloadFactories().front()},
+                                 options)
+            .front();
     }();
     return run;
 }
@@ -139,11 +140,12 @@ TEST(BenchJson, HostSelfMetricsStampSimEventRateAndCellWalls)
     // The report must be constructed before the simulation work so
     // its sim-event baseline brackets the run.
     BenchReport report("unit_host", BenchOptions{});
-    auto workloads = makeAllWorkloads();
     MatrixOptions options;
     options.queries = 120;
     options.topologies = {SchemeConfig::coreIntegrated()};
-    const WorkloadRun run = runWorkload(*workloads.front(), options);
+    const WorkloadRun run =
+        runWorkloadMatrix({makeWorkloadFactories().front()}, options)
+            .front();
     report.data()["run"] = toJson(run);
     ASSERT_TRUE(report.finish());
 

@@ -460,6 +460,29 @@ TEST(BenchArgsDeathTest, BadFaultSpecDiesBeforeTheRun)
                 ::testing::ExitedWithCode(1), "unknown key");
 }
 
+TEST(BenchArgsDeathTest, MalformedQueryCapIsAUsageError)
+{
+    for (const std::vector<std::string>& args :
+         std::vector<std::vector<std::string>>{
+             {"foo"}, {"19x"}, {"0"}, {"-5"}, {""}, {"12", "13"},
+             {"99999999999999999999999"}}) {
+        EXPECT_EXIT(bench::parseQueryCap(parseArgs(args), "harness"),
+                    ::testing::ExitedWithCode(2), "usage")
+            << args.front();
+    }
+}
+
+TEST(BenchArgs, QueryCapIsOnePositiveCount)
+{
+    EXPECT_EQ(bench::parseQueryCap(parseArgs({}), "harness"), 0u);
+    EXPECT_EQ(bench::parseQueryCap(parseArgs({"192", "--threads", "2"}),
+                                   "harness"),
+              192u);
+    EXPECT_EQ(bench::capQueries(1536, 192), 192u);
+    EXPECT_EQ(bench::capQueries(256, 512), 256u);
+    EXPECT_EQ(bench::capQueries(256, 0), 256u);
+}
+
 TEST(BenchArgs, CollectsPositionalsAndFlags)
 {
     const bench::BenchOptions options = parseArgs(

@@ -1,19 +1,22 @@
 /**
- * Determinism contract of the parallel experiment engine: running the
- * (workload x scheme) matrix at --threads 8 must produce exactly the
- * same simulated numbers as --threads 1, because every row owns a
- * private World built from the same seed. And reusing that World for
- * every cell of the row must produce exactly what a fresh World per
- * cell does.
+ * Determinism contract of the sweep runner: running the (workload x
+ * scheme) matrix, or any Sweep, at --threads 8 must produce exactly
+ * the same simulated numbers as --threads 1, because every World of a
+ * row is built from the same seed. And reusing a World for several
+ * cells must produce exactly what a fresh World per cell does, for
+ * every kind of cell the harnesses run.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 
 #include "bench_util.hh"
 #include "fault/fault_config.hh"
+#include "qei/admission.hh"
+#include "traffic/traffic.hh"
 
 using namespace qei;
 using namespace qei::bench;
@@ -355,5 +358,283 @@ TEST(ParallelRuns, HostPerfFieldsPopulated)
         EXPECT_EQ(run.cellWallMs.size(),
                   1 + SchemeConfig::allSchemes().size());
         EXPECT_TRUE(run.cellWallMs.count("baseline"));
+    }
+}
+
+namespace {
+
+/** What a runner cell leaves behind besides its trace. */
+struct Outcome
+{
+    QeiRunStats stats;
+    ChipActivity activity;
+    double peakLink = 0.0;
+    double meanLink = 0.0;
+};
+
+/** One cell's experiment; @p gap is the row's calibrated service gap. */
+using Body = std::function<QeiRunStats(World&, const PreparedRow&,
+                                       double gap)>;
+
+Outcome
+runBody(const Body& body, World& world, const PreparedRow& row,
+        double gap)
+{
+    Outcome out;
+    out.stats = body(world, row, gap);
+    out.activity = ChipActivity::capture(world.hierarchy);
+    out.peakLink = world.hierarchy.mesh().peakLinkUtilisation();
+    out.meanLink = world.hierarchy.mesh().meanLinkUtilisation();
+    return out;
+}
+
+/**
+ * Run @p cells on one @p row through a serial Sweep — so every cell
+ * runs on a World that already ran the prologue (a baseline and a
+ * closed-loop calibration, as abl_qst_size and abl_open_loop do) and
+ * the cells before it — and check each against the same cell on a
+ * fresh World: run stats, activity, mesh utilisation and the trace
+ * buffer must all be identical.
+ */
+void
+expectSweepMatchesFreshWorlds(
+    const SweepRow& row,
+    const std::vector<std::pair<std::string, Body>>& cells)
+{
+    constexpr std::size_t kCapacity = 4096; // wraps: tails compared
+    Sweep<Outcome, double> sweep;
+    sweep.prologue([](World& world, const PreparedRow& prepared) {
+        (void)runBaseline(world, prepared.prepared);
+        return calibrateServiceGap(world, prepared);
+    });
+    const std::size_t r = sweep.row(row);
+    for (const auto& [label, body] : cells) {
+        sweep.cell(r, label,
+                   [body = body](World& world, const PreparedRow& prepared,
+                                 const double& gap) {
+                       return runBody(body, world, prepared, gap);
+                   });
+    }
+    const std::vector<Outcome> reused = sweep.run(1, true, kCapacity);
+
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        const std::string& label = cells[c].first;
+        World world(row.seed, row.chip);
+        const PreparedRow prepared = row.make(world);
+        world.traceSink.enable(kCapacity);
+        const Outcome fresh = runBody(cells[c].second, world, prepared,
+                                      sweep.prologueOf(r));
+        expectSameRun(reused[c].stats, fresh.stats, label);
+        expectSameActivity(reused[c].activity, fresh.activity, label);
+        EXPECT_DOUBLE_EQ(reused[c].peakLink, fresh.peakLink) << label;
+        EXPECT_DOUBLE_EQ(reused[c].meanLink, fresh.meanLink) << label;
+        expectSameTrace(sweep.trace(c), world.traceSink.drain(), label);
+    }
+}
+
+SweepRow
+smallRow(std::size_t workload, std::size_t queries)
+{
+    return workloadRow(makeWorkloadFactories()[workload], queries);
+}
+
+Body
+configBody(DriverConfig config)
+{
+    return [config](World& world, const PreparedRow& row, double) {
+        return runQei(world, row.prepared, config);
+    };
+}
+
+} // namespace
+
+TEST(SweepReuse, PoissonOpenLoopMatchesFreshWorlds)
+{
+    std::vector<std::pair<std::string, Body>> cells;
+    for (const int load : {30, 90}) {
+        cells.emplace_back(
+            "load-" + std::to_string(load),
+            [load](World& world, const PreparedRow& row, double gap) {
+                return runQei(
+                    world, row.prepared,
+                    DriverConfig(SchemeConfig::coreIntegrated())
+                        .withTraffic(
+                            std::make_shared<traffic::PoissonOpenLoop>(
+                                gap * 100.0 / load, 1000 + load)));
+            });
+    }
+    expectSweepMatchesFreshWorlds(smallRow(0, 200), cells);
+}
+
+TEST(SweepReuse, AdaptiveAdmissionWithDegradationMatchesFreshWorlds)
+{
+    // abl_overload's shape: four Poisson tenants at 2x the service
+    // rate under Adaptive shedding that degrades to the core.
+    const Body overload = [](World& world, const PreparedRow& row,
+                             double gap) {
+        std::vector<traffic::TenantMix::Stream> streams;
+        for (std::uint64_t t = 0; t < 4; ++t) {
+            streams.push_back(
+                {std::make_shared<traffic::PoissonOpenLoop>(gap * 2.0,
+                                                            100 + t),
+                 1.0});
+        }
+        AdmissionConfig adm;
+        adm.policy = AdmissionPolicy::Adaptive;
+        adm.degradeToCore = true;
+        adm.sloP99 = 4.0 * gap;
+        adm.window = 32;
+        adm.minSamples = 8;
+        SchemeConfig scheme = SchemeConfig::coreIntegrated();
+        scheme.tenantQuota.share = TenantShare::Weighted;
+        return runQei(
+            world, row.prepared,
+            DriverConfig(scheme)
+                .withTraffic(std::make_shared<traffic::TenantMix>(
+                    std::move(streams)))
+                .withAdmission(adm));
+    };
+    expectSweepMatchesFreshWorlds(smallRow(0, 240),
+                                  {{"adaptive-a", overload},
+                                   {"adaptive-b", overload}});
+}
+
+TEST(SweepReuse, HandBuiltMultiCoreMatchesFreshWorlds)
+{
+    std::vector<std::pair<std::string, Body>> cells;
+    for (const SchemeConfig& scheme :
+         {SchemeConfig::chaTlb(), SchemeConfig::deviceDirect()}) {
+        cells.emplace_back(
+            scheme.name() + "/4-cores",
+            [scheme](World& world, const PreparedRow& row, double) {
+                world.resetTiming();
+                world.warmLlc();
+                QeiSystem system(world.chip, world.events,
+                                 world.hierarchy, world.vm,
+                                 world.firmware, scheme,
+                                 &world.traceSink);
+                return system.runBlockingMultiCore(
+                    row.prepared.jobs, 4, row.prepared.profile);
+            });
+    }
+    expectSweepMatchesFreshWorlds(smallRow(1, 200), cells);
+}
+
+TEST(SweepReuse, NonBlockingFloodMatchesFreshWorldsMeshIncluded)
+{
+    // abl_noc_hotspot's cell; its peak/mean link utilisation is only
+    // right if resetTiming() clears the previous cell's NoC traffic.
+    std::vector<std::pair<std::string, Body>> cells;
+    for (const SchemeConfig& scheme :
+         {SchemeConfig::deviceDirect(), SchemeConfig::chaTlb()}) {
+        cells.emplace_back(scheme.name(),
+                           configBody(DriverConfig(scheme)
+                                          .withMode(QueryMode::NonBlocking)
+                                          .withPollBatch(120)));
+    }
+    expectSweepMatchesFreshWorlds(smallRow(1, 300), cells);
+}
+
+TEST(SweepReuse, PlannerUnionAndShardedBatchMatchFreshWorlds)
+{
+    const Body plannerMix = [](World& world, const PreparedRow& row,
+                               double) {
+        const PlannerConfig cfg =
+            PlannerConfig::mixed(row.kept<MixedTrace>().classes);
+        return runQei(world, row.prepared,
+                      DriverConfig(plannerTopology(cfg)).withPlanner(cfg));
+    };
+    expectSweepMatchesFreshWorlds(
+        mixedTraceRow(100),
+        {{"mixed/CHA-TLB", configBody(SchemeConfig::chaTlb())},
+         {"mixed/planner-mix", plannerMix}});
+
+    const PlannerConfig shard = PlannerConfig::shard("dpdk", 8, true);
+    expectSweepMatchesFreshWorlds(
+        smallRow(0, 200),
+        {{"dpdk/shard8+batch8",
+          configBody(DriverConfig(plannerTopology(shard))
+                         .withPlanner(shard)
+                         .withMode(QueryMode::NonBlocking)
+                         .withBatch(BatchConfig{
+                             8, BatchReorder::ByKeyLocality, true}))}});
+}
+
+TEST(SweepReuse, SmallQstMatchesFreshWorlds)
+{
+    SchemeConfig scheme = SchemeConfig::coreIntegrated();
+    scheme.qstEntries = 2;
+    expectSweepMatchesFreshWorlds(smallRow(1, 200),
+                                  {{"qst-2", configBody(scheme)}});
+}
+
+TEST(SweepScheduling, ResultsAndBuildCountsIndependentOfThreads)
+{
+    // Three rows of 1, 3 and 6 cells, so workers must switch rows.
+    const std::vector<std::size_t> cellsPerRow{1, 3, 6};
+    struct Tagged
+    {
+        std::size_t row;
+        std::shared_ptr<const void> workload;
+    };
+    struct Counts
+    {
+        std::vector<std::atomic<int>> builds, prologues;
+        explicit Counts(std::size_t n) : builds(n), prologues(n) {}
+    };
+    const std::vector<Topology> topologies = Topology::allPaper();
+
+    auto runAt = [&](int threads, Counts& counts) {
+        Sweep<QeiRunStats, std::uint64_t> sweep;
+        sweep.prologue([&](World&, const PreparedRow& row) {
+            ++counts.prologues[row.kept<Tagged>().row];
+            return std::uint64_t{row.prepared.jobs.size()};
+        });
+        for (std::size_t r = 0; r < cellsPerRow.size(); ++r) {
+            const SweepRow base = smallRow(r % 2, 60);
+            SweepRow row = base;
+            row.seed = 42 + r;
+            row.make = [&, r, base](World& world) {
+                ++counts.builds[r];
+                PreparedRow prepared = base.make(world);
+                prepared.keep = std::make_shared<Tagged>(
+                    Tagged{r, std::move(prepared.keep)});
+                return prepared;
+            };
+            const std::size_t id = sweep.row(row);
+            for (std::size_t c = 0; c < cellsPerRow[r]; ++c) {
+                sweep.cell(id, std::to_string(r) + "/" + std::to_string(c),
+                           DriverConfig(topologies[c % topologies.size()])
+                               .withMode(c >= topologies.size()
+                                             ? QueryMode::NonBlocking
+                                             : QueryMode::Blocking));
+            }
+        }
+        return sweep.run(threads);
+    };
+
+    Counts serialCounts(cellsPerRow.size());
+    const std::vector<QeiRunStats> serial = runAt(1, serialCounts);
+    for (std::size_t r = 0; r < cellsPerRow.size(); ++r) {
+        EXPECT_EQ(serialCounts.builds[r], 1) << "row " << r;
+        EXPECT_EQ(serialCounts.prologues[r], 1) << "row " << r;
+    }
+    for (const int threads : {3, 8}) {
+        Counts counts(cellsPerRow.size());
+        const std::vector<QeiRunStats> parallel = runAt(threads, counts);
+        ASSERT_EQ(parallel.size(), serial.size());
+        for (std::size_t c = 0; c < serial.size(); ++c) {
+            expectSameRun(parallel[c], serial[c],
+                          fmt("cell {} at {} threads", c, threads));
+        }
+        for (std::size_t r = 0; r < cellsPerRow.size(); ++r) {
+            EXPECT_GE(counts.builds[r], 1) << "row " << r;
+            EXPECT_LE(counts.builds[r],
+                      std::min<int>(threads,
+                                    static_cast<int>(cellsPerRow[r])))
+                << "row " << r << " at " << threads << " threads";
+            EXPECT_EQ(counts.prologues[r], 1)
+                << "row " << r << " at " << threads << " threads";
+        }
     }
 }
