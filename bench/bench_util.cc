@@ -106,6 +106,18 @@ collectCellWalls(const Json& node, const std::string& prefix,
     }
 }
 
+/** `out.json` -> `out`; other paths pass through unchanged. */
+std::string
+jsonStem(const std::string& path)
+{
+    constexpr const char* kExt = ".json";
+    constexpr std::size_t kExtLen = 5;
+    if (path.size() > kExtLen &&
+        path.compare(path.size() - kExtLen, kExtLen, kExt) == 0)
+        return path.substr(0, path.size() - kExtLen);
+    return path;
+}
+
 /** "0" / "auto" = all host cores; anything else must be >= 1. */
 int
 parseThreadCount(const char* text)
@@ -341,6 +353,17 @@ BenchReport::BenchReport(std::string bench_name, BenchOptions options)
     root_["build_flags"] = QEI_BUILD_FLAGS;
 }
 
+BenchReport
+BenchReport::view(std::string bench_name) const
+{
+    BenchOptions options = options_;
+    if (enabled())
+        options.jsonPath =
+            jsonStem(options_.jsonPath) + "." + bench_name + ".json";
+    options.metricsPath.clear();
+    return BenchReport(std::move(bench_name), std::move(options));
+}
+
 void
 BenchReport::setTable(const TablePrinter& table)
 {
@@ -473,18 +496,6 @@ BenchReport::finish()
 
 namespace {
 
-/** `out.json` -> `out`; other paths pass through unchanged. */
-std::string
-traceStem(const std::string& path)
-{
-    constexpr const char* kExt = ".json";
-    constexpr std::size_t kExtLen = 5;
-    if (path.size() > kExtLen &&
-        path.compare(path.size() - kExtLen, kExtLen, kExt) == 0)
-        return path.substr(0, path.size() - kExtLen);
-    return path;
-}
-
 bool
 writeJsonFile(const std::string& path, const Json& doc)
 {
@@ -508,6 +519,40 @@ writeTimeline(const std::string& path, Json events)
     doc["traceEvents"] = std::move(events);
     doc["displayTimeUnit"] = "ms";
     return writeJsonFile(path, doc);
+}
+
+/**
+ * Write one Perfetto file merging every captured cell of @p runs (one
+ * Perfetto process per cell) to @p path, plus one file per cell at
+ * `<stem>.<workload>.<scheme>.json`. @return false on I/O failure.
+ */
+bool
+writeMatrixTraces(const std::vector<WorkloadRun>& runs,
+                  const std::string& path)
+{
+    const std::string stem = jsonStem(path);
+    Json merged = Json::array();
+    int pid = 1;
+    bool ok = true;
+    std::size_t files = 0;
+    for (const auto& run : runs) {
+        for (const auto& [label, buf] : run.traces) {
+            const std::string process = run.name + "/" + label;
+            trace::appendPerfettoEvents(merged, buf, pid, process);
+            ++pid;
+            ok = writeJsonFile(stem + "." + run.name + "." + label +
+                                   ".json",
+                               trace::perfettoJson(buf, process)) &&
+                 ok;
+            ++files;
+        }
+    }
+    ok = writeTimeline(path, std::move(merged)) && ok;
+    if (ok) {
+        std::printf("wrote %s (+%zu per-cell traces)\n", path.c_str(),
+                    files);
+    }
+    return ok;
 }
 
 /** What one matrix cell yields. */
@@ -550,7 +595,6 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
             const DriverConfig config =
                 DriverConfig(topo)
                     .withMode(options.mode)
-                    .withPollBatch(options.pollBatch)
                     .withBatch(options.batch)
                     .withLabel(runs[w].name + "/" + topo.name())
                     .withPlanner(planner);
@@ -596,35 +640,6 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
     if (!options.tracePath.empty())
         writeMatrixTraces(runs, options.tracePath);
     return runs;
-}
-
-bool
-writeMatrixTraces(const std::vector<WorkloadRun>& runs,
-                  const std::string& path)
-{
-    const std::string stem = traceStem(path);
-    Json merged = Json::array();
-    int pid = 1;
-    bool ok = true;
-    std::size_t files = 0;
-    for (const auto& run : runs) {
-        for (const auto& [label, buf] : run.traces) {
-            const std::string process = run.name + "/" + label;
-            trace::appendPerfettoEvents(merged, buf, pid, process);
-            ++pid;
-            ok = writeJsonFile(stem + "." + run.name + "." + label +
-                                   ".json",
-                               trace::perfettoJson(buf, process)) &&
-                 ok;
-            ++files;
-        }
-    }
-    ok = writeTimeline(path, std::move(merged)) && ok;
-    if (ok) {
-        std::printf("wrote %s (+%zu per-cell traces)\n", path.c_str(),
-                    files);
-    }
-    return ok;
 }
 
 SweepRow
@@ -981,12 +996,6 @@ toJson(const WorkloadRun& run)
         schemes[name] = std::move(s);
     }
     out["schemes"] = std::move(schemes);
-    if (!run.statsJson.empty()) {
-        Json dumps = Json::object();
-        for (const auto& [name, dump] : run.statsJson)
-            dumps[name] = Json::parse(dump);
-        out["stats"] = std::move(dumps);
-    }
     return out;
 }
 

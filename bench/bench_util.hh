@@ -84,8 +84,8 @@ struct BenchOptions
      * src/qei/planner.hh). Empty = flag absent.
      */
     std::string plannerMode;
-    /** Non-option arguments, in order (debug_probe's workload
-     *  filter). */
+    /** Non-option arguments, in order (the sweep harnesses' query
+     *  cap). */
     std::vector<std::string> positional;
 };
 
@@ -136,6 +136,14 @@ class BenchReport
 
     /** Root object; preloaded with {"bench": <name>}. */
     Json& data() { return root_; }
+
+    /**
+     * Report for another figure computed from this harness's runs,
+     * written next to its artifact as `<stem>.<bench_name>.json`.
+     * Construct it after those runs so its host fields count only its
+     * own work; the harness fails if either report's finish() does.
+     */
+    BenchReport view(std::string bench_name) const;
 
     /** Mirror the printed table under "table". */
     void setTable(const TablePrinter& table);
@@ -195,16 +203,7 @@ struct WorkloadRun
     /** Host wall time of the whole row (the sum of its cells). */
     double hostWallMs = 0.0;
 
-    double
-    speedup(const std::string& scheme) const
-    {
-        auto it = schemes.find(scheme);
-        return it == schemes.end()
-                   ? 0.0
-                   : speedupOf(baseline, it->second);
-    }
-
-    /** Speedup for stats already looked up — avoids a second find. */
+    /** Baseline cycles over the cycles of @p stats, a scheme's run. */
     double
     speedup(const QeiRunStats& stats) const
     {
@@ -228,8 +227,6 @@ struct MatrixOptions
     std::vector<Topology> topologies = Topology::allPaper();
     QueryMode mode = QueryMode::Blocking;
     std::uint64_t seed = 42;
-    /** Poll batch for QueryMode::NonBlocking. */
-    int pollBatch = 32;
     /** QUERY_BATCH config for every cell; default scalar (size 1). */
     BatchConfig batch;
     bool captureStats = false;
@@ -520,24 +517,14 @@ class TraceCollector
     std::vector<trace::TraceBuffer> traces_;
 };
 
-/**
- * Write one Perfetto file merging every captured cell of @p runs (one
- * Perfetto process per cell) to @p path, plus one file per cell at
- * `<stem>.<workload>.<scheme>.json`. @return false on I/O failure.
- */
-bool writeMatrixTraces(const std::vector<WorkloadRun>& runs,
-                       const std::string& path);
-
 // -- JSON views of the result structs, for BenchReport payloads --
 
 Json toJson(const CoreRunResult& result);
 Json toJson(const QeiRunStats& stats);
 
 /**
- * One workload's full cross-scheme result: baseline, per-scheme run
- * stats with raw `speedup` doubles and per-cell `host_wall_ms`, and
- * (when captured) the per-scheme component-tree stats dumps under
- * "stats".
+ * One workload's full cross-scheme result: baseline and per-scheme run
+ * stats with raw `speedup` doubles and per-cell `host_wall_ms`.
  */
 Json toJson(const WorkloadRun& run);
 

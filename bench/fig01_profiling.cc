@@ -1,11 +1,16 @@
 /**
  * Fig. 1 — Percentage of data query operation among total execution
- * time, plus the top-down pipeline-slot analysis of Sec. II-A.
+ * time, plus the top-down pipeline-slot analysis of Sec. II-A; and,
+ * from the same baseline and Core-integrated runs, Fig. 11 — dynamic
+ * instructions the core executes inside the ROI.
  *
  * Paper shape: query operations take 23%~44% of CPU time across the
  * profiled workloads; hash-table queries are backend bound (DPDK:
  * 7.5% frontend / 63.9% backend), pointer-chasing queries show higher
- * frontend pressure (RocksDB: 25.9% frontend / 9.5% backend).
+ * frontend pressure (RocksDB: 25.9% frontend / 9.5% backend). Fig. 11:
+ * QEI eliminates the large majority of the dynamic instructions (the
+ * query routine collapses to one QUERY instruction plus the
+ * surrounding independent work).
  */
 
 #include <cstdio>
@@ -79,6 +84,86 @@ paperExpectations()
     return suite;
 }
 
+/** Paper expectations for the Fig. 11 instruction-count reduction. */
+validate::Suite
+fig11Expectations()
+{
+    validate::Suite suite;
+    suite.title = "Fig. 11 — dynamic instructions in the ROI";
+    suite.preamble =
+        "QEI collapses each software query routine to one QUERY "
+        "instruction plus the surrounding independent work, so the "
+        "reduction tracks the baseline query length: the deep trie "
+        "walk (snort) loses essentially all of its instructions, "
+        "the short hash probes (dpdk) and the small-tree search "
+        "(flann) keep the most residual work.";
+    struct Band { const char* w; double lo; double hi; };
+    for (const Band& b : {Band{"dpdk", 0.70, 0.90},
+                          Band{"jvm", 0.90, 0.99},
+                          Band{"rocksdb", 0.95, 1.00},
+                          Band{"snort", 0.98, 1.00},
+                          Band{"flann", 0.70, 0.90}}) {
+        const std::string name = b.w;
+        suite.expectations.push_back(Expectation::range(
+            "reduction-" + name, "Fig. 11",
+            "dynamic-instruction reduction on " + name,
+            "workloads.[workload=" + name + "].reduction", "%", b.lo,
+            b.hi, 0.05));
+    }
+    suite.expectations.push_back(Expectation::ordering(
+        "deep-queries-collapse-hardest", "Fig. 11",
+        "the deep trie workload sheds a larger share than the hash "
+        "workload",
+        "workloads.[workload=snort].reduction", Relation::Gt,
+        "workloads.[workload=dpdk].reduction"));
+    return suite;
+}
+
+/** Fig. 11 from the Fig. 1 runs: ROI instructions per query, software
+ *  baseline versus Core-integrated. */
+bool
+writeFig11(const BenchReport& fig01,
+           const std::vector<WorkloadRun>& runs)
+{
+    BenchReport report = fig01.view("fig11_inst_count");
+    std::printf("=== Fig. 11: dynamic instruction count in the ROI "
+                "===\n");
+
+    TablePrinter table;
+    table.header({"workload", "baseline instr/query",
+                  "QEI instr/query", "reduction"});
+
+    Json workloads = Json::array();
+    for (const WorkloadRun& run : runs) {
+        const double base =
+            static_cast<double>(run.baseline.instructions) /
+            static_cast<double>(run.baseline.queries);
+        const QeiRunStats& qei = run.schemes.at("Core-integrated");
+        const double ours =
+            static_cast<double>(qei.coreInstructions) /
+            static_cast<double>(qei.queries);
+        table.row({run.name, TablePrinter::num(base, 0),
+                   TablePrinter::num(ours, 0),
+                   TablePrinter::percent(1.0 - ours / base)});
+
+        Json w = Json::object();
+        w["workload"] = run.name;
+        w["baseline_instr_per_query"] = base;
+        w["qei_instr_per_query"] = ours;
+        w["reduction"] = 1.0 - ours / base;
+        workloads.push_back(std::move(w));
+    }
+    table.print();
+    std::printf("paper reference: a significant share of ROI dynamic "
+                "instructions is eliminated (each software query runs "
+                "to hundreds of instructions; QEI issues one)\n");
+
+    report.data()["workloads"] = std::move(workloads);
+    report.setTable(table);
+    report.setValidation(fig11Expectations());
+    return report.finish();
+}
+
 } // namespace
 
 int
@@ -96,13 +181,14 @@ main(int argc, char** argv)
 
     Json workloads = Json::array();
     const int width = defaultChip().core.issueWidth;
-    // Only the baseline run matters for profiling.
+    // Fig. 1 profiles the baseline; Fig. 11 adds Core-integrated.
     MatrixOptions matrix;
     matrix.topologies = {SchemeConfig::coreIntegrated()};
     matrix.threads = options.threads;
     matrix.tracePath = options.tracePath;
-    for (const WorkloadRun& run :
-         runWorkloadMatrix(makeWorkloadFactories(), matrix)) {
+    const std::vector<WorkloadRun> runs =
+        runWorkloadMatrix(makeWorkloadFactories(), matrix);
+    for (const WorkloadRun& run : runs) {
         const RoiProfile& profile = run.prepared.profile;
         table.row({run.name,
                    TablePrinter::percent(profile.roiFraction),
@@ -131,5 +217,6 @@ main(int argc, char** argv)
     report.data()["workloads"] = std::move(workloads);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    return report.finish() ? 0 : 1;
+    const bool ok = report.finish();
+    return writeFig11(report, runs) && ok ? 0 : 1;
 }

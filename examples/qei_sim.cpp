@@ -2,7 +2,8 @@
  * qei_sim: command-line experiment driver. Runs any paper workload
  * against any integration scheme with configurable query counts,
  * modes and seeds — the entry point for exploring the design space
- * beyond the canned figures.
+ * beyond the canned figures. Single-core runs go through runQei(),
+ * like every harness cell; --verbose prints each run's stats dump.
  *
  *   qei_sim [--workload dpdk|jvm|rocksdb|snort|flann]
  *           [--scheme cha-tlb|cha-notlb|device-direct|
@@ -11,10 +12,12 @@
  *           [--poll-batch N] [--verbose]
  */
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <algorithm>
 #include <string>
 
 #include "workloads/workload.hh"
@@ -35,7 +38,7 @@ struct Options
     bool verbose = false;
 };
 
-void
+[[noreturn]] void
 usage(const char* argv0)
 {
     std::fprintf(
@@ -44,7 +47,8 @@ usage(const char* argv0)
         "          [--scheme cha-tlb|cha-notlb|device-direct|\n"
         "                    device-indirect|core-integrated|all]\n"
         "          [--queries N] [--mode b|nb] [--cores N]\n"
-        "          [--seed N] [--poll-batch N] [--verbose]\n",
+        "          [--seed N] [--poll-batch N] [--verbose]\n"
+        "  (--mode nb runs on one core)\n",
         argv0);
     std::exit(2);
 }
@@ -60,13 +64,23 @@ parse(int argc, char** argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        // A typo must not silently run the default.
+        auto count = [&](std::uint64_t min, std::uint64_t max) {
+            const char* text = value();
+            char* end = nullptr;
+            errno = 0;
+            const std::uint64_t n = std::strtoull(text, &end, 10);
+            if (!std::isdigit(static_cast<unsigned char>(*text)) ||
+                *end != '\0' || errno != 0 || n < min || n > max)
+                usage(argv[0]);
+            return n;
+        };
         if (arg == "--workload") {
             opt.workload = value();
         } else if (arg == "--scheme") {
             opt.scheme = value();
         } else if (arg == "--queries") {
-            opt.queries = static_cast<std::size_t>(
-                std::strtoull(value(), nullptr, 10));
+            opt.queries = count(0, UINT64_MAX);
         } else if (arg == "--mode") {
             const std::string m = value();
             if (m == "b") {
@@ -77,34 +91,21 @@ parse(int argc, char** argv)
                 usage(argv[0]);
             }
         } else if (arg == "--cores") {
-            opt.cores = std::atoi(value());
+            opt.cores = static_cast<int>(count(1, INT_MAX));
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(value(), nullptr, 10);
+            opt.seed = count(0, UINT64_MAX);
         } else if (arg == "--poll-batch") {
-            opt.pollBatch = std::atoi(value());
+            opt.pollBatch = static_cast<int>(count(1, INT_MAX));
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else {
             usage(argv[0]);
         }
     }
+    // The multi-core engine issues blocking queries only.
+    if (opt.cores > 1 && opt.mode != QueryMode::Blocking)
+        usage(argv[0]);
     return opt;
-}
-
-SchemeConfig
-schemeByName(const std::string& name)
-{
-    if (name == "cha-tlb")
-        return SchemeConfig::chaTlb();
-    if (name == "cha-notlb")
-        return SchemeConfig::chaNoTlb();
-    if (name == "device-direct")
-        return SchemeConfig::deviceDirect();
-    if (name == "device-indirect")
-        return SchemeConfig::deviceIndirect();
-    if (name == "core-integrated")
-        return SchemeConfig::coreIntegrated();
-    fatal("unknown scheme '{}'", name);
 }
 
 } // namespace
@@ -115,6 +116,18 @@ main(int argc, char** argv)
     const Options opt = parse(argc, argv);
     if (opt.verbose)
         setLogLevel(LogLevel::Info);
+
+    // CLI scheme names are the lower-cased SchemeConfig names.
+    std::vector<SchemeConfig> schemes;
+    for (const SchemeConfig& scheme : SchemeConfig::allSchemes()) {
+        std::string name = scheme.name();
+        for (char& c : name)
+            c = static_cast<char>(std::tolower(c));
+        if (opt.scheme == "all" || opt.scheme == name)
+            schemes.push_back(scheme);
+    }
+    if (schemes.empty())
+        fatal("unknown scheme '{}'", opt.scheme);
 
     std::unique_ptr<Workload> workload;
     for (auto& w : makeAllWorkloads()) {
@@ -141,43 +154,27 @@ main(int argc, char** argv)
                     static_cast<double>(baseline.queries),
                 baseline.ipc());
 
-    std::vector<SchemeConfig> schemes;
-    if (opt.scheme == "all") {
-        schemes = SchemeConfig::allSchemes();
-    } else {
-        schemes.push_back(schemeByName(opt.scheme));
-    }
-
     for (const auto& scheme : schemes) {
         QeiRunStats stats;
-        world.resetTiming();
-        world.warmLlc();
-        QeiSystem system(world.chip, world.events, world.hierarchy,
-                         world.vm, world.firmware, scheme);
+        std::string statsJson;
         if (opt.cores > 1) {
+            // DriverConfig has no core count.
+            world.resetTiming();
+            world.warmLlc();
+            QeiSystem system(world.chip, world.events, world.hierarchy,
+                             world.vm, world.firmware, scheme);
             stats = system.runBlockingMultiCore(prep.jobs, opt.cores,
                                                 prep.profile);
+            statsJson = system.dumpStatsJson();
         } else {
-            system.warmTlbs([&] {
-                std::vector<Addr> vpns;
-                for (const auto& [vpn, pfn] :
-                     world.vm.pageTable().entries()) {
-                    (void)pfn;
-                    vpns.push_back(vpn);
-                }
-                std::sort(vpns.begin(), vpns.end());
-                return vpns;
-            }());
-            if (opt.mode == QueryMode::Blocking) {
-                stats = system.runBlocking(prep.jobs, 0, prep.profile);
-            } else {
-                stats = system.runNonBlocking(prep.jobs, 0,
-                                              prep.profile,
-                                              opt.pollBatch);
-            }
+            stats = runQei(world, prep,
+                           DriverConfig(scheme)
+                               .withMode(opt.mode)
+                               .withPollBatch(opt.pollBatch)
+                               .captureStats(&statsJson));
         }
         if (opt.verbose)
-            std::fputs(system.renderStats().c_str(), stdout);
+            std::printf("%s\n", statsJson.c_str());
         std::printf("%-18s %10.1f cyc/q   %6.2fx   occ %4.1f   "
                     "mem/q %.1f   mismatches %llu\n",
                     scheme.name().c_str(), stats.cyclesPerQuery(),

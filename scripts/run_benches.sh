@@ -1,5 +1,7 @@
 #!/usr/bin/env sh
-# Run every benchmark harness and collect BENCH_<name>.json artifacts.
+# Run every benchmark harness and collect its BENCH_<name>.json
+# artifact, plus the BENCH_<name>.<figure>.json artifacts of the other
+# figures it computes from the same runs.
 # New harnesses are picked up automatically (the loop globs
 # build-dir/bench/*): abl_batch, for example, runs its full workload x
 # batch-size sweep here, while CI's quick smoke passes it a reduced
@@ -155,6 +157,11 @@ for bench in "$build_dir"/bench/*; do
     if [ -n "$validate" ]; then
         set -- "$@" --validate
     fi
+    # A harness may also write the figures it computes from the same
+    # runs next to its artifact, as BENCH_<name>.<figure>.json (fig07
+    # writes Fig. 12, fig01 Fig. 11). Drop stale ones first, so only
+    # files this run wrote reach qei-validate.
+    rm -f "$out_dir/BENCH_$name".*.json
     # Capture the harness's real exit code: a non-zero exit (crash,
     # artifact-write failure, or a FAIL verdict under --validate) must
     # reach the summary and the script's own exit status.
@@ -169,6 +176,11 @@ for bench in "$build_dir"/bench/*; do
         status=1
     fi
     artifacts="$artifacts $out_dir/BENCH_$name.json"
+    for view in "$out_dir/BENCH_$name".*.json; do
+        if [ -e "$view" ]; then
+            artifacts="$artifacts $view"
+        fi
+    done
     end=$(date +%s)
     summary="$summary$name|$result|$((end - start))
 "

@@ -51,8 +51,7 @@ Accelerator::Accelerator(int id, int tile, int home_core, AccelEnv& env,
     if (params_.translate == TranslatePath::DedicatedTlb ||
         params_.translate == TranslatePath::DeviceTlb) {
         dedicatedTlb_ = std::make_unique<Tlb>(
-            static_cast<std::size_t>(params_.dedicatedTlbEntries),
-            params_.dedicatedTlbHitLatency, "tlb");
+            kDedicatedTlbEntries, kDedicatedTlbHitLatency, "tlb");
         adopt(*dedicatedTlb_);
     }
 }
@@ -762,7 +761,7 @@ Accelerator::executeMicroInst(int id)
         const bool remote =
             params_.remoteComparators &&
             entry.header.remoteCompareOk() &&
-            len > params_.localCompareMaxBytes &&
+            len > kLocalCompareMaxBytes &&
             env_.remoteComparators != nullptr;
 
         Cycles done;

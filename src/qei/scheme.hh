@@ -7,6 +7,7 @@
 #ifndef QEI_QEI_SCHEME_HH
 #define QEI_QEI_SCHEME_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,6 +76,14 @@ struct TenantQuota
     bool active() const { return share != TenantShare::None; }
 };
 
+/** Dedicated TLB size (DedicatedTlb / DeviceTlb paths). */
+inline constexpr std::size_t kDedicatedTlbEntries = 1024;
+/** Dedicated TLB hit latency. */
+inline constexpr Cycles kDedicatedTlbHitLatency = 2;
+/** Keys at or below this many bytes compare locally in the DPU; with
+ *  remoteComparators, longer ones go to the home CHA's comparators. */
+inline constexpr std::uint32_t kLocalCompareMaxBytes = 8;
+
 /** Full parameterisation of one integration scheme. */
 struct SchemeConfig
 {
@@ -102,14 +111,8 @@ struct SchemeConfig
      *  variable. */
     Cycles dataOverhead = 0;
 
-    /** Dedicated TLB size (DedicatedTlb / DeviceTlb paths). */
-    int dedicatedTlbEntries = 1024;
-    Cycles dedicatedTlbHitLatency = 2;
-
     /** Use remote CHA comparators for long keys (Core-integrated). */
     bool remoteComparators = false;
-    /** Keys at or below this many bytes compare locally in the DPU. */
-    std::uint32_t localCompareMaxBytes = 8;
 
     /**
      * Per-tenant QST slot quotas, enforced by the Driver's serving

@@ -301,40 +301,6 @@ QeiSystem::liveBackoffs() const
 }
 
 std::string
-QeiSystem::renderStats()
-{
-    std::string out;
-    std::uint64_t mem = 0;
-    std::uint64_t uops = 0;
-    std::uint64_t rcmp = 0;
-    std::uint64_t done = 0;
-    for (const auto& a : accels_) {
-        mem += a->memAccesses();
-        uops += a->microOps();
-        rcmp += a->remoteCompares();
-        done += a->completedQueries();
-        if (a->completedQueries() > 0) {
-            out += fmt("accel.{} queries={} occupancy(mean)={:.2f} "
-                       "uops={} mem={} remote-cmp={} exceptions={}\n",
-                       a->id(), a->completedQueries(),
-                       a->qstOccupancy().mean(), a->microOps(),
-                       a->memAccesses(), a->remoteCompares(),
-                       a->exceptions());
-        }
-    }
-    out += fmt("total queries={} uops={} mem-accesses={} "
-               "remote-compares={}\n",
-               done, uops, mem, rcmp);
-    out += fmt("llc hit-rate={:.3f} dram accesses={} noc bytes={} "
-               "noc peak-link-util={:.3f}\n",
-               memory_.llcHitRate(), memory_.dram().accesses(),
-               memory_.mesh().totalBytes(),
-               memory_.mesh().peakLinkUtilisation());
-    out += statsRegistry().render(/*skip_zero=*/true);
-    return out;
-}
-
-std::string
 QeiSystem::dumpStatsJson()
 {
     return statsRegistry().dumpJson();

@@ -363,12 +363,6 @@ class QeiSystem : public SimObject
      */
     StatsRegistry statsRegistry();
 
-    /**
-     * Render a post-run statistics report: a per-accelerator summary
-     * followed by every non-zero counter in the component tree.
-     */
-    std::string renderStats();
-
     /** Full stats dump as pretty-printed JSON (all counters). */
     std::string dumpStatsJson();
 

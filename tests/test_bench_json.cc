@@ -1,12 +1,17 @@
 /**
  * Golden test for the benchmark `--json` path: run a small workload
  * through the same runWorkloadMatrix -> toJson pipeline fig07_speedup
- * uses and validate the artifact schema against the in-memory results.
+ * uses and validate the artifact schema against the in-memory results;
+ * plus the co-produced view reports (BenchReport::view) a harness
+ * writes next to its own artifact.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "bench_util.hh"
 
@@ -28,6 +33,43 @@ goldenRun()
             .front();
     }();
     return run;
+}
+
+/** A one-expectation suite whose verdict is PASS or FAIL. */
+validate::Suite
+oneCheck(const std::string& title, bool holds)
+{
+    validate::Suite suite;
+    suite.title = title;
+    suite.expectations.push_back(validate::Expectation::shape(
+        "holds", "unit", "the unit check holds", holds,
+        holds ? "holds" : "broken"));
+    return suite;
+}
+
+Json
+readArtifact(const std::string& path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return Json::parse(text.str());
+}
+
+/**
+ * What a harness that co-produces a view does: finish its own report,
+ * then the view's, and fail if either fails. @return that result.
+ */
+bool
+finishWithView(const BenchOptions& options, bool own_holds,
+               bool view_holds)
+{
+    BenchReport report("unit_producer", options);
+    report.setValidation(oneCheck("producer", own_holds));
+    const bool ok = report.finish();
+    BenchReport view = report.view("unit_view");
+    view.setValidation(oneCheck("view", view_holds));
+    return view.finish() && ok;
 }
 
 } // namespace
@@ -58,7 +100,7 @@ TEST(BenchJson, RunIsSane)
         const QeiRunStats& s = run.schemes.at(name);
         EXPECT_EQ(s.mismatches, 0u) << name;
         EXPECT_EQ(s.queries, 400u) << name;
-        EXPECT_GT(run.speedup(name), 0.0) << name;
+        EXPECT_GT(run.speedup(s), 0.0) << name;
     }
 }
 
@@ -179,4 +221,57 @@ TEST(BenchJson, TableMirrorsIntoReport)
     EXPECT_EQ(t.at("rows").at(0).at(0).asString(), "jvm");
     // No --json path: finish() is a successful no-op.
     EXPECT_TRUE(report.finish());
+}
+
+TEST(BenchJson, ViewReportIsWrittenNextToItsProducer)
+{
+    BenchOptions options;
+    options.jsonPath = ::testing::TempDir() + "BENCH_unit_producer.json";
+    const std::string viewPath =
+        ::testing::TempDir() + "BENCH_unit_producer.unit_view.json";
+    std::remove(options.jsonPath.c_str());
+    std::remove(viewPath.c_str());
+    ASSERT_TRUE(finishWithView(options, true, true));
+
+    const Json own = readArtifact(options.jsonPath);
+    const Json view = readArtifact(viewPath);
+    EXPECT_EQ(own.at("bench").asString(), "unit_producer");
+    EXPECT_EQ(view.at("bench").asString(), "unit_view");
+    EXPECT_EQ(own.at("validation").at("title").asString(), "producer");
+    EXPECT_EQ(view.at("validation").at("title").asString(), "view");
+
+    // No --json path: the view writes nothing either.
+    BenchReport bare("unit_producer", BenchOptions{});
+    EXPECT_FALSE(bare.view("unit_view").enabled());
+}
+
+TEST(BenchJson, FailingSuiteInEitherReportFailsTheHarness)
+{
+    BenchOptions options;
+    options.validate = true;
+    EXPECT_TRUE(finishWithView(options, true, true));
+    EXPECT_FALSE(finishWithView(options, false, true));
+    EXPECT_FALSE(finishWithView(options, true, false));
+
+    // Without --validate a FAIL verdict is recorded, not enforced.
+    options.validate = false;
+    EXPECT_TRUE(finishWithView(options, false, false));
+}
+
+TEST(BenchJson, ViewBuiltAfterTheMatrixCountsNoSimEvents)
+{
+    BenchReport report("unit_producer", BenchOptions{});
+    MatrixOptions options;
+    options.queries = 120;
+    options.topologies = {SchemeConfig::coreIntegrated()};
+    const WorkloadRun run =
+        runWorkloadMatrix({makeWorkloadFactories().front()}, options)
+            .front();
+    BenchReport view = report.view("unit_view");
+    report.data()["run"] = toJson(run);
+    view.data()["baseline"] = toJson(run.baseline);
+    ASSERT_TRUE(report.finish());
+    ASSERT_TRUE(view.finish());
+    EXPECT_GT(report.data().at("host").at("sim_events").asUint(), 0u);
+    EXPECT_EQ(view.data().at("host").at("sim_events").asUint(), 0u);
 }

@@ -26,7 +26,7 @@ TEST(SchemePresets, MatchPaperConfiguration)
     EXPECT_EQ(chaTlb.translate, TranslatePath::DedicatedTlb);
     EXPECT_EQ(chaTlb.qstEntries, 10);
     EXPECT_EQ(chaTlb.accelerators, 24);
-    EXPECT_EQ(chaTlb.dedicatedTlbEntries, 1024);
+    EXPECT_EQ(kDedicatedTlbEntries, 1024u);
 
     const SchemeConfig& noTlb = all[1];
     EXPECT_EQ(noTlb.translate, TranslatePath::CoreMmuRemote);

@@ -189,7 +189,6 @@ freshWorldCell(const WorkloadFactory& factory,
             world, prepared,
             DriverConfig(options.topologies[cell - 1])
                 .withMode(options.mode)
-                .withPollBatch(options.pollBatch)
                 .withBatch(options.batch)
                 .withPlanner(planner)
                 .captureStats(&out.statsJson));

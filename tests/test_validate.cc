@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/json.hh"
 #include "validate/expectation.hh"
 #include "validate/experiments.hh"
@@ -270,7 +272,18 @@ TEST(Experiments, CanonicalOrderCoversAllHarnesses)
     const std::vector<std::string>& order = canonicalBenchOrder();
     EXPECT_EQ(order.size(), 20u);
     EXPECT_EQ(order.front(), "fig01_profiling");
-    EXPECT_EQ(order.back(), "debug_probe");
+    EXPECT_EQ(order.back(), "abl_fault");
+    const auto has = [&](const char* name) {
+        return std::count(order.begin(), order.end(), name);
+    };
+    EXPECT_EQ(has("fig11_inst_count"), 1);
+    EXPECT_EQ(has("fig12_dyn_power"), 1);
+    EXPECT_EQ(has("debug_probe"), 0);
+    std::vector<std::string> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+              sorted.end())
+        << "duplicate name in the canonical order";
 }
 
 TEST(Format, ValueFormattingIsDeterministic)
