@@ -100,7 +100,7 @@ struct AdmissionConfig
 /**
  * The admission controller itself: one per run, adopted into the
  * system tree as "system.admission" by runQei when the configured
- * policy is not None. QeiSystem::runArrivals consults decide() per
+ * policy is not None. The open-loop issue engine consults decide() per
  * arrival and feeds onAdmittedCompletion() per admitted retire.
  */
 class AdmissionController : public SimObject

@@ -1,6 +1,7 @@
 #include "driver.hh"
 
 #include "common/logging.hh"
+#include "qei/issue_engine.hh"
 
 namespace qei {
 
@@ -75,7 +76,6 @@ QeiRunStats
 Driver::run(const std::vector<QueryJob>& jobs,
             const RoiProfile& profile)
 {
-    QeiRunStats stats;
     const bool closed =
         config_.traffic == nullptr || config_.traffic->closedLoop();
     simAssert(!config_.admission.active() ||
@@ -83,22 +83,26 @@ Driver::run(const std::vector<QueryJob>& jobs,
               "admission control sits between an open-loop traffic "
               "source and the system; closed-loop and QUERY_BATCH "
               "runs have no arrival queue to shed from");
-    if (config_.batch.enabled()) {
-        simAssert(closed,
-                  "QUERY_BATCH requires a closed-loop source: the "
-                  "reorderer batches a pending backlog, which an "
-                  "open-loop arrival timeline does not provide");
-        stats = system_.runBatched(jobs, config_.core, profile,
-                                   config_.batch);
-    } else if (!closed) {
-        stats = system_.runArrivals(jobs, config_.core, profile,
-                                    config_.traffic->schedule(jobs.size()));
-    } else if (config_.mode == QueryMode::Blocking) {
-        stats = system_.runBlocking(jobs, config_.core, profile);
-    } else {
-        stats = system_.runNonBlocking(jobs, config_.core, profile,
-                                       config_.pollBatch);
-    }
+    simAssert(closed || !config_.batch.enabled(),
+              "QUERY_BATCH requires a closed-loop source: the "
+              "reorderer batches a pending backlog, which an "
+              "open-loop arrival timeline does not provide");
+    simAssert(config_.pollBatch >= 1,
+              "poll batch {} < 1: a QUERY_NB run would issue nothing",
+              config_.pollBatch);
+    // An open-loop source always issues QUERY_B.
+    using Submit = IssueEngine::Submit;
+    Submit submit = Submit::Blocking;
+    if (config_.batch.enabled())
+        submit = Submit::Batch;
+    else if (closed && config_.mode == QueryMode::NonBlocking)
+        submit = Submit::NonBlocking;
+    std::vector<traffic::Arrival> arrivals;
+    if (!closed)
+        arrivals = config_.traffic->schedule(jobs.size());
+    QeiRunStats stats = IssueEngine(system_, jobs, profile, 1, submit,
+                                    config_.pollBatch, config_.batch)
+                            .run(closed ? nullptr : &arrivals);
     DriverMetrics& m = system_.driverMetrics();
     stats.sojourn = DriverMetrics::digest(m.sojourn());
     stats.queueWait = DriverMetrics::digest(m.queueWait());

@@ -4,14 +4,12 @@
  * query streams and a QeiSystem.
  *
  * DriverConfig replaces runQei's positional-parameter tail with one
- * struct (topology, query mode, issuing core, poll batch, traffic
- * source). The Driver picks the QeiSystem run for the config: QUERY_B
- * runs, closed or open loop, all go through the system's one
- * blocking-issue engine — a closed loop queues the whole stream at
- * t=0, an open loop hands it the traffic source's arrival timeline —
- * while QUERY_NB and QUERY_BATCH runs take their own loops. Per-query
- * sojourn (queue-wait + service) lands in the system.driver.*
- * histograms either way.
+ * struct (topology, query mode, poll batch, traffic source). The
+ * Driver picks the IssueEngine submit policy for the config — QUERY_B,
+ * QUERY_NB or QUERY_BATCH — and runs it: a closed loop queues the
+ * whole stream at t=0, an open loop hands the engine the traffic
+ * source's arrival timeline. Per-query sojourn (queue-wait + service)
+ * lands in the system.driver.* histograms either way.
  */
 
 #ifndef QEI_QEI_DRIVER_HH
@@ -181,8 +179,6 @@ struct DriverConfig
 {
     Topology topology;
     QueryMode mode = QueryMode::Blocking;
-    /** Core issuing the queries. */
-    int core = 0;
     /** QUERY_NB completions polled per SNAPSHOT_READ batch. */
     int pollBatch = 32;
     /**
@@ -193,8 +189,8 @@ struct DriverConfig
     std::shared_ptr<traffic::TrafficSource> traffic;
     /**
      * QUERY_BATCH execution: size > 1 switches the run to batched,
-     * sequence-aware submission (QeiSystem::runBatched). Defaults to
-     * scalar — the historical paths are untouched.
+     * sequence-aware submission (the issue engine's Batch policy).
+     * Defaults to scalar — the historical paths are untouched.
      */
     BatchConfig batch;
     /** When non-null, receives the full post-run stats dump. */
@@ -222,7 +218,7 @@ struct DriverConfig
      * the serving-path branches, so historical runs stay
      * byte-identical. A non-None policy (or a multi-tenant arrival
      * stream, or an active tenant quota) turns on the serving side of
-     * QeiSystem::runArrivals: per-tenant accounting, quota-aware
+     * the open-loop issue engine: per-tenant accounting, quota-aware
      * issue, shedding, and optional shed-to-core degradation.
      * Requires an open-loop, non-batched source.
      */
@@ -236,13 +232,6 @@ struct DriverConfig
     withMode(QueryMode m)
     {
         mode = m;
-        return *this;
-    }
-
-    DriverConfig&
-    onCore(int c)
-    {
-        core = c;
         return *this;
     }
 
@@ -309,12 +298,13 @@ class Driver
     }
 
     /**
-     * Execute @p jobs. QUERY_BATCH configs run QeiSystem::runBatched.
-     * Closed loop (null or ClosedLoop traffic): runBlocking or
-     * runNonBlocking by mode. Open loop: runArrivals on the source's
-     * arrival timeline, which queues each arrival until the core's
-     * in-flight window and the target QST allow its issue. Either way
-     * the returned stats carry the sojourn/queue-wait/service digests.
+     * Execute @p jobs on the IssueEngine from core 0. QUERY_BATCH
+     * configs use its Batch policy. Closed loop (null or ClosedLoop
+     * traffic): Blocking or NonBlocking by mode. Open loop: Blocking
+     * on the source's arrival timeline, which queues each arrival
+     * until the core's in-flight window and the target QST allow its
+     * issue. Either way the returned stats carry the
+     * sojourn/queue-wait/service digests. Rejects a poll batch < 1.
      */
     QeiRunStats run(const std::vector<QueryJob>& jobs,
                     const RoiProfile& profile);

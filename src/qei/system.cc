@@ -1,12 +1,10 @@
 #include "system.hh"
 
 #include <algorithm>
-#include <deque>
-#include <functional>
 
 #include "common/hash.hh"
-#include "qei/admission.hh"
 #include "qei/driver.hh"
+#include "qei/issue_engine.hh"
 #include "qei/planner.hh"
 
 namespace qei {
@@ -168,22 +166,6 @@ QeiSystem::responseLatency(int core, const Accelerator& target,
 {
     // Symmetric with submission.
     return submitLatency(core, target, now);
-}
-
-template <typename Finish>
-void
-QeiSystem::recoverThen(const QstEntry& raw, const QueryJob& job,
-                       Finish finish)
-{
-    QstEntry entry = raw;
-    const Cycles sw = recoverInSoftware(entry, job);
-    if (sw > 0) {
-        events_.schedule(sw, [finish = std::move(finish), entry]() {
-            finish(entry);
-        });
-    } else {
-        finish(entry);
-    }
 }
 
 std::uint64_t
@@ -509,17 +491,6 @@ QeiSystem::runCountersNow() const
     return c;
 }
 
-bool
-QeiSystem::beginRun(QeiRunStats& stats, std::size_t jobs)
-{
-    stats.queries = jobs;
-    breakdown_.reset();
-    driverStats_->reset();
-    if (jobs == 0)
-        fillBreakdownStats(stats);
-    return jobs > 0;
-}
-
 void
 QeiSystem::finishRun(QeiRunStats& stats, const RunCounters& before) const
 {
@@ -607,475 +578,11 @@ QeiSystem::resultDigest(const QstEntry& entry)
     return x;
 }
 
-namespace {
-
-/**
- * The core side of QUERY_B (Sec. VII-A), the same for every issuing
- * lane. Each query costs the surrounding independent work plus the
- * QUERY_B instruction itself; the work issues at the core's width and
- * pays its front-end stalls and branch mispredicts. A blocking query
- * holds a ROB slot and an LQ entry until it retires, so with
- * `windowInstr` instructions between queries the OoO window covers at
- * most `maxInflight` outstanding queries.
- */
-struct IssueModel
-{
-    IssueModel(const CoreParams& core, const RoiProfile& profile)
-        : windowInstr(profile.nonQueryInstrPerOp + 1),
-          maxInflight(std::min(
-              std::max(1, core.robEntries /
-                              static_cast<int>(windowInstr)),
-              core.loadQueueEntries)),
-          issueGap(static_cast<double>(profile.nonQueryInstrPerOp) /
-                       core.issueWidth +
-                   profile.frontendStallPerInstr * windowInstr +
-                   static_cast<double>(profile.nonQueryMispredictsPerOp) *
-                       static_cast<double>(core.branchMispredictPenalty))
-    {
-    }
-
-    std::uint32_t windowInstr;
-    int maxInflight;
-    double issueGap;
-};
-
-} // namespace
-
-/**
- * One event-driven engine for every blocking run. A closed loop is the
- * whole job stream queued at t=0 (with zero queue wait); an open loop
- * is the same stream arriving on a traffic source's timeline. Jobs are
- * dealt round-robin over the issuing lanes, one per issuing core, each
- * with its own fetch clock and ROB/LQ window and one FIFO per tenant.
- * Software tracks QST reservations per accelerator (Sec. IV-A): a
- * query whose target is full waits at the head of its FIFO.
- */
-class QeiSystem::BlockingEngine
-{
-  public:
-    BlockingEngine(QeiSystem& sys, const std::vector<QueryJob>& jobs,
-                   const RoiProfile& profile, int first_core, int cores)
-        : sys_(sys), events_(sys.events_), jobs_(jobs),
-          model_(sys.chip_.core, profile),
-          lanes_(static_cast<std::size_t>(cores))
-    {
-        for (int c = 0; c < cores; ++c)
-            lanes_[static_cast<std::size_t>(c)].core = first_core + c;
-    }
-    // Scheduled events and completions hold `this`.
-    BlockingEngine(const BlockingEngine&) = delete;
-    BlockingEngine& operator=(const BlockingEngine&) = delete;
-
-    /** Run the closed loop (@p arrivals null) or the open loop. */
-    QeiRunStats run(const std::vector<traffic::Arrival>* arrivals);
-
-  private:
-    struct Pending
-    {
-        std::size_t jobIdx;
-        Cycles arrivedAt;
-    };
-
-    /** One issuing core. */
-    struct Lane
-    {
-        int core = 0;
-        double fetchTime = 0.0;
-        int inflight = 0;
-        int rrCursor = 0;
-        /** One FIFO per tenant; a blocked head stalls only its own. */
-        std::vector<std::deque<Pending>> pending;
-    };
-
-    /** An issued query, as its completion sees it. */
-    struct Issued
-    {
-        std::size_t jobIdx;
-        Lane* lane;
-        int tenant;
-        Cycles issueAt;
-        Cycles queueWait;
-        /** Null when the planner kept the query on the core. */
-        Accelerator* target;
-    };
-
-    Lane&
-    laneFor(std::size_t job_idx)
-    {
-        return lanes_[job_idx % lanes_.size()];
-    }
-
-    std::size_t
-    tenantSlot(const Accelerator& target, int tenant) const
-    {
-        return static_cast<std::size_t>(target.id()) *
-                   static_cast<std::size_t>(tenants_) +
-               static_cast<std::size_t>(tenant);
-    }
-
-    /** Tenant accounting; null unless this run keeps it. */
-    TenantStats*
-    tenantStats(int tenant)
-    {
-        return accounting_ ? sys_.driverStats_->tenantStats(tenant)
-                           : nullptr;
-    }
-
-    void pumpAll();
-    void pump(Lane& lane);
-    bool tryIssue(Lane& lane, int tenant, bool allow_borrow);
-    void submit(const Issued& q);
-    void complete(const Issued& q, const QstEntry& entry);
-    void arrive(const traffic::Arrival& a);
-    void degradeToCore(const traffic::Arrival& a, TenantStats& ts);
-
-    QeiSystem& sys_;
-    EventQueue& events_;
-    const std::vector<QueryJob>& jobs_;
-    const IssueModel model_;
-    std::vector<Lane> lanes_;
-    QeiRunStats stats_;
-
-    /** Open loop: queue wait runs from each query's arrival. */
-    bool timed_ = false;
-    int tenants_ = 1;
-    /** Per-tenant stats, admitted set and tenant summaries. */
-    bool accounting_ = false;
-    bool quotaOn_ = false;
-    bool degrade_ = false;
-    TenantQuota quota_;
-    AdmissionController* admission_ = nullptr;
-
-    /** Reserved QST slots per accelerator, and per (accel, tenant). */
-    std::vector<int> reserved_;
-    std::vector<int> reservedTenant_;
-    /** Guaranteed QST slots per (accel, tenant) under the quota. */
-    std::vector<int> guaranteed_;
-    std::vector<int> tenantInflight_;
-
-    std::size_t pendingTotal_ = 0;
-    std::size_t issued_ = 0;
-    int inflight_ = 0;
-    int degrading_ = 0;
-    double inflightPeak_ = 0.0;
-    /** Latest retirement, degraded work included. */
-    Cycles lastRetire_ = 0;
-    /** Degraded work serializes on one background core model. */
-    Cycles degradeClock_ = 0;
-};
-
-QeiRunStats
-QeiSystem::BlockingEngine::run(
-    const std::vector<traffic::Arrival>* arrivals)
-{
-    if (!sys_.beginRun(stats_, jobs_.size()))
-        return stats_;
-
-    timed_ = arrivals != nullptr;
-    if (timed_) {
-        simAssert(arrivals->size() == jobs_.size(),
-                  "traffic source scheduled {} arrivals for {} jobs",
-                  arrivals->size(), jobs_.size());
-        for (const traffic::Arrival& a : *arrivals)
-            tenants_ = std::max(tenants_, a.tenant + 1);
-    }
-    admission_ = sys_.admission_;
-    quota_ = sys_.scheme_.tenantQuota;
-    // Single-tenant runs without admission keep no tenant accounting,
-    // so their stats dumps and artifacts keep their historical shape.
-    accounting_ = timed_ && (admission_ != nullptr || tenants_ > 1 ||
-                             quota_.active());
-    if (accounting_)
-        sys_.driverStats_->ensureTenants(tenants_);
-    quotaOn_ = quota_.active() && tenants_ > 1;
-    degrade_ =
-        admission_ != nullptr && admission_->config().degradeToCore;
-    simAssert(!degrade_ || sys_.fallbackTraces_ != nullptr,
-              "shed-to-core degradation needs the software fallback "
-              "view of the jobs (setSoftwareFallback)");
-
-    const std::size_t slots =
-        sys_.accels_.size() * static_cast<std::size_t>(tenants_);
-    reserved_.assign(sys_.accels_.size(), 0);
-    reservedTenant_.assign(slots, 0);
-    tenantInflight_.assign(static_cast<std::size_t>(tenants_), 0);
-    guaranteed_.assign(slots, 0);
-    if (quotaOn_) {
-        for (const auto& a : sys_.accels_) {
-            for (int t = 0; t < tenants_; ++t) {
-                guaranteed_[tenantSlot(*a, t)] = tenantGuaranteedSlots(
-                    quota_, a->params().qstEntries, t, tenants_);
-            }
-        }
-    }
-    for (Lane& lane : lanes_)
-        lane.pending.resize(static_cast<std::size_t>(tenants_));
-
-    const RunCounters before = sys_.runCountersNow();
-    if (!timed_) {
-        for (std::size_t j = 0; j < jobs_.size(); ++j)
-            laneFor(j).pending[0].push_back(Pending{j, 0});
-        pendingTotal_ = jobs_.size();
-        pumpAll();
-    } else {
-        // Pre-schedule the whole arrival timeline.
-        events_.reserve(events_.pending() + arrivals->size());
-        for (const traffic::Arrival& a : *arrivals) {
-            simAssert(a.queryIndex < jobs_.size(),
-                      "arrival references job {} of {}", a.queryIndex,
-                      jobs_.size());
-            simAssert(a.tenant >= 0, "arrival tenant {} is negative",
-                      a.tenant);
-            events_.scheduleAt(a.tick, [this, a]() { arrive(a); });
-        }
-    }
-    sys_.armFaultDaemons();
-    events_.run();
-    simAssert(issued_ + stats_.sheddedQueries == jobs_.size() &&
-                  inflight_ == 0 && pendingTotal_ == 0 && degrading_ == 0,
-              "blocking run stalled: {} issued + {} shed of {}, {} in "
-              "flight, {} queued, {} degrading",
-              issued_, stats_.sheddedQueries, jobs_.size(), inflight_,
-              pendingTotal_, degrading_);
-
-    stats_.cycles = lastRetire_;
-    stats_.maxInFlightObserved = inflightPeak_;
-    sys_.finishRun(stats_, before);
-    if (!accounting_)
-        return stats_;
-
-    stats_.admittedQueries = issued_;
-    stats_.tenants.reserve(static_cast<std::size_t>(tenants_));
-    for (int t = 0; t < tenants_; ++t) {
-        TenantStats* ts = tenantStats(t);
-        QeiRunStats::TenantSummary s;
-        s.tenant = t;
-        s.offered = ts->offered().value();
-        s.admitted = ts->admitted().value();
-        s.shed = ts->shed().value();
-        s.degraded = ts->degraded().value();
-        const LatencyDigest d = DriverMetrics::digest(ts->sojourn());
-        s.sojournP50 = d.p50;
-        s.sojournP99 = d.p99;
-        s.sojournMean = d.mean;
-        s.occupancyMean = ts->occupancy().mean();
-        stats_.tenants.push_back(s);
-    }
-    return stats_;
-}
-
-void
-QeiSystem::BlockingEngine::pumpAll()
-{
-    // A completion can unblock any lane waiting on its accelerator.
-    for (Lane& lane : lanes_)
-        pump(lane);
-}
-
-void
-QeiSystem::BlockingEngine::pump(Lane& lane)
-{
-    // Two-pass issue: a round-robin guaranteed pass (every tenant up
-    // to its quota share), then — only when that pass stalls — one
-    // work-conserving borrow (Weighted / no-quota tenants may exceed
-    // their share on idle capacity). Hard shares never borrow.
-    while (true) {
-        bool progress = false;
-        for (int i = 0; i < tenants_; ++i) {
-            const int t = (lane.rrCursor + i) % tenants_;
-            if (tryIssue(lane, t, false)) {
-                progress = true;
-                lane.rrCursor = (t + 1) % tenants_;
-            }
-        }
-        if (!progress && quotaOn_ && quota_.share != TenantShare::Hard) {
-            for (int i = 0; i < tenants_; ++i) {
-                const int t = (lane.rrCursor + i) % tenants_;
-                if (tryIssue(lane, t, true)) {
-                    progress = true;
-                    lane.rrCursor = (t + 1) % tenants_;
-                    break;
-                }
-            }
-        }
-        if (!progress)
-            break;
-    }
-}
-
-bool
-QeiSystem::BlockingEngine::tryIssue(Lane& lane, int tenant,
-                                    bool allow_borrow)
-{
-    std::deque<Pending>& q =
-        lane.pending[static_cast<std::size_t>(tenant)];
-    if (q.empty() || lane.inflight >= model_.maxInflight)
-        return false;
-    const Pending head = q.front();
-    const QueryJob& job = jobs_[head.jobIdx];
-    Accelerator* target = nullptr;
-    if (!sys_.plannerKeepsOnCore(job)) {
-        target = &sys_.acceleratorFor(job.keyAddr, lane.core);
-        const auto aid = static_cast<std::size_t>(target->id());
-        if (reserved_[aid] >= target->params().qstEntries)
-            return false; // software waits for a slot (Sec. IV-A)
-        const std::size_t slot = tenantSlot(*target, tenant);
-        // Hard partitions never exceed their share; Weighted shares
-        // borrow idle capacity, but only in the borrow pass.
-        if (quotaOn_ && reservedTenant_[slot] >= guaranteed_[slot] &&
-            (quota_.share == TenantShare::Hard || !allow_borrow))
-            return false;
-    }
-
-    lane.fetchTime =
-        std::max(lane.fetchTime, static_cast<double>(events_.now()));
-    lane.fetchTime += model_.issueGap;
-    stats_.coreInstructions += model_.windowInstr;
-    const Cycles issueAt = static_cast<Cycles>(lane.fetchTime);
-    const Cycles queueWait = timed_ && issueAt > head.arrivedAt
-                                 ? issueAt - head.arrivedAt
-                                 : 0;
-    const Issued issued{head.jobIdx, &lane, tenant, issueAt, queueWait,
-                        target};
-
-    q.pop_front();
-    --pendingTotal_;
-    ++issued_;
-    ++lane.inflight;
-    ++inflight_;
-    inflightPeak_ =
-        std::max(inflightPeak_, static_cast<double>(inflight_));
-
-    if (target == nullptr) {
-        // Planned core execution: the core runs the walk itself (no
-        // trap overhead — this is a decision, not a fault) and its
-        // pipeline stays busy until the walk retires. No QST slot is
-        // touched.
-        QstEntry entry = sys_.coreExecute(job, head.jobIdx, issueAt);
-        entry.tenant = tenant;
-        lane.fetchTime += static_cast<double>(entry.completed - issueAt);
-        events_.scheduleAt(entry.completed, [this, issued, entry]() {
-            complete(issued, entry);
-        });
-        return true;
-    }
-
-    const Cycles submitAt =
-        issueAt + sys_.submitLatency(lane.core, *target, issueAt);
-    ++reserved_[static_cast<std::size_t>(target->id())];
-    ++reservedTenant_[tenantSlot(*target, tenant)];
-    const int held = ++tenantInflight_[static_cast<std::size_t>(tenant)];
-    if (TenantStats* ts = tenantStats(tenant))
-        ts->occupancy().sample(static_cast<double>(held));
-    events_.scheduleAt(submitAt, [this, issued]() { submit(issued); });
-    return true;
-}
-
-void
-QeiSystem::BlockingEngine::submit(const Issued& q)
-{
-    const QueryJob& j = jobs_[q.jobIdx];
-    const int slot = q.target->enqueue(
-        j.headerAddr, j.keyAddr, kNullAddr, QueryMode::Blocking,
-        q.jobIdx,
-        [this, q](const QstEntry& raw) {
-            sys_.recoverThen(raw, jobs_[q.jobIdx],
-                             [this, q](const QstEntry& entry) {
-                                 complete(q, entry);
-                             });
-        },
-        q.tenant);
-    simAssert(slot >= 0, "QST overflow despite software tracking");
-}
-
-void
-QeiSystem::BlockingEngine::complete(const Issued& q,
-                                    const QstEntry& entry)
-{
-    const Cycles now = events_.now();
-    const Cycles respLat =
-        q.target != nullptr
-            ? sys_.responseLatency(q.lane->core, *q.target, now)
-            : 0;
-    lastRetire_ = std::max(lastRetire_, now + respLat);
-    const std::uint64_t digest =
-        sys_.retire(stats_, jobs_[q.jobIdx], entry, q.issueAt, respLat,
-                    q.queueWait);
-    if (accounting_)
-        stats_.admittedChecksum ^= digest;
-    if (admission_ != nullptr) {
-        // Admitted completions only: degraded work must not steer the
-        // Adaptive window, so the admission decision stream is
-        // identical whether shed queries are dropped or degraded.
-        admission_->onAdmittedCompletion(static_cast<double>(
-            q.queueWait + ((now + respLat) - q.issueAt)));
-    }
-    --q.lane->inflight;
-    --inflight_;
-    if (q.target != nullptr) {
-        --reserved_[static_cast<std::size_t>(q.target->id())];
-        --reservedTenant_[tenantSlot(*q.target, q.tenant)];
-        --tenantInflight_[static_cast<std::size_t>(q.tenant)];
-    }
-    pumpAll();
-}
-
-void
-QeiSystem::BlockingEngine::arrive(const traffic::Arrival& a)
-{
-    // Each arrival passes the admission layer, then either joins its
-    // tenant's FIFO, degrades to the core path, or is dropped.
-    TenantStats* ts = tenantStats(a.tenant);
-    if (ts != nullptr)
-        ts->offered().inc();
-    if (admission_ == nullptr ||
-        admission_->decide(a.tenant, a.tick, pendingTotal_)) {
-        if (ts != nullptr)
-            ts->admitted().inc();
-        laneFor(a.queryIndex)
-            .pending[static_cast<std::size_t>(a.tenant)]
-            .push_back(Pending{a.queryIndex, a.tick});
-        ++pendingTotal_;
-        pumpAll();
-        return;
-    }
-    ts->shed().inc();
-    ++stats_.sheddedQueries;
-    // Shedding IS forward progress: a long shed interval must not trip
-    // the no-retire watchdog.
-    sys_.watchdog().noteProgress();
-    if (degrade_)
-        degradeToCore(a, *ts);
-}
-
-void
-QeiSystem::BlockingEngine::degradeToCore(const traffic::Arrival& a,
-                                         TenantStats& ts)
-{
-    admission_->onDegraded();
-    ts.degraded().inc();
-    ++stats_.degradedQueries;
-    const Cycles start = std::max(degradeClock_, a.tick);
-    QstEntry entry =
-        sys_.coreExecute(jobs_[a.queryIndex], a.queryIndex, start);
-    entry.tenant = a.tenant;
-    degradeClock_ = entry.completed;
-    ++degrading_;
-    const Cycles wait = start - a.tick;
-    events_.scheduleAt(entry.completed, [this, entry, start, wait, a]() {
-        sys_.retire(stats_, jobs_[a.queryIndex], entry, start, 0, wait,
-                    /*degraded=*/true);
-        lastRetire_ = std::max(lastRetire_, entry.completed);
-        --degrading_;
-    });
-}
-
 QeiRunStats
 QeiSystem::runBlocking(const std::vector<QueryJob>& jobs,
-                       int issuing_core, const RoiProfile& profile)
+                       const RoiProfile& profile)
 {
-    return BlockingEngine(*this, jobs, profile, issuing_core, 1)
-        .run(nullptr);
+    return runBlockingMultiCore(jobs, 1, profile);
 }
 
 QeiRunStats
@@ -1085,400 +592,9 @@ QeiSystem::runBlockingMultiCore(const std::vector<QueryJob>& jobs,
     simAssert(cores > 0 && cores <= memory_.cores(),
               "{} issuing cores on a {}-core chip", cores,
               memory_.cores());
-    return BlockingEngine(*this, jobs, profile, 0, cores).run(nullptr);
-}
-
-QeiRunStats
-QeiSystem::runArrivals(const std::vector<QueryJob>& jobs,
-                       int issuing_core, const RoiProfile& profile,
-                       const std::vector<traffic::Arrival>& arrivals)
-{
-    return BlockingEngine(*this, jobs, profile, issuing_core, 1)
-        .run(&arrivals);
-}
-
-QeiRunStats
-QeiSystem::runNonBlocking(const std::vector<QueryJob>& jobs,
-                          int issuing_core, const RoiProfile& profile,
-                          int poll_batch)
-{
-    QeiRunStats stats;
-    if (!beginRun(stats, jobs.size()))
-        return stats;
-
-    // QUERY_NB retires as soon as the accelerator accepts it: the only
-    // core-side costs are the issue slot and the polling loop.
-    // Issue cost per query: the surrounding work plus ~2 instructions
-    // (address setup + the store-like QUERY_NB).
-    const std::uint32_t issueInstr = profile.nonQueryInstrPerOp + 2;
-    const double issueGap =
-        static_cast<double>(issueInstr) / chip_.core.issueWidth +
-        profile.frontendStallPerInstr * issueInstr;
-    // SNAPSHOT_READ poll: one wide load + mask test (Sec. IV-A).
-    constexpr std::uint32_t kPollInstr = 4;
-    constexpr Cycles kPollInterval = 50;
-
-    std::size_t nextJob = 0;
-    double fetchTime = 0.0;
-    Cycles lastDone = 0;
-    int inflight = 0;
-    double inflightPeak = 0.0;
-    std::size_t completedInBatch = 0;
-    std::size_t batchTarget = 0;
-
-    // Hand job `jobIdx` to its accelerator; if the target QST is full
-    // (software over-filled a hot instance), retry under bounded
-    // exponential backoff — the paper notes an overflow "will prevent
-    // the accelerator from accepting further query requests", and a
-    // fixed short retry hammers a fault-shrunken table.
-    static constexpr Cycles kBackoffBase = 4;
-    static constexpr Cycles kBackoffCap = 64;
-    std::function<void(std::size_t, Cycles, Cycles)> tryEnqueue =
-        [&](std::size_t jobIdx, Cycles issueAt, Cycles backoff) {
-            const QueryJob& j = jobs[jobIdx];
-            Accelerator& target =
-                acceleratorFor(j.keyAddr, issuing_core);
-            if (!target.hasFreeSlot()) {
-                ++stats.qstBackoffs;
-                backoffs_.inc();
-                if (faults_ != nullptr)
-                    faults_->onBackoff();
-                events_.schedule(
-                    backoff, [&tryEnqueue, jobIdx, issueAt, backoff] {
-                        tryEnqueue(jobIdx, issueAt,
-                                   std::min<Cycles>(backoff * 2,
-                                                    kBackoffCap));
-                    });
-                return;
-            }
-            const int slot = target.enqueue(
-                j.headerAddr, j.keyAddr, j.resultAddr,
-                QueryMode::NonBlocking, jobIdx,
-                [&, jobIdx, issueAt](const QstEntry& raw) {
-                    // The query retired at issue; the result is read
-                    // by the polling loop, whose cost is charged in
-                    // aggregate below — so no Response component here.
-                    const auto finish = [&, jobIdx,
-                                         issueAt](const QstEntry& entry) {
-                        lastDone = std::max(lastDone, events_.now());
-                        retire(stats, jobs[jobIdx], entry, issueAt, 0);
-                        --inflight;
-                        ++completedInBatch;
-                    };
-                    recoverThen(raw, jobs[jobIdx], finish);
-                });
-            simAssert(slot >= 0, "enqueue failed with a free slot");
-        };
-
-    std::function<void()> issueBatch = [&]() {
-        batchTarget = std::min<std::size_t>(
-            static_cast<std::size_t>(poll_batch), jobs.size() - nextJob);
-        completedInBatch = 0;
-        if (batchTarget == 0)
-            return;
-        for (std::size_t k = 0; k < batchTarget; ++k) {
-            const QueryJob& job = jobs[nextJob];
-            if (plannerKeepsOnCore(job)) {
-                // Planned core execution (see the blocking engine).
-                // The "non-blocking" query degenerates to a
-                // synchronous software walk on the issuing core.
-                fetchTime = std::max(
-                    fetchTime, static_cast<double>(events_.now()));
-                fetchTime += issueGap;
-                stats.coreInstructions += issueInstr;
-                const Cycles issueAt = static_cast<Cycles>(fetchTime);
-                QstEntry entry = coreExecute(job, nextJob, issueAt);
-                entry.mode = QueryMode::NonBlocking;
-                fetchTime += static_cast<double>(entry.completed - issueAt);
-                ++nextJob;
-                ++inflight;
-                inflightPeak = std::max(
-                    inflightPeak, static_cast<double>(inflight));
-                events_.scheduleAt(
-                    entry.completed,
-                    [this, &jobs, entry, issueAt, &stats, &inflight,
-                     &lastDone, &completedInBatch]() {
-                        lastDone = std::max(lastDone, events_.now());
-                        // The core fills the result slot the polling
-                        // loop reads.
-                        writeResultSlot(entry);
-                        retire(stats, jobs[entry.queryId], entry,
-                               issueAt, 0);
-                        --inflight;
-                        ++completedInBatch;
-                    });
-                continue;
-            }
-            Accelerator& target =
-                acceleratorFor(job.keyAddr, issuing_core);
-
-            fetchTime = std::max(
-                fetchTime, static_cast<double>(events_.now()));
-            fetchTime += issueGap;
-            stats.coreInstructions += issueInstr;
-
-            const Cycles issueAt = static_cast<Cycles>(fetchTime);
-            const Cycles submitAt =
-                issueAt + submitLatency(issuing_core, target, issueAt);
-            const std::size_t jobIdx = nextJob;
-            ++nextJob;
-            ++inflight;
-            inflightPeak =
-                std::max(inflightPeak, static_cast<double>(inflight));
-
-            events_.scheduleAt(submitAt, [&tryEnqueue, jobIdx,
-                                          issueAt] {
-                tryEnqueue(jobIdx, issueAt, kBackoffBase);
-            });
-        }
-    };
-
-    // Poll-and-refill loop: issue a batch, poll until it completes,
-    // then issue the next.
-    const RunCounters before = runCountersNow();
-    while (nextJob < jobs.size()) {
-        issueBatch();
-        armFaultDaemons();
-        events_.run();
-        simAssert(completedInBatch == batchTarget,
-                  "non-blocking batch lost queries ({}/{})",
-                  completedInBatch, batchTarget);
-        // Polling cost: the software polled roughly every
-        // kPollInterval cycles while the batch was in flight, and the
-        // result only becomes visible at the first poll after
-        // completion.
-        const double batchSpan = std::max(
-            0.0, static_cast<double>(lastDone) - fetchTime);
-        const auto polls = static_cast<std::uint64_t>(
-            batchSpan / kPollInterval + 1.0);
-        stats.coreInstructions += polls * kPollInstr;
-        fetchTime = std::max(fetchTime, static_cast<double>(lastDone)) +
-                    static_cast<double>(kPollInstr) /
-                        chip_.core.issueWidth;
-    }
-
-    stats.cycles = std::max(
-        lastDone, static_cast<Cycles>(fetchTime));
-    stats.maxInFlightObserved = inflightPeak;
-    finishRun(stats, before);
-    return stats;
-}
-
-QeiRunStats
-QeiSystem::runBatched(const std::vector<QueryJob>& jobs,
-                      int issuing_core, const RoiProfile& profile,
-                      const BatchConfig& batch)
-{
-    QeiRunStats stats;
-    batchStats_->reset();
-    if (!beginRun(stats, jobs.size()))
-        return stats;
-    simAssert(batch.enabled(),
-              "runBatched needs a batch size > 1 (got {})", batch.size);
-
-    // Planner partition: a QUERY_BATCH is planned as a unit, so
-    // planner-kept queries never reach the reorderer — the class-level
-    // verdict means whole batches either offload or stay on the core.
-    // origIdx maps reorderer indices back to the original job vector
-    // (identity when the planner keeps nothing).
-    const RunCounters before = runCountersNow();
-    std::vector<std::size_t> coreJobs;
-    std::vector<std::size_t> origIdx;
-    std::vector<QueryJob> accelJobs;
-    origIdx.reserve(jobs.size());
-    accelJobs.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (plannerKeepsOnCore(jobs[i])) {
-            coreJobs.push_back(i);
-        } else {
-            origIdx.push_back(i);
-            accelJobs.push_back(jobs[i]);
-        }
-    }
-
-    // The sequence-aware reorderer: group by target accelerator, sort
-    // for locality, chunk, interleave.
-    const Topology::RouteContext rctx = routeContext();
-    const std::vector<PlannedBatch> plan = planQueryBatches(
-        accelJobs, batch, [&](const QueryJob& j) {
-            return topo_.route(j.keyAddr, issuing_core, rctx);
-        });
-
-    // QUERY_BATCH is store-like (like QUERY_NB): the descriptor
-    // retires once accepted and software polls for the results, so the
-    // core-side cost per batch is the surrounding work for its keys,
-    // ~2 instructions of descriptor setup, and one store per key into
-    // the descriptor's key vector.
-    constexpr std::uint32_t kPollInstr = 4;
-    constexpr Cycles kPollInterval = 50;
-
-    double fetchTime = 0.0;
-    Cycles lastDone = 0;
-    std::size_t completedQueries = 0;
-    std::size_t completedBatches = 0;
-
-    // Hand descriptor `planIdx` to its accelerator; one admission
-    // decision covers the whole batch.
-    auto admit = [&](std::size_t planIdx, Cycles issueAt) {
-            const PlannedBatch& pb = plan[planIdx];
-            Accelerator& target = accelerator(pb.accel);
-            const int count = static_cast<int>(pb.jobIdxs.size());
-            std::vector<Accelerator::BatchMember> members;
-            members.reserve(pb.jobIdxs.size());
-            for (std::size_t planIdx2 : pb.jobIdxs) {
-                const std::size_t jobIdx = origIdx[planIdx2];
-                const QueryJob& j = jobs[jobIdx];
-                Accelerator::BatchMember m;
-                m.headerAddr = j.headerAddr;
-                m.keyAddr = j.keyAddr;
-                m.resultAddr = j.resultAddr;
-                m.queryId = jobIdx;
-                m.onComplete = [this, &jobs, &stats, &lastDone,
-                                &completedQueries, jobIdx,
-                                issueAt](const QstEntry& raw) {
-                    // Results surface through the polling loop,
-                    // charged in aggregate below.
-                    const auto finish = [this, &jobs, &stats, &lastDone,
-                                         &completedQueries, jobIdx,
-                                         issueAt](const QstEntry& entry) {
-                        lastDone = std::max(lastDone, events_.now());
-                        retire(stats, jobs[jobIdx], entry, issueAt, 0);
-                        ++completedQueries;
-                    };
-                    recoverThen(raw, jobs[jobIdx], finish);
-                };
-                members.push_back(std::move(m));
-            }
-            const int bid = target.enqueueBatch(
-                std::move(members), QueryMode::NonBlocking,
-                batch.coalesce,
-                [&completedBatches] { ++completedBatches; });
-            simAssert(bid >= 0,
-                      "enqueueBatch failed after canAcceptBatch");
-            batchStats_->batches().inc();
-            batchStats_->queries().inc(
-                static_cast<std::uint64_t>(count));
-        };
-
-    // Per-accelerator FIFO admission: descriptors park in arrival
-    // order and only the head of each queue retries (bounded-interval
-    // polling). Independent per-descriptor backoff would have every
-    // parked descriptor spinning for the whole run; head-only retry
-    // keeps the admission traffic flat and the admission order
-    // deterministic.
-    constexpr Cycles kAdmitRetry = 8;
-    struct PendingDesc
-    {
-        std::size_t planIdx;
-        Cycles issueAt;
-    };
-    std::vector<std::vector<PendingDesc>> pending(accels_.size());
-    std::vector<std::size_t> pendingHead(accels_.size(), 0);
-    std::vector<std::uint8_t> retryArmed(accels_.size(), 0);
-    std::function<void(std::size_t)> drainAdmissions =
-        [&](std::size_t a) {
-            auto& queue = pending[a];
-            std::size_t& head = pendingHead[a];
-            while (head < queue.size()) {
-                const PendingDesc& d = queue[head];
-                const int count = static_cast<int>(
-                    plan[d.planIdx].jobIdxs.size());
-                if (!accelerator(plan[d.planIdx].accel)
-                         .canAcceptBatch(count)) {
-                    batchStats_->backoffs().inc();
-                    if (faults_ != nullptr)
-                        faults_->onBackoff();
-                    if (!retryArmed[a]) {
-                        retryArmed[a] = 1;
-                        events_.schedule(
-                            kAdmitRetry, [&drainAdmissions,
-                                          &retryArmed, a] {
-                                retryArmed[a] = 0;
-                                drainAdmissions(a);
-                            });
-                    }
-                    return;
-                }
-                admit(d.planIdx, d.issueAt);
-                ++head;
-            }
-        };
-
-    // Planner-kept jobs run on the issuing core first (order is
-    // immaterial: store-like semantics and an order-independent
-    // checksum), each a synchronous software walk.
-    for (const std::size_t jobIdx : coreJobs) {
-        const QueryJob& job = jobs[jobIdx];
-        const std::uint32_t issueInstr = profile.nonQueryInstrPerOp + 1;
-        fetchTime +=
-            static_cast<double>(issueInstr) / chip_.core.issueWidth +
-            profile.frontendStallPerInstr * issueInstr;
-        stats.coreInstructions += issueInstr;
-        const Cycles issueAt = static_cast<Cycles>(fetchTime);
-        QstEntry entry = coreExecute(job, jobIdx, issueAt);
-        entry.mode = QueryMode::NonBlocking;
-        fetchTime += static_cast<double>(entry.completed - issueAt);
-        events_.scheduleAt(
-            entry.completed,
-            [this, &jobs, entry, issueAt, &stats, &lastDone,
-             &completedQueries]() {
-                lastDone = std::max(lastDone, events_.now());
-                writeResultSlot(entry);
-                retire(stats, jobs[entry.queryId], entry, issueAt, 0);
-                ++completedQueries;
-            });
-    }
-
-    for (std::size_t p = 0; p < plan.size(); ++p) {
-        const auto keys =
-            static_cast<std::uint32_t>(plan[p].jobIdxs.size());
-        const std::uint32_t issueInstr =
-            keys * profile.nonQueryInstrPerOp + 2 + keys;
-        fetchTime +=
-            static_cast<double>(issueInstr) / chip_.core.issueWidth +
-            profile.frontendStallPerInstr * issueInstr;
-        stats.coreInstructions += issueInstr;
-
-        const Cycles issueAt = static_cast<Cycles>(fetchTime);
-        Accelerator& target = accelerator(plan[p].accel);
-        // One NoC header for the whole descriptor; the key vector
-        // streams behind it at one beat per key.
-        const Cycles submitAt =
-            issueAt + submitLatency(issuing_core, target, issueAt) +
-            static_cast<Cycles>(keys - 1);
-        const auto accelIdx = static_cast<std::size_t>(plan[p].accel);
-        simAssert(accelIdx < accels_.size(),
-                  "planned batch routed to bad accel {}", plan[p].accel);
-        events_.scheduleAt(
-            submitAt, [&pending, &drainAdmissions, accelIdx, p,
-                       issueAt] {
-                pending[accelIdx].push_back(PendingDesc{p, issueAt});
-                drainAdmissions(accelIdx);
-            });
-    }
-
-    armFaultDaemons();
-    events_.run();
-    simAssert(completedQueries == jobs.size(),
-              "batched run lost queries ({}/{})", completedQueries,
-              jobs.size());
-    simAssert(completedBatches == plan.size(),
-              "batched run lost descriptors ({}/{})", completedBatches,
-              plan.size());
-
-    // Aggregate SNAPSHOT_READ polling while results were outstanding.
-    const double span =
-        std::max(0.0, static_cast<double>(lastDone) - fetchTime);
-    const auto polls =
-        static_cast<std::uint64_t>(span / kPollInterval + 1.0);
-    stats.coreInstructions += polls * kPollInstr;
-
-    stats.cycles = std::max(lastDone, static_cast<Cycles>(fetchTime));
-    finishRun(stats, before);
-    stats.batches = batchStats_->batches().value();
-    stats.batchedQueries = batchStats_->queries().value();
-    stats.batchBackoffs = batchStats_->backoffs().value();
-    return stats;
+    return IssueEngine(*this, jobs, profile, cores,
+                       IssueEngine::Submit::Blocking)
+        .run();
 }
 
 } // namespace qei

@@ -1,8 +1,9 @@
 /**
  * @file
  * Chip-level QEI system: instantiates the accelerators for a given
- * integration scheme, dispatches queries to them, and models the core
- * side of the QUERY_B / QUERY_NB instructions (Sec. IV-A, IV-C).
+ * integration scheme and dispatches queries to them. The core side of
+ * QUERY_B, QUERY_NB and QUERY_BATCH (Sec. IV-A, IV-C) is the
+ * IssueEngine (issue_engine.hh), which drives this system.
  */
 
 #ifndef QEI_QEI_SYSTEM_HH
@@ -29,7 +30,6 @@
 #include "sim/event_queue.hh"
 #include "sim/watchdog.hh"
 #include "trace/trace.hh"
-#include "traffic/traffic.hh"
 
 namespace qei {
 
@@ -93,7 +93,7 @@ struct QeiRunStats
     std::uint64_t qstBackoffs = 0;
 
     // -- overload resilience (admission + multi-tenant serving;
-    //    zeros unless a runArrivals run keeps tenant accounting) --
+    //    zeros unless an open-loop run keeps tenant accounting) --
     /** Arrivals admitted past the admission layer. */
     std::uint64_t admittedQueries = 0;
     /** Arrivals shed by the admission policy. */
@@ -206,26 +206,16 @@ class QeiSystem : public SimObject
     ~QeiSystem();
 
     /**
-     * Run @p jobs as blocking QUERY_B instructions issued by
-     * @p issuing_core, with @p profile's independent work between
-     * queries. Models the load-like pipeline semantics: each
-     * outstanding query holds an LQ + ROB slot until the result
-     * returns, which caps in-flight parallelism at roughly
-     * ROB / instructions-per-query-window.
+     * Run @p jobs as blocking QUERY_B instructions issued by core 0,
+     * with @p profile's independent work between queries. Models the
+     * load-like pipeline semantics: each outstanding query holds an
+     * LQ + ROB slot until the result returns, which caps in-flight
+     * parallelism at roughly ROB / instructions-per-query-window.
+     * Driver::run reaches QUERY_NB, QUERY_BATCH and the open loop
+     * through the same IssueEngine (issue_engine.hh).
      */
     QeiRunStats runBlocking(const std::vector<QueryJob>& jobs,
-                            int issuing_core,
                             const RoiProfile& profile);
-
-    /**
-     * Run @p jobs as non-blocking QUERY_NB instructions: store-like,
-     * retire immediately; software polls the result slots with
-     * SNAPSHOT_READ every @p poll_batch completions (Sec. VII-B).
-     */
-    QeiRunStats runNonBlocking(const std::vector<QueryJob>& jobs,
-                               int issuing_core,
-                               const RoiProfile& profile,
-                               int poll_batch = 32);
 
     /**
      * Run @p jobs as blocking queries issued concurrently from cores
@@ -233,37 +223,11 @@ class QeiSystem : public SimObject
      * scalability scenario of Tab. I: per-core accelerators scale,
      * CHA instances share, and the single device stop becomes the
      * bottleneck as issuing cores multiply. With one core it is
-     * runBlocking on core 0, cycle for cycle.
+     * runBlocking, cycle for cycle.
      */
     QeiRunStats runBlockingMultiCore(const std::vector<QueryJob>& jobs,
                                      int cores,
                                      const RoiProfile& profile);
-
-    /**
-     * Run @p jobs as blocking queries that enter on the @p arrivals
-     * timeline (an open-loop traffic source) rather than all at t=0:
-     * each arrival waits in its tenant's software FIFO until
-     * @p issuing_core's window and the target QST have room, and its
-     * queue-wait is recorded. An attached admission controller, a
-     * multi-tenant stream or an active tenant quota also turns on
-     * shedding, quota-aware issue and per-tenant accounting
-     * (docs/robustness.md); otherwise no tenant stats are created.
-     */
-    QeiRunStats runArrivals(const std::vector<QueryJob>& jobs,
-                            int issuing_core, const RoiProfile& profile,
-                            const std::vector<traffic::Arrival>& arrivals);
-
-    /**
-     * Run @p jobs as QUERY_BATCH descriptors: the driver's reorderer
-     * (planQueryBatches) groups them per target accelerator, each
-     * descriptor pays one issue + submit + admission decision for all
-     * of its keys, and the accelerator reserves a contiguous QST
-     * window the members stream through. Store-like semantics (like
-     * QUERY_NB); @p batch must be enabled (size > 1).
-     */
-    QeiRunStats runBatched(const std::vector<QueryJob>& jobs,
-                           int issuing_core, const RoiProfile& profile,
-                           const BatchConfig& batch);
 
     /**
      * The accelerator a query is dispatched to. Core-integrated: the
@@ -297,9 +261,6 @@ class QeiSystem : public SimObject
     void setSoftwareFallback(const std::vector<QueryTrace>* traces,
                              const RoiProfile& profile);
 
-    /** Fault-injection source; nullptr when the run is fault-free. */
-    FaultInjector* faultInjector() { return faults_.get(); }
-
     /**
      * Attach (or detach, with nullptr) the offload planner: every
      * issue path consults it per query and keeps planned queries on
@@ -309,11 +270,10 @@ class QeiSystem : public SimObject
      * must outlive the runs that use it.
      */
     void setPlanner(OffloadPlanner* planner) { planner_ = planner; }
-    OffloadPlanner* planner() { return planner_; }
 
     /**
-     * Attach (or detach, with nullptr) a telemetry sampler: the run
-     * loops arm it alongside the fault daemons, and retire()
+     * Attach (or detach, with nullptr) a telemetry sampler: the issue
+     * engine arms it alongside the fault daemons, and retire()
      * pushes every completed query's sojourn into its tail monitor.
      * The sampler is borrowed — the owner (runQei) drains and detaches
      * it before this system dies.
@@ -325,8 +285,8 @@ class QeiSystem : public SimObject
 
     /**
      * Attach (or detach, with nullptr) the admission controller:
-     * runArrivals consults it per arrival and feeds it per admitted
-     * completion. Borrowed — the owner (runQei) must outlive
+     * the open-loop issue engine consults it per arrival and feeds it
+     * per admitted completion. Borrowed — the owner (runQei) must outlive
      * the runs that use it. Null (the default, and whenever the
      * configured policy is None) means every arrival is admitted and
      * no "system.admission" node exists, keeping historical artifacts
@@ -336,7 +296,6 @@ class QeiSystem : public SimObject
     {
         admission_ = admission;
     }
-    AdmissionController* admission() { return admission_; }
 
     /**
      * Live full-QST deferrals (scalar QUERY_NB retries plus batch
@@ -344,9 +303,6 @@ class QeiSystem : public SimObject
      * metrics backoff-rate series differentiates.
      */
     std::uint64_t liveBackoffs() const;
-
-    /** Forward-progress watchdog (always present, armed per run). */
-    sim::Watchdog& watchdog() { return *watchdog_; }
 
     /**
      * Pre-warm every translation structure (dedicated TLBs and core
@@ -366,33 +322,16 @@ class QeiSystem : public SimObject
     /** Full stats dump as pretty-printed JSON (all counters). */
     std::string dumpStatsJson();
 
-    const SchemeConfig& scheme() const { return scheme_; }
-    /** The deployment description this system was built from. */
-    const Topology& topology() const { return topo_; }
     /**
      * Per-query sojourn / queue-wait / service histograms, registered
      * as the "driver" child (system.driver.*). Filled by
      * retire() and reset at the start of every run.
      */
     DriverMetrics& driverMetrics() { return *driverStats_; }
-    /** QUERY_BATCH amortization counters (system.batch.*). */
-    BatchMetrics& batchMetrics() { return *batchStats_; }
-    RemoteComparators& remoteComparators() { return remoteCmps_; }
-    Mmu& coreMmu(int core) { return *mmus_[static_cast<std::size_t>(core)]; }
-
-    /** Latency decomposition of the most recent run. */
-    const trace::LatencyBreakdown& breakdown() const
-    {
-        return breakdown_;
-    }
 
   private:
-    /**
-     * The blocking-issue engine behind runBlocking,
-     * runBlockingMultiCore and runArrivals: one issuing lane per core,
-     * per-tenant FIFOs, one issue step and one completion path.
-     */
-    class BlockingEngine;
+    /** The core side of every run; drives the internals below. */
+    friend class IssueEngine;
 
     /** Core->accelerator submission latency at time @p now. */
     Cycles submitLatency(int core, const Accelerator& target,
@@ -400,16 +339,6 @@ class QeiSystem : public SimObject
     /** Accelerator->core response latency at time @p now. */
     Cycles responseLatency(int core, const Accelerator& target,
                            Cycles now);
-
-    /**
-     * Hand an accelerator's completion of @p job to @p finish: a
-     * faulted or flushed entry is first re-run in software
-     * (recoverInSoftware), and @p finish then runs once that re-run's
-     * cycles have elapsed; a clean entry finishes at once.
-     */
-    template <typename Finish>
-    void recoverThen(const QstEntry& raw, const QueryJob& job,
-                     Finish finish);
 
     /**
      * Retire one completed query of @p job into @p stats: fold it into
@@ -523,13 +452,6 @@ class QeiSystem : public SimObject
         std::uint64_t batchLineHits = 0;
     };
     RunCounters runCountersNow() const;
-
-    /**
-     * Start a run of @p jobs queries: reset the breakdown and the
-     * driver histograms. @return false, with @p stats complete, when
-     * there is nothing to run.
-     */
-    bool beginRun(QeiRunStats& stats, std::size_t jobs);
 
     /**
      * Close a run: accelerator totals, the breakdown, and the counter

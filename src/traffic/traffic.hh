@@ -8,7 +8,7 @@
  * timeline: a closed-loop source means the whole stream is queued at
  * t=0 and issued back to back (the historical runQei behaviour),
  * while an open-loop source's arrivals are handed to the system's
- * blocking-issue engine (QeiSystem::runArrivals), which queues them
+ * issue engine (src/qei/issue_engine.hh), which queues them
  * against the core's window and QST capacity and measures sojourn.
  *
  * Determinism contract: schedule() must be a pure function of the

@@ -126,7 +126,7 @@ runQei(World& world, const Prepared& prepared,
     }
     // Admission control: constructed only for a non-None policy, so
     // historical runs carry no "system.admission" stats node.
-    // QeiSystem::runArrivals consults it per arrival.
+    // The open-loop issue engine consults it per arrival.
     std::unique_ptr<AdmissionController> admission;
     if (config.admission.active()) {
         admission =

@@ -184,6 +184,24 @@ TEST(BatchExecution, ChecksumsMatchScalarOnEveryWorkload)
     }
 }
 
+TEST(DriverDeathTest, PollBatchBelowOneAsserts)
+{
+    // A QUERY_NB window of 0 would issue nothing and never drain; a
+    // negative one must not wrap to "the whole stream".
+    std::unique_ptr<Workload> workload = makeWorkloadFactories()[0]();
+    World world(42);
+    workload->build(world);
+    const Prepared prepared = workload->prepare(world, 16);
+    for (int poll : {0, -1}) {
+        const DriverConfig config =
+            DriverConfig(SchemeConfig::coreIntegrated())
+                .withMode(QueryMode::NonBlocking)
+                .withPollBatch(poll);
+        EXPECT_DEATH(runQei(world, prepared, config), "poll batch")
+            << poll;
+    }
+}
+
 TEST(BatchExecution, ReorderPoliciesAreFunctionallyIdentical)
 {
     const QeiRunStats scalar = runOnce(1, 120, BatchConfig{});

@@ -346,7 +346,7 @@ TEST(FaultRecovery, WithoutFallbackFaultsSurfaceAsExceptions)
                      world.vm, world.firmware,
                      SchemeConfig::coreIntegrated());
     const QeiRunStats stats =
-        system.runBlocking(prep.jobs, 0, prep.profile);
+        system.runBlocking(prep.jobs, prep.profile);
     EXPECT_EQ(stats.faultsInjected, 4u);
     EXPECT_EQ(stats.swFallbacks, 0u);
     EXPECT_GE(stats.exceptions, 4u);

@@ -88,8 +88,7 @@ TEST(MultiCore, OneCoreEqualsRunBlocking)
             h.run(SchemeConfig::coreIntegrated(), 1);
         const QeiRunStats single = h.onFreshSystem(
             SchemeConfig::coreIntegrated(), [&](QeiSystem& system) {
-                return system.runBlocking(h.prep.jobs, 0,
-                                          h.prep.profile);
+                return system.runBlocking(h.prep.jobs, h.prep.profile);
             });
         EXPECT_EQ(multi.cycles, single.cycles) << mispredicts;
         EXPECT_EQ(multi.resultChecksum, single.resultChecksum)

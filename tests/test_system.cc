@@ -161,7 +161,7 @@ TEST_F(SystemFixture, WarmTlbsReduceCycles)
     QeiSystem cold(world.chip, world.events, world.hierarchy, world.vm,
                    world.firmware, SchemeConfig::chaTlb());
     const QeiRunStats coldStats =
-        cold.runBlocking(prep.jobs, 0, prep.profile);
+        cold.runBlocking(prep.jobs, prep.profile);
 
     const QeiRunStats warmStats =
         runQei(world, prep, DriverConfig(SchemeConfig::chaTlb()));

@@ -15,6 +15,7 @@
 #include <map>
 
 #include "bench_util.hh"
+#include "qei/planner.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -410,8 +411,32 @@ TEST(ExactlyOnce, EveryIssuePathCompletesEachQueryOnce)
                       .withPollBatch(poll));
     }
     BatchConfig batch;
+    for (int size : {8, 32}) {
+        batch.size = size;
+        viaDriver("QUERY_BATCH " + std::to_string(size),
+                  DriverConfig(core).withBatch(batch));
+    }
     batch.size = 8;
-    viaDriver("QUERY_BATCH 8", DriverConfig(core).withBatch(batch));
+
+    // Planner-kept queries take the store-like core-execute branch
+    // (the synthetic model prices the software walk below the
+    // accelerator, as in test_planner.cc).
+    auto model = std::make_shared<CostModel>();
+    model->set("dpdk", {1.0, {{core.topology.name(), 100.0}}});
+    PlannerConfig onCore = PlannerConfig::cost("dpdk");
+    onCore.model = model;
+    EXPECT_GT(viaDriver("planned QUERY_NB poll 16",
+                        DriverConfig(core)
+                            .withMode(QueryMode::NonBlocking)
+                            .withPollBatch(16)
+                            .withPlanner(onCore))
+                  .plannerCoreExecutes,
+              0u);
+    EXPECT_GT(viaDriver("planned QUERY_BATCH 8",
+                        DriverConfig(core).withBatch(batch).withPlanner(
+                            onCore))
+                  .plannerCoreExecutes,
+              0u);
 
     // Open loop at 10% of the closed-loop capacity.
     const double gap = 10.0 * b.cyclesPerQuery();
@@ -448,28 +473,49 @@ TEST(ExactlyOnce, EveryIssuePathCompletesEachQueryOnce)
             n, "multi-core " + std::to_string(cores));
     }
 
-    // Recovered queries (page faults, bad headers) still retire once.
-    ChipConfig chip = defaultChip();
-    chip.faults = parseFaultSpec("pf=0.02,bh=0.01,seed=3");
-    World faulty(7, chip);
-    const auto fworkload = makeWorkloadFactories()[0]();
-    fworkload->build(faulty);
-    const Prepared fprep = fworkload->prepare(faulty, 160);
-    faulty.traceSink.enable(std::size_t{1} << 20);
-    for (QueryMode mode : {QueryMode::Blocking, QueryMode::NonBlocking}) {
-        const std::string path =
-            mode == QueryMode::Blocking ? "faulty QUERY_B"
-                                        : "faulty QUERY_NB";
+    // Under a fault mix: a World whose chip carries @p spec.
+    auto underFaults = [&](const std::string& spec, const std::string& path,
+                           const DriverConfig& config) {
+        ChipConfig chip = defaultChip();
+        chip.faults = parseFaultSpec(spec);
+        World faulty(7, chip);
+        const auto fworkload = makeWorkloadFactories()[0]();
+        fworkload->build(faulty);
+        const Prepared fprep = fworkload->prepare(faulty, 160);
+        faulty.traceSink.enable(std::size_t{1} << 20);
         QeiRunStats stats;
-        expectEachQueryOnce(queryCompletions(faulty,
-                                             [&] {
-                                                 stats = runQei(
-                                                     faulty, fprep,
-                                                     DriverConfig(core)
-                                                         .withMode(mode));
-                                             }),
-                            fprep.jobs.size(), path);
-        EXPECT_GT(stats.faultsInjected, 0u) << path;
+        expectEachQueryOnce(
+            queryCompletions(faulty,
+                             [&] { stats = runQei(faulty, fprep, config); }),
+            fprep.jobs.size(), path);
         EXPECT_EQ(stats.mismatches, 0u) << path;
+        return stats;
+    };
+
+    // Recovered queries (page faults, bad headers) still retire once,
+    // batch members included.
+    const std::string faultMix = "pf=0.02,bh=0.01,seed=3";
+    for (const auto& [path, config] :
+         {std::pair{"faulty QUERY_B", DriverConfig(core)},
+          std::pair{"faulty QUERY_NB",
+                    DriverConfig(core).withMode(QueryMode::NonBlocking)},
+          std::pair{"faulty QUERY_BATCH 8",
+                    DriverConfig(core).withBatch(batch)}}) {
+        const QeiRunStats stats = underFaults(faultMix, path, config);
+        EXPECT_GT(stats.faultsInjected, 0u) << path;
+        EXPECT_GT(stats.swFallbacks, 0u) << path;
     }
+
+    // A shrunken QST: QUERY_NB backs off at the accelerator and
+    // QUERY_BATCH descriptors wait at the head of its admission FIFO.
+    EXPECT_GT(underFaults("qst=3", "QUERY_NB poll 16 under qst=3",
+                          DriverConfig(core)
+                              .withMode(QueryMode::NonBlocking)
+                              .withPollBatch(16))
+                  .qstBackoffs,
+              0u);
+    EXPECT_GT(underFaults("qst=3", "QUERY_BATCH 8 under qst=3",
+                          DriverConfig(core).withBatch(batch))
+                  .batchBackoffs,
+              0u);
 }
