@@ -119,19 +119,25 @@ main(int argc, char** argv)
     TablePrinter table;
     table.header({"NB queries in QST", "flush cycles (scattered)",
                   "flush cycles (4 slots/line)"});
-    TraceCollector tracer(options.tracePath);
+    // Each run drains the World's sink into its own trace process.
+    const bool tracing = !options.tracePath.empty();
+    std::vector<std::string> labels;
+    std::vector<trace::TraceBuffer> traces;
+    auto flushTraced = [&](int nb, bool shared_line) {
+        if (tracing)
+            world.traceSink.enable();
+        const Cycles cycles = flushWith(world, list, keys, nb, shared_line);
+        if (tracing) {
+            labels.push_back(fmt("flush/{}-{}", nb,
+                                 shared_line ? "packed" : "scattered"));
+            traces.push_back(world.traceSink.drain());
+        }
+        return cycles;
+    };
     Json points = Json::array();
     for (int nb : {0, 2, 4, 8, 10}) {
-        tracer.arm(world);
-        const Cycles scattered =
-            flushWith(world, list, keys, nb, /*shared_line=*/false);
-        tracer.collect("flush/" + std::to_string(nb) + "-scattered",
-                       world);
-        tracer.arm(world);
-        const Cycles packed =
-            flushWith(world, list, keys, nb, /*shared_line=*/true);
-        tracer.collect("flush/" + std::to_string(nb) + "-packed",
-                       world);
+        const Cycles scattered = flushTraced(nb, /*shared_line=*/false);
+        const Cycles packed = flushTraced(nb, /*shared_line=*/true);
         table.row({std::to_string(nb),
                    std::to_string(scattered),
                    std::to_string(packed)});
@@ -150,6 +156,7 @@ main(int argc, char** argv)
     report.data()["sweep"] = std::move(points);
     report.setTable(table);
     report.setValidation(paperExpectations());
-    const bool traceOk = tracer.write();
+    const bool traceOk =
+        writeSweepTrace(options.tracePath, labels, traces);
     return report.finish() && traceOk ? 0 : 1;
 }

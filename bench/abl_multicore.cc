@@ -89,22 +89,11 @@ main(int argc, char** argv)
         sweep.row(workloadRow(makeWorkloadFactories()[1], 2400));
     for (const SchemeConfig& scheme : schemesToRun) {
         for (const int cores : coreCounts) {
-            sweep.cell(
-                jvm, scheme.name() + "/" + std::to_string(cores) + "-cores",
-                [scheme, cores](World& world, const PreparedRow& row,
-                                const auto&) {
-                    world.resetTiming();
-                    world.warmLlc();
-                    QeiSystem system(world.chip, world.events,
-                                     world.hierarchy, world.vm,
-                                     world.firmware, scheme,
-                                     &world.traceSink);
-                    const QeiRunStats stats = system.runBlockingMultiCore(
-                        row.prepared.jobs, cores, row.prepared.profile);
-                    simAssert(stats.mismatches == 0, "mismatches on {}",
-                              scheme.name());
-                    return stats;
-                });
+            const std::string label =
+                scheme.name() + "/" + std::to_string(cores) + "-cores";
+            sweep.cell(jvm, label,
+                       DriverConfig(scheme).withCores(cores).withLabel(
+                           "jvm/" + label));
         }
     }
     const std::vector<QeiRunStats> results =
@@ -116,6 +105,8 @@ main(int argc, char** argv)
         Json points = Json::array();
         for (std::size_t k = 0; k < coreCounts.size(); ++k) {
             const QeiRunStats& stats = results[i * coreCounts.size() + k];
+            simAssert(stats.mismatches == 0, "mismatches on {}",
+                      schemesToRun[i].name());
             row.push_back(TablePrinter::num(stats.cyclesPerQuery(), 1));
             Json p = Json::object();
             p["cores"] = coreCounts[k];

@@ -818,33 +818,6 @@ parseQueryCap(const BenchOptions& options, const char* prog)
     return static_cast<std::size_t>(cap);
 }
 
-TraceCollector::TraceCollector(std::string trace_path)
-    : path_(std::move(trace_path))
-{
-}
-
-void
-TraceCollector::arm(World& world)
-{
-    if (!path_.empty())
-        world.traceSink.enable();
-}
-
-void
-TraceCollector::collect(const std::string& label, World& world)
-{
-    if (path_.empty())
-        return;
-    labels_.push_back(label);
-    traces_.push_back(world.traceSink.drain());
-}
-
-bool
-TraceCollector::write()
-{
-    return writeSweepTrace(path_, labels_, traces_);
-}
-
 Json
 toJson(const CoreRunResult& result)
 {

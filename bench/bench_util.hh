@@ -483,40 +483,6 @@ capQueries(std::size_t queries, std::size_t cap)
     return cap != 0 && cap < queries ? cap : queries;
 }
 
-/**
- * Trace capture for a harness that drives one World by hand
- * (abl_flush):
- *
- *   TraceCollector tracer(options.tracePath);
- *   tracer.arm(world);                 // before the timed region
- *   ... run the experiment ...
- *   tracer.collect("dpdk/qei-l2", world);  // drains the sink
- *   ...
- *   tracer.write();                    // one merged Perfetto file
- *
- * All methods are no-ops when no trace path was given, so harness
- * code stays unconditional.
- */
-class TraceCollector
-{
-  public:
-    explicit TraceCollector(std::string trace_path);
-
-    /** Enable (or re-arm) @p world's sink for the next run. */
-    void arm(World& world);
-
-    /** Drain @p world's sink as the Perfetto process @p label. */
-    void collect(const std::string& label, World& world);
-
-    /** Write the merged timeline. @return false on I/O failure. */
-    bool write();
-
-  private:
-    std::string path_;
-    std::vector<std::string> labels_;
-    std::vector<trace::TraceBuffer> traces_;
-};
-
 // -- JSON views of the result structs, for BenchReport payloads --
 
 Json toJson(const CoreRunResult& result);

@@ -2,8 +2,8 @@
  * qei_sim: command-line experiment driver. Runs any paper workload
  * against any integration scheme with configurable query counts,
  * modes and seeds — the entry point for exploring the design space
- * beyond the canned figures. Single-core runs go through runQei(),
- * like every harness cell; --verbose prints each run's stats dump.
+ * beyond the canned figures. Every run goes through runQei(), like
+ * every harness cell; --verbose prints each run's stats dump.
  *
  *   qei_sim [--workload dpdk|jvm|rocksdb|snort|flann]
  *           [--scheme cha-tlb|cha-notlb|device-direct|
@@ -48,8 +48,8 @@ usage(const char* argv0)
         "                    device-indirect|core-integrated|all]\n"
         "          [--queries N] [--mode b|nb] [--cores N]\n"
         "          [--seed N] [--poll-batch N] [--verbose]\n"
-        "  (--mode nb runs on one core)\n",
-        argv0);
+        "  (--cores is at most %d; --mode nb runs on one core)\n",
+        argv0, defaultChip().memory.cores);
     std::exit(2);
 }
 
@@ -91,7 +91,9 @@ parse(int argc, char** argv)
                 usage(argv[0]);
             }
         } else if (arg == "--cores") {
-            opt.cores = static_cast<int>(count(1, INT_MAX));
+            opt.cores = static_cast<int>(
+                count(1, static_cast<std::uint64_t>(
+                             defaultChip().memory.cores)));
         } else if (arg == "--seed") {
             opt.seed = count(0, UINT64_MAX);
         } else if (arg == "--poll-batch") {
@@ -102,7 +104,7 @@ parse(int argc, char** argv)
             usage(argv[0]);
         }
     }
-    // The multi-core engine issues blocking queries only.
+    // Several issuing cores need QUERY_B (drive() rejects the rest).
     if (opt.cores > 1 && opt.mode != QueryMode::Blocking)
         usage(argv[0]);
     return opt;
@@ -155,24 +157,14 @@ main(int argc, char** argv)
                 baseline.ipc());
 
     for (const auto& scheme : schemes) {
-        QeiRunStats stats;
         std::string statsJson;
-        if (opt.cores > 1) {
-            // DriverConfig has no core count.
-            world.resetTiming();
-            world.warmLlc();
-            QeiSystem system(world.chip, world.events, world.hierarchy,
-                             world.vm, world.firmware, scheme);
-            stats = system.runBlockingMultiCore(prep.jobs, opt.cores,
-                                                prep.profile);
-            statsJson = system.dumpStatsJson();
-        } else {
-            stats = runQei(world, prep,
-                           DriverConfig(scheme)
-                               .withMode(opt.mode)
-                               .withPollBatch(opt.pollBatch)
-                               .captureStats(&statsJson));
-        }
+        const QeiRunStats stats =
+            runQei(world, prep,
+                   DriverConfig(scheme)
+                       .withMode(opt.mode)
+                       .withPollBatch(opt.pollBatch)
+                       .withCores(opt.cores)
+                       .captureStats(&statsJson));
         if (opt.verbose)
             std::printf("%s\n", statsJson.c_str());
         std::printf("%-18s %10.1f cyc/q   %6.2fx   occ %4.1f   "

@@ -26,14 +26,14 @@
 #   --faults[=SPEC]  fault-matrix smoke mode: run only the robustness
 #               harnesses (abl_fault --validate, and abl_overload
 #               --validate at its smoke query count) plus
-#               fig09_end_to_end under the fault mix SPEC (default
-#               "pf=0.03,bh=0.01,fw=0.01,flush=20000"; grammar in
-#               docs/robustness.md). abl_fault sets its own per-mix
-#               faults; fig09 and abl_overload inherit SPEC via
-#               --faults and must still pass their bands — recovery
-#               only moves timing inside the tolerance, never
-#               results, and shed queries never consume a fault
-#               decision.
+#               fig09_end_to_end and abl_multicore under the fault mix
+#               SPEC (default "pf=0.03,bh=0.01,fw=0.01,flush=20000";
+#               grammar in docs/robustness.md). abl_fault sets its own
+#               per-mix faults; fig09, abl_multicore and abl_overload
+#               inherit SPEC via --faults and must still pass their
+#               bands — recovery only moves timing inside the
+#               tolerance, never results, and shed queries never
+#               consume a fault decision.
 #   build-dir   cmake build tree (default: build); configured+built
 #               here if the bench binaries are missing
 #   output-dir  where the BENCH_*.json files land (default: .)
@@ -122,6 +122,10 @@ if [ -n "$faults" ]; then
     "$build_dir/bench/fig09_end_to_end" --threads "$threads" \
         --validate --faults "$fault_spec" \
         --json "$out_dir/BENCH_FAULT_fig09_end_to_end.json" || status=1
+    # Multi-core issue recovers on every lane.
+    "$build_dir/bench/abl_multicore" --threads "$threads" \
+        --validate --faults "$fault_spec" \
+        --json "$out_dir/BENCH_FAULT_abl_multicore.json" || status=1
     # Overload resilience under chaos: admission, shedding, and
     # degradation must keep their gates while faults fire.
     "$build_dir/bench/abl_overload" --threads "$threads" \

@@ -73,37 +73,46 @@ DriverMetrics::digest(const Histogram& h)
 }
 
 QeiRunStats
-Driver::run(const std::vector<QueryJob>& jobs,
-            const RoiProfile& profile)
+drive(QeiSystem& system, const std::vector<QueryJob>& jobs,
+      const RoiProfile& profile, const DriverConfig& config)
 {
     const bool closed =
-        config_.traffic == nullptr || config_.traffic->closedLoop();
-    simAssert(!config_.admission.active() ||
-                  (!closed && !config_.batch.enabled()),
+        config.traffic == nullptr || config.traffic->closedLoop();
+    simAssert(!config.admission.active() ||
+                  (!closed && !config.batch.enabled()),
               "admission control sits between an open-loop traffic "
               "source and the system; closed-loop and QUERY_BATCH "
               "runs have no arrival queue to shed from");
-    simAssert(closed || !config_.batch.enabled(),
+    simAssert(closed || !config.batch.enabled(),
               "QUERY_BATCH requires a closed-loop source: the "
               "reorderer batches a pending backlog, which an "
               "open-loop arrival timeline does not provide");
-    simAssert(config_.pollBatch >= 1,
+    simAssert(config.pollBatch >= 1,
               "poll batch {} < 1: a QUERY_NB run would issue nothing",
-              config_.pollBatch);
+              config.pollBatch);
+    // The engine bounds the core count by the chip; it queues batch
+    // descriptors on core 0 only, and neither the QUERY_NB drain nor
+    // the open loop has ever been multi-core.
+    simAssert(config.cores == 1 ||
+                  (closed && !config.batch.enabled() &&
+                   config.mode == QueryMode::Blocking),
+              "{} issuing cores need a closed-loop QUERY_B run",
+              config.cores);
     // An open-loop source always issues QUERY_B.
     using Submit = IssueEngine::Submit;
     Submit submit = Submit::Blocking;
-    if (config_.batch.enabled())
+    if (config.batch.enabled())
         submit = Submit::Batch;
-    else if (closed && config_.mode == QueryMode::NonBlocking)
+    else if (closed && config.mode == QueryMode::NonBlocking)
         submit = Submit::NonBlocking;
     std::vector<traffic::Arrival> arrivals;
     if (!closed)
-        arrivals = config_.traffic->schedule(jobs.size());
-    QeiRunStats stats = IssueEngine(system_, jobs, profile, 1, submit,
-                                    config_.pollBatch, config_.batch)
-                            .run(closed ? nullptr : &arrivals);
-    DriverMetrics& m = system_.driverMetrics();
+        arrivals = config.traffic->schedule(jobs.size());
+    QeiRunStats stats =
+        IssueEngine(system, jobs, profile, config.cores, submit,
+                    config.pollBatch, config.batch)
+            .run(closed ? nullptr : &arrivals);
+    DriverMetrics& m = system.driverMetrics();
     stats.sojourn = DriverMetrics::digest(m.sojourn());
     stats.queueWait = DriverMetrics::digest(m.queueWait());
     stats.service = DriverMetrics::digest(m.service());

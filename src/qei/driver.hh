@@ -4,12 +4,14 @@
  * query streams and a QeiSystem.
  *
  * DriverConfig replaces runQei's positional-parameter tail with one
- * struct (topology, query mode, poll batch, traffic source). The
- * Driver picks the IssueEngine submit policy for the config — QUERY_B,
- * QUERY_NB or QUERY_BATCH — and runs it: a closed loop queues the
- * whole stream at t=0, an open loop hands the engine the traffic
- * source's arrival timeline. Per-query sojourn (queue-wait + service)
- * lands in the system.driver.* histograms either way.
+ * struct (topology, query mode, poll batch, issuing cores, traffic
+ * source). drive() picks the IssueEngine submit policy for the config
+ * — QUERY_B, QUERY_NB or QUERY_BATCH — and runs it: a closed loop
+ * queues the whole stream at t=0, an open loop hands the engine the
+ * traffic source's arrival timeline. Per-query sojourn (queue-wait +
+ * service) lands in the system.driver.* histograms either way.
+ * runQei (workloads/workload.hh) is drive()'s one caller outside the
+ * tests.
  */
 
 #ifndef QEI_QEI_DRIVER_HH
@@ -182,6 +184,12 @@ struct DriverConfig
     /** QUERY_NB completions polled per SNAPSHOT_READ batch. */
     int pollBatch = 32;
     /**
+     * Issuing cores [0, cores), jobs dealt round-robin: the Tab. I
+     * scalability scenario. More than one needs a closed-loop QUERY_B
+     * run.
+     */
+    int cores = 1;
+    /**
      * Arrival process; null means closed loop (the historical
      * behaviour). Shared so DriverConfig stays copyable across the
      * parallel matrix runner's cell captures.
@@ -243,6 +251,13 @@ struct DriverConfig
     }
 
     DriverConfig&
+    withCores(int n)
+    {
+        cores = n;
+        return *this;
+    }
+
+    DriverConfig&
     withTraffic(std::shared_ptr<traffic::TrafficSource> source)
     {
         traffic = std::move(source);
@@ -286,33 +301,18 @@ struct DriverConfig
 };
 
 /**
- * Runs prepared jobs through a QeiSystem under a DriverConfig.
- * Stateless between runs; borrow the system for the call.
+ * Execute @p jobs on @p system's IssueEngine from issuing cores
+ * [0, config.cores). QUERY_BATCH configs use its Batch policy. Closed
+ * loop (null or ClosedLoop traffic): Blocking or NonBlocking by mode.
+ * Open loop: Blocking on the source's arrival timeline, which queues
+ * each arrival until the core's in-flight window and the target QST
+ * allow its issue. Either way the returned stats carry the
+ * sojourn/queue-wait/service digests. Rejects a poll batch < 1, more
+ * issuing cores than the chip has, and several cores on anything but
+ * a closed-loop QUERY_B run.
  */
-class Driver
-{
-  public:
-    Driver(QeiSystem& system, const DriverConfig& config)
-        : system_(system), config_(config)
-    {
-    }
-
-    /**
-     * Execute @p jobs on the IssueEngine from core 0. QUERY_BATCH
-     * configs use its Batch policy. Closed loop (null or ClosedLoop
-     * traffic): Blocking or NonBlocking by mode. Open loop: Blocking
-     * on the source's arrival timeline, which queues each arrival
-     * until the core's in-flight window and the target QST allow its
-     * issue. Either way the returned stats carry the
-     * sojourn/queue-wait/service digests. Rejects a poll batch < 1.
-     */
-    QeiRunStats run(const std::vector<QueryJob>& jobs,
-                    const RoiProfile& profile);
-
-  private:
-    QeiSystem& system_;
-    const DriverConfig& config_;
-};
+QeiRunStats drive(QeiSystem& system, const std::vector<QueryJob>& jobs,
+                  const RoiProfile& profile, const DriverConfig& config);
 
 } // namespace qei
 

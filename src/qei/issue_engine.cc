@@ -24,9 +24,12 @@ IssueEngine::IssueEngine(QeiSystem& sys, const std::vector<QueryJob>& jobs,
                          const RoiProfile& profile, int cores,
                          Submit submit, int poll_batch, BatchConfig batch)
     : sys_(sys), events_(sys.events_), core_(sys.chip_.core), jobs_(jobs),
-      profile_(profile), submit_(submit), batch_(batch),
-      lanes_(static_cast<std::size_t>(cores))
+      profile_(profile), submit_(submit), batch_(batch)
 {
+    simAssert(cores > 0 && cores <= sys.memory_.cores(),
+              "{} issuing cores on a {}-core chip", cores,
+              sys.memory_.cores());
+    lanes_.resize(static_cast<std::size_t>(cores));
     for (int c = 0; c < cores; ++c)
         lanes_[static_cast<std::size_t>(c)].core = c;
     // QUERY_B: with nonQuery+1 instructions between queries, the OoO

@@ -42,8 +42,9 @@ class IssueEngine
     enum class Submit { Blocking, NonBlocking, Batch };
 
     /**
-     * @p poll_batch is the NonBlocking window; @p batch configures the
-     * Batch policy's reorderer (size > 1). Each is ignored otherwise.
+     * @p cores must lie in [1, chip cores]. @p poll_batch is the
+     * NonBlocking window; @p batch configures the Batch policy's
+     * reorderer (size > 1). Each is ignored otherwise.
      */
     IssueEngine(QeiSystem& sys, const std::vector<QueryJob>& jobs,
                 const RoiProfile& profile, int cores, Submit submit,

@@ -4,7 +4,6 @@
 
 #include "common/hash.hh"
 #include "qei/driver.hh"
-#include "qei/issue_engine.hh"
 #include "qei/planner.hh"
 
 namespace qei {
@@ -576,25 +575,6 @@ QeiSystem::resultDigest(const QstEntry& entry)
     x *= 0x94D049BB133111EBULL;
     x ^= x >> 31;
     return x;
-}
-
-QeiRunStats
-QeiSystem::runBlocking(const std::vector<QueryJob>& jobs,
-                       const RoiProfile& profile)
-{
-    return runBlockingMultiCore(jobs, 1, profile);
-}
-
-QeiRunStats
-QeiSystem::runBlockingMultiCore(const std::vector<QueryJob>& jobs,
-                                int cores, const RoiProfile& profile)
-{
-    simAssert(cores > 0 && cores <= memory_.cores(),
-              "{} issuing cores on a {}-core chip", cores,
-              memory_.cores());
-    return IssueEngine(*this, jobs, profile, cores,
-                       IssueEngine::Submit::Blocking)
-        .run();
 }
 
 } // namespace qei

@@ -51,8 +51,7 @@ struct QueryJob
 
 /**
  * Percentile summary of one per-query latency distribution, filled by
- * the Driver (driver.hh) from the system's driver histograms. All
- * zeros for runs that bypass the Driver (direct run* calls).
+ * drive() (driver.hh) from the system's driver histograms.
  */
 struct LatencyDigest
 {
@@ -164,10 +163,10 @@ struct QeiRunStats
     std::uint64_t breakdownQueries = 0;
 
     /**
-     * Per-query latency summaries from the Driver's histograms
+     * Per-query latency summaries from the driver histograms
      * (system.driver.*). Sojourn = queue-wait + service; under the
      * closed-loop source queue-wait is identically zero, so sojourn
-     * equals service. Zeros when the run bypassed the Driver.
+     * equals service.
      */
     LatencyDigest sojourn;
     LatencyDigest queueWait;
@@ -204,30 +203,6 @@ class QeiSystem : public SimObject
               const FirmwareStore& firmware, const Topology& topo,
               trace::TraceSink* trace_sink = nullptr);
     ~QeiSystem();
-
-    /**
-     * Run @p jobs as blocking QUERY_B instructions issued by core 0,
-     * with @p profile's independent work between queries. Models the
-     * load-like pipeline semantics: each outstanding query holds an
-     * LQ + ROB slot until the result returns, which caps in-flight
-     * parallelism at roughly ROB / instructions-per-query-window.
-     * Driver::run reaches QUERY_NB, QUERY_BATCH and the open loop
-     * through the same IssueEngine (issue_engine.hh).
-     */
-    QeiRunStats runBlocking(const std::vector<QueryJob>& jobs,
-                            const RoiProfile& profile);
-
-    /**
-     * Run @p jobs as blocking queries issued concurrently from cores
-     * [0, @p cores) (jobs are dealt round-robin). This is the
-     * scalability scenario of Tab. I: per-core accelerators scale,
-     * CHA instances share, and the single device stop becomes the
-     * bottleneck as issuing cores multiply. With one core it is
-     * runBlocking, cycle for cycle.
-     */
-    QeiRunStats runBlockingMultiCore(const std::vector<QueryJob>& jobs,
-                                     int cores,
-                                     const RoiProfile& profile);
 
     /**
      * The accelerator a query is dispatched to. Core-integrated: the

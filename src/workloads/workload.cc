@@ -142,8 +142,8 @@ runQei(World& world, const Prepared& prepared,
         sampler = makeSampler(world, system,
                               metrics::runtimeConfig().sampler);
     }
-    Driver driver(system, config);
-    QeiRunStats stats = driver.run(prepared.jobs, prepared.profile);
+    QeiRunStats stats =
+        drive(system, prepared.jobs, prepared.profile, config);
     if (sampler != nullptr) {
         stats.metrics = std::make_shared<metrics::RunSeries>(
             sampler->drain());

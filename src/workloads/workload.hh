@@ -164,10 +164,11 @@ CoreRunResult runBaseline(World& world, const Prepared& prepared,
                           int core = 0);
 
 /**
- * Run @p prepared through QEI under @p config: build a QeiSystem for
- * the config's topology on this world, warm its TLBs, wire the
- * software fallback, and drive the prepared jobs through the Driver
- * (closed loop unless the config carries an open-loop traffic
+ * Run @p prepared through QEI under @p config — the one way a harness
+ * or example runs jobs on a QEI deployment: build a QeiSystem for the
+ * config's topology on this world, warm its TLBs, wire the software
+ * fallback, and drive() the prepared jobs from config.cores issuing
+ * cores (closed loop unless the config carries an open-loop traffic
  * source). When config.statsJsonOut is non-null it receives the full
  * component-tree stats dump captured before the system is torn down.
  */

@@ -202,6 +202,35 @@ TEST(DriverDeathTest, PollBatchBelowOneAsserts)
     }
 }
 
+TEST(DriverDeathTest, SeveralCoresOnlyForClosedLoopBlocking)
+{
+    // The engine has only ever issued closed-loop QUERY_B from several
+    // cores; batch descriptors would all queue on core 0.
+    std::unique_ptr<Workload> workload = makeWorkloadFactories()[0]();
+    World world(42);
+    workload->build(world);
+    const Prepared prepared = workload->prepare(world, 16);
+    const DriverConfig twoCores =
+        DriverConfig(SchemeConfig::coreIntegrated()).withCores(2);
+    BatchConfig batch;
+    batch.size = 8;
+    const std::pair<const char*, DriverConfig> rejected[] = {
+        {"nb", DriverConfig(twoCores).withMode(QueryMode::NonBlocking)},
+        {"batch", DriverConfig(twoCores).withBatch(batch)},
+        {"poisson",
+         DriverConfig(twoCores).withTraffic(
+             std::make_shared<traffic::PoissonOpenLoop>(100.0, 3))},
+    };
+    for (const auto& [name, config] : rejected) {
+        EXPECT_DEATH(runQei(world, prepared, config),
+                     "issuing cores need a closed-loop QUERY_B run")
+            << name;
+    }
+    EXPECT_DEATH(
+        runQei(world, prepared, DriverConfig(twoCores).withCores(25)),
+        "25 issuing cores on a 24-core chip");
+}
+
 TEST(BatchExecution, ReorderPoliciesAreFunctionallyIdentical)
 {
     const QeiRunStats scalar = runOnce(1, 120, BatchConfig{});

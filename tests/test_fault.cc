@@ -342,11 +342,11 @@ TEST(FaultRecovery, WithoutFallbackFaultsSurfaceAsExceptions)
     prep.profile.nonQueryInstrPerOp = 20;
 
     world.resetTiming();
+    const DriverConfig config(SchemeConfig::coreIntegrated());
     QeiSystem system(world.chip, world.events, world.hierarchy,
-                     world.vm, world.firmware,
-                     SchemeConfig::coreIntegrated());
+                     world.vm, world.firmware, config.topology);
     const QeiRunStats stats =
-        system.runBlocking(prep.jobs, prep.profile);
+        drive(system, prep.jobs, prep.profile, config);
     EXPECT_EQ(stats.faultsInjected, 4u);
     EXPECT_EQ(stats.swFallbacks, 0u);
     EXPECT_GE(stats.exceptions, 4u);

@@ -36,25 +36,10 @@ struct MultiHarness
         }
     }
 
-    /** Run @p body on a fresh system over the reset World. */
-    template <typename Body>
-    QeiRunStats
-    onFreshSystem(const SchemeConfig& scheme, Body body)
-    {
-        world.resetTiming();
-        world.warmLlc();
-        QeiSystem system(world.chip, world.events, world.hierarchy,
-                         world.vm, world.firmware, scheme);
-        return body(system);
-    }
-
     QeiRunStats
     run(const SchemeConfig& scheme, int cores)
     {
-        return onFreshSystem(scheme, [&](QeiSystem& system) {
-            return system.runBlockingMultiCore(prep.jobs, cores,
-                                               prep.profile);
-        });
+        return runQei(world, prep, DriverConfig(scheme).withCores(cores));
     }
 
     World world;
@@ -74,29 +59,6 @@ TEST(MultiCore, AllQueriesCompleteCorrectly)
         EXPECT_EQ(stats.queries, h.prep.jobs.size());
         EXPECT_EQ(stats.mismatches, 0u) << cores << " cores";
         EXPECT_EQ(stats.exceptions, 0u);
-    }
-}
-
-TEST(MultiCore, OneCoreEqualsRunBlocking)
-{
-    // One issuing core is runBlocking on core 0: same issue model
-    // (mispredict term included), same engine, cycle for cycle.
-    MultiHarness h;
-    for (std::uint32_t mispredicts : {0u, 1u}) {
-        h.prep.profile.nonQueryMispredictsPerOp = mispredicts;
-        const QeiRunStats multi =
-            h.run(SchemeConfig::coreIntegrated(), 1);
-        const QeiRunStats single = h.onFreshSystem(
-            SchemeConfig::coreIntegrated(), [&](QeiSystem& system) {
-                return system.runBlocking(h.prep.jobs, h.prep.profile);
-            });
-        EXPECT_EQ(multi.cycles, single.cycles) << mispredicts;
-        EXPECT_EQ(multi.resultChecksum, single.resultChecksum)
-            << mispredicts;
-        EXPECT_EQ(multi.coreInstructions, single.coreInstructions)
-            << mispredicts;
-        EXPECT_EQ(multi.breakdownCycles, single.breakdownCycles)
-            << mispredicts;
     }
 }
 

@@ -498,23 +498,13 @@ TEST(SweepReuse, AdaptiveAdmissionWithDegradationMatchesFreshWorlds)
                                    {"adaptive-b", overload}});
 }
 
-TEST(SweepReuse, HandBuiltMultiCoreMatchesFreshWorlds)
+TEST(SweepReuse, MultiCoreMatchesFreshWorlds)
 {
     std::vector<std::pair<std::string, Body>> cells;
     for (const SchemeConfig& scheme :
          {SchemeConfig::chaTlb(), SchemeConfig::deviceDirect()}) {
-        cells.emplace_back(
-            scheme.name() + "/4-cores",
-            [scheme](World& world, const PreparedRow& row, double) {
-                world.resetTiming();
-                world.warmLlc();
-                QeiSystem system(world.chip, world.events,
-                                 world.hierarchy, world.vm,
-                                 world.firmware, scheme,
-                                 &world.traceSink);
-                return system.runBlockingMultiCore(
-                    row.prepared.jobs, 4, row.prepared.profile);
-            });
+        cells.emplace_back(scheme.name() + "/4-cores",
+                           configBody(DriverConfig(scheme).withCores(4)));
     }
     expectSweepMatchesFreshWorlds(smallRow(1, 200), cells);
 }

@@ -158,13 +158,13 @@ TEST_F(SystemFixture, WarmTlbsReduceCycles)
     // Cold run: skip the usual warmTlbs by driving QeiSystem directly.
     world.resetTiming();
     world.warmLlc();
+    const DriverConfig config(SchemeConfig::chaTlb());
     QeiSystem cold(world.chip, world.events, world.hierarchy, world.vm,
-                   world.firmware, SchemeConfig::chaTlb());
+                   world.firmware, config.topology);
     const QeiRunStats coldStats =
-        cold.runBlocking(prep.jobs, prep.profile);
+        drive(cold, prep.jobs, prep.profile, config);
 
-    const QeiRunStats warmStats =
-        runQei(world, prep, DriverConfig(SchemeConfig::chaTlb()));
+    const QeiRunStats warmStats = runQei(world, prep, config);
     EXPECT_LT(warmStats.cycles, coldStats.cycles);
 }
 

@@ -456,21 +456,8 @@ TEST(ExactlyOnce, EveryIssuePathCompletesEachQueryOnce)
     EXPECT_EQ(mix.tenants.size(), 4u);
 
     for (int cores : {1, 4}) {
-        expectEachQueryOnce(
-            queryCompletions(world,
-                             [&] {
-                                 world.resetTiming();
-                                 world.warmLlc();
-                                 QeiSystem system(
-                                     world.chip, world.events,
-                                     world.hierarchy, world.vm,
-                                     world.firmware,
-                                     SchemeConfig::coreIntegrated(),
-                                     &world.traceSink);
-                                 system.runBlockingMultiCore(
-                                     prep.jobs, cores, prep.profile);
-                             }),
-            n, "multi-core " + std::to_string(cores));
+        viaDriver("multi-core " + std::to_string(cores),
+                  DriverConfig(core).withCores(cores));
     }
 
     // Under a fault mix: a World whose chip carries @p spec.
