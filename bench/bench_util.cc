@@ -361,7 +361,9 @@ BenchReport::view(std::string bench_name) const
         options.jsonPath =
             jsonStem(options_.jsonPath) + "." + bench_name + ".json";
     options.metricsPath.clear();
-    return BenchReport(std::move(bench_name), std::move(options));
+    BenchReport report(std::move(bench_name), std::move(options));
+    report.view_ = true;
+    return report;
 }
 
 void
@@ -405,7 +407,8 @@ BenchReport::finish()
     // Host-side self-metrics: how much simulated work this harness
     // executed and how fast the host chewed through it. The cell scan
     // runs before the top-level host_wall_ms stamp below, so `cells`
-    // holds only the per-cell walls the payload carries.
+    // holds only the per-cell walls the payload carries; a view skips
+    // it, since those cells ran in its producer.
     {
         const std::uint64_t simEvents =
             simEventsExecuted() - simEventsStart_;
@@ -417,7 +420,8 @@ BenchReport::finish()
                 : 0.0;
         host["wall_ms"] = wallMs;
         Json cells = Json::object();
-        collectCellWalls(root_, "", cells);
+        if (!view_)
+            collectCellWalls(root_, "", cells);
         host["cells"] = std::move(cells);
         root_["host"] = std::move(host);
     }

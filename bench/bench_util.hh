@@ -141,7 +141,9 @@ class BenchReport
      * Report for another figure computed from this harness's runs,
      * written next to its artifact as `<stem>.<bench_name>.json`.
      * Construct it after those runs so its host fields count only its
-     * own work; the harness fails if either report's finish() does.
+     * own work: its `host` block lists no cells, even when its payload
+     * carries the producer's per-cell `host_wall_ms`. The harness
+     * fails if either report's finish() does.
      */
     BenchReport view(std::string bench_name) const;
 
@@ -174,6 +176,8 @@ class BenchReport
     /** simEventsExecuted() at construction, for the `host` block's
      *  per-harness delta. */
     std::uint64_t simEventsStart_ = 0;
+    /** Built by view(): the cells it reports belong to the producer. */
+    bool view_ = false;
 };
 
 /** Results for one workload across the baseline and all schemes. */

@@ -312,16 +312,8 @@ QeiSystem::ensureFallbackCore()
     fallbackHierarchy_ =
         std::make_unique<MemoryHierarchy>(chip_.memory);
     adopt(*fallbackHierarchy_, "fallback_mem");
-    // Same steady state the main hierarchy runs in: the whole mapped
-    // footprint LLC-resident (World::warmLlc), private caches cold.
-    for (const auto& [vpn, pfn] : vm_.pageTable().entries()) {
-        (void)vpn;
-        const Addr base = pfn * kPageBytes;
-        for (std::uint32_t off = 0; off < kPageBytes;
-             off += kCacheLineBytes) {
-            fallbackHierarchy_->preloadLlc(base + off);
-        }
-    }
+    // Same steady state the main hierarchy runs in.
+    warmLlc(*fallbackHierarchy_, vm_);
     fallbackMmu_ = std::make_unique<Mmu>(vm_, chip_.mmu);
     adopt(*fallbackMmu_, "fallback_mmu");
     fallbackCore_ = std::make_unique<CoreModel>(
@@ -575,6 +567,19 @@ QeiSystem::resultDigest(const QstEntry& entry)
     x *= 0x94D049BB133111EBULL;
     x ^= x >> 31;
     return x;
+}
+
+void
+warmLlc(MemoryHierarchy& memory, const VirtualMemory& vm)
+{
+    for (const auto& [vpn, pfn] : vm.pageTable().entries()) {
+        (void)vpn;
+        const Addr base = pfn * kPageBytes;
+        for (std::uint32_t off = 0; off < kPageBytes;
+             off += kCacheLineBytes) {
+            memory.preloadLlc(base + off);
+        }
+    }
 }
 
 } // namespace qei

@@ -482,6 +482,14 @@ class QeiSystem : public SimObject
         traceBreakdownName_{};
 };
 
+/**
+ * Load every line of @p vm's mapped footprint into @p memory's LLC, in
+ * page-table order: the steady state the paper evaluates (structures
+ * LLC-resident, private caches cold). World::warmLlc() and the
+ * software-fallback core's private hierarchy both start from it.
+ */
+void warmLlc(MemoryHierarchy& memory, const VirtualMemory& vm);
+
 } // namespace qei
 
 #endif // QEI_QEI_SYSTEM_HH

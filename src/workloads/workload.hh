@@ -94,18 +94,7 @@ struct World
      * resetTiming() so baseline and every scheme see the same warm
      * LLC and cold private caches.
      */
-    void
-    warmLlc()
-    {
-        for (const auto& [vpn, pfn] : vm.pageTable().entries()) {
-            (void)vpn;
-            const Addr base = pfn * kPageBytes;
-            for (std::uint32_t off = 0; off < kPageBytes;
-                 off += kCacheLineBytes) {
-                hierarchy.preloadLlc(base + off);
-            }
-        }
-    }
+    void warmLlc() { qei::warmLlc(hierarchy, vm); }
 
     ChipConfig chip;
     SimMemory memory;

@@ -268,10 +268,20 @@ TEST(BenchJson, ViewBuiltAfterTheMatrixCountsNoSimEvents)
         runWorkloadMatrix({makeWorkloadFactories().front()}, options)
             .front();
     BenchReport view = report.view("unit_view");
+    // A view may carry the producer's cells, per-cell host_wall_ms
+    // included; they ran in the producer, so its host block lists none.
+    BenchReport carrying = report.view("unit_view_cells");
     report.data()["run"] = toJson(run);
     view.data()["baseline"] = toJson(run.baseline);
+    carrying.data()["run"] = toJson(run);
     ASSERT_TRUE(report.finish());
     ASSERT_TRUE(view.finish());
+    ASSERT_TRUE(carrying.finish());
     EXPECT_GT(report.data().at("host").at("sim_events").asUint(), 0u);
     EXPECT_EQ(view.data().at("host").at("sim_events").asUint(), 0u);
+    EXPECT_EQ(carrying.data().at("host").at("sim_events").asUint(), 0u);
+    EXPECT_FALSE(
+        report.data().at("host").at("cells").items().empty());
+    EXPECT_TRUE(
+        carrying.data().at("host").at("cells").items().empty());
 }

@@ -348,6 +348,58 @@ TEST(ParallelRuns, ReusedWorldMatchesFreshWorldsUnderCostPlanner)
     ::unsetenv("QEI_PLANNER");
 }
 
+namespace {
+
+/**
+ * The property fig07_speedup's figure views rely on: a matrix run on a
+ * subset of the topologies gives the baseline and every shared cell
+ * exactly as the full five-scheme matrix does, though the shared
+ * cells run at other positions in the row.
+ */
+void
+expectSubsetMatchesFullMatrix(MatrixOptions options)
+{
+    options.captureTrace = true;
+    options.traceCapacity = 4096;
+    const std::vector<WorkloadFactory> snort{
+        makeWorkloadFactories()[3]};
+    const WorkloadRun full = runWorkloadMatrix(snort, options).front();
+    options.topologies = {Topology(SchemeConfig::chaTlb()),
+                          Topology(SchemeConfig::coreIntegrated())};
+    const WorkloadRun subset = runWorkloadMatrix(snort, options).front();
+    ASSERT_EQ(subset.name, "snort");
+    ASSERT_EQ(full.schemes.size(), 5u);
+    ASSERT_EQ(subset.schemes.size(), 2u);
+
+    expectSameBaseline(subset.baseline, full.baseline);
+    expectSameActivity(subset.activity.at("baseline"),
+                       full.activity.at("baseline"), "baseline");
+    expectSameTrace(subset.traces.at("baseline"),
+                    full.traces.at("baseline"), "baseline");
+    for (const auto& [name, stats] : subset.schemes) {
+        expectSameRun(stats, full.schemes.at(name), name);
+        expectSameActivity(subset.activity.at(name),
+                           full.activity.at(name), name);
+        expectSameTrace(subset.traces.at(name), full.traces.at(name),
+                        name);
+    }
+}
+
+} // namespace
+
+TEST(ParallelRuns, SubsetMatrixMatchesFullMatrix)
+{
+    expectSubsetMatchesFullMatrix(MatrixOptions{});
+}
+
+TEST(ParallelRuns, SubsetMatrixMatchesFullMatrixUnderFaults)
+{
+    MatrixOptions options;
+    options.chip.faults =
+        parseFaultSpec("pf=0.03,bh=0.01,fw=0.01,flush=20000");
+    expectSubsetMatchesFullMatrix(options);
+}
+
 TEST(ParallelRuns, HostPerfFieldsPopulated)
 {
     const auto runs = runWorkloadMatrix(testFactories(), testMatrix(2));

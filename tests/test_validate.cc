@@ -1,13 +1,18 @@
 /**
  * Tests for the qei::validate paper-fidelity subsystem: metric path
  * resolution, band/ordering/shape evaluation with their tolerance
- * edges, artifact embedding, and byte-stable EXPERIMENTS.md
- * regeneration.
+ * edges, artifact embedding, byte-stable EXPERIMENTS.md regeneration,
+ * and the qei-validate tool's verdict over a set of artifacts.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "common/json.hh"
 #include "validate/expectation.hh"
@@ -284,6 +289,51 @@ TEST(Experiments, CanonicalOrderCoversAllHarnesses)
     EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
               sorted.end())
         << "duplicate name in the canonical order";
+}
+
+/** Write @p artifact under the test temp dir; @return its path. */
+std::string
+writeArtifact(const std::string& file, const Json& artifact)
+{
+    const std::string path = ::testing::TempDir() + file;
+    std::ofstream(path) << artifact.dump(2) << '\n';
+    return path;
+}
+
+/** Run qei-validate on @p paths; stderr lands in @p err. */
+int
+runValidateTool(const std::vector<std::string>& paths, std::string* err)
+{
+    const std::string errPath =
+        ::testing::TempDir() + "qei_validate_stderr.txt";
+    std::string command = QEI_VALIDATE_TOOL " --quiet";
+    for (const std::string& path : paths)
+        command += " " + path;
+    command += " 2> " + errPath;
+    const int status = std::system(command.c_str());
+    std::ostringstream text;
+    text << std::ifstream(errPath).rdbuf();
+    *err = text.str();
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ValidateTool, RejectsTwoArtifactsOfOneBench)
+{
+    Json fig07 = fixtureArtifact();
+    Suite suite;
+    suite.title = "Fig. 7 — test";
+    suite.expectations.push_back(Expectation::range(
+        "g", "Fig. 7", "geomean", "geomean", "x", 4.0, 5.0, 0.10));
+    fig07["validation"] = toJson(suite, evaluate(suite, fig07));
+    const std::string a = writeArtifact("dup_a.json", fig07);
+    const std::string b = writeArtifact("dup_b.json", fig07);
+
+    std::string err;
+    EXPECT_EQ(runValidateTool({a}, &err), 0) << err;
+    EXPECT_EQ(runValidateTool({a, b}, &err), 1);
+    EXPECT_NE(err.find(a), std::string::npos) << err;
+    EXPECT_NE(err.find(b), std::string::npos) << err;
+    EXPECT_NE(err.find("fig07_speedup"), std::string::npos) << err;
 }
 
 TEST(Format, ValueFormattingIsDeterministic)

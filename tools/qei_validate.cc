@@ -15,11 +15,13 @@
  * Exit code: 0 when every expectation in every artifact is PASS or
  * WARN and the optional --check-experiments comparison matches;
  * 1 otherwise (any FAIL, a missing/unparseable artifact or
- * validation block, or a stale committed EXPERIMENTS.md).
+ * validation block, two artifacts with the same `bench` name, or a
+ * stale committed EXPERIMENTS.md).
  */
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -87,6 +89,8 @@ main(int argc, char** argv)
 
     bool ok = true;
     std::vector<Json> artifacts;
+    // bench name -> the artifact that carried it first
+    std::map<std::string, std::string> benchPaths;
     TablePrinter table("validation summary");
     table.header({"bench", "pass", "warn", "fail", "verdict"});
     int totalPass = 0;
@@ -112,6 +116,18 @@ main(int argc, char** argv)
         const std::string bench = artifact.contains("bench")
                                       ? artifact.at("bench").asString()
                                       : path;
+        // A second artifact of one bench (say, from a stale binary
+        // left in a build tree) would render a duplicate section.
+        const auto [first, fresh] = benchPaths.emplace(bench, path);
+        if (!fresh) {
+            std::fprintf(stderr,
+                         "qei-validate: %s and %s both carry bench "
+                         "'%s'\n",
+                         first->second.c_str(), path.c_str(),
+                         bench.c_str());
+            ok = false;
+            continue;
+        }
         if (!artifact.contains("validation")) {
             table.row({bench, "-", "-", "-", "NO SUITE"});
             std::fprintf(stderr,
