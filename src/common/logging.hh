@@ -23,6 +23,7 @@
 #include <source_location>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "format.hh"
 
@@ -36,6 +37,27 @@ LogLevel logLevel();
 
 /** Set the process-wide log verbosity. */
 void setLogLevel(LogLevel level);
+
+/**
+ * A format string that remembers where it was written. Its implicit
+ * constructor takes std::source_location::current() as a default
+ * argument, which is evaluated at the caller's conversion — so panic(),
+ * fatal() and simAssert() report the line that called them, not a line
+ * in this header.
+ */
+struct SourceFormat
+{
+    template <typename S>
+        requires std::is_convertible_v<const S&, std::string_view>
+    SourceFormat(const S& fmt_str, std::source_location where =
+                                       std::source_location::current())
+        : str(fmt_str), loc(where)
+    {
+    }
+
+    std::string_view str;
+    std::source_location loc;
+};
 
 namespace detail {
 
@@ -51,20 +73,18 @@ void debugImpl(std::string_view msg);
 
 /** Abort with a formatted message; use for simulator bugs only. */
 template <typename... Args>
-[[noreturn]] void
-panic(std::string_view fmt_str, const Args&... args)
+[[noreturn, gnu::cold, gnu::noinline]] void
+panic(SourceFormat fmt_str, const Args&... args)
 {
-    detail::panicImpl(fmt(fmt_str, args...),
-                      std::source_location::current());
+    detail::panicImpl(fmt(fmt_str.str, args...), fmt_str.loc);
 }
 
 /** Exit(1) with a formatted message; use for user/config errors. */
 template <typename... Args>
-[[noreturn]] void
-fatal(std::string_view fmt_str, const Args&... args)
+[[noreturn, gnu::cold, gnu::noinline]] void
+fatal(SourceFormat fmt_str, const Args&... args)
 {
-    detail::fatalImpl(fmt(fmt_str, args...),
-                      std::source_location::current());
+    detail::fatalImpl(fmt(fmt_str.str, args...), fmt_str.loc);
 }
 
 /** Non-fatal warning about approximate or suspicious behaviour. */
@@ -96,16 +116,15 @@ debugLog(std::string_view fmt_str, const Args&... args)
 
 /**
  * Check an invariant that must hold regardless of user input.
- * Unlike assert(), stays active in release builds.
+ * Unlike assert(), stays active in release builds. The passing path is
+ * one inlined branch; formatting happens only in the cold panic().
  */
 template <typename... Args>
-void
-simAssert(bool cond, std::string_view fmt_str, const Args&... args)
+[[gnu::always_inline]] inline void
+simAssert(bool cond, SourceFormat fmt_str, const Args&... args)
 {
-    if (!cond) {
-        detail::panicImpl(fmt(fmt_str, args...),
-                          std::source_location::current());
-    }
+    if (!cond) [[unlikely]]
+        panic(fmt_str, args...);
 }
 
 } // namespace qei

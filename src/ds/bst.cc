@@ -10,9 +10,10 @@ SimBst::SimBst(VirtualMemory& vm,
     keyLen_ = static_cast<std::uint32_t>(items.front().first.size());
     size_ = items.size();
 
+    std::vector<std::uint8_t> scratch;
     for (const auto& [key, value] : items) {
         simAssert(key.size() == keyLen_, "inconsistent key length");
-        root_ = insert(root_, key, value);
+        insert(key, value, scratch);
     }
 
     headerAddr_ = vm_.allocLines(kCacheLineBytes);
@@ -25,36 +26,39 @@ SimBst::SimBst(VirtualMemory& vm,
     h.writeTo(vm_, headerAddr_);
 }
 
-Addr
-SimBst::insert(Addr node, const Key& key, std::uint64_t value)
+void
+SimBst::insert(const Key& key, std::uint64_t value,
+               std::vector<std::uint8_t>& scratch)
 {
-    if (node == kNullAddr) {
-        const std::uint64_t nodeBytes = 24 + pad8(keyLen_);
-        // Line-align nodes that fit a cacheline (single staged fetch).
-        const std::uint64_t align =
-            nodeBytes <= kCacheLineBytes ? kCacheLineBytes : 8;
-        const Addr fresh = vm_.alloc(nodeBytes, align);
-        vm_.write<std::uint64_t>(fresh + 0, kNullAddr);
-        vm_.write<std::uint64_t>(fresh + 8, kNullAddr);
-        vm_.write<std::uint64_t>(fresh + 16, value);
-        storeKey(vm_, fresh + 24, key);
-        return fresh;
+    // Walk down to the null link the key belongs at; kNullAddr stands
+    // for root_.
+    Addr link = kNullAddr;
+    for (Addr node = root_; node != kNullAddr;
+         node = vm_.read<std::uint64_t>(link)) {
+        const std::uint8_t* stored =
+            vm_.spanOrCopy(node + 24, keyLen_, scratch);
+        const int c = std::memcmp(stored, key.data(), keyLen_);
+        if (c == 0) {
+            vm_.write<std::uint64_t>(node + 16, value); // overwrite
+            return;
+        }
+        // stored < key: go right.
+        link = node + (c < 0 ? 8 : 0);
     }
-    const Key stored = loadKey(vm_, node + 24, keyLen_);
-    const int c = compareKeys(stored, key);
-    if (c == 0) {
-        vm_.write<std::uint64_t>(node + 16, value); // overwrite
-    } else if (c < 0) {
-        // stored < key: insert to the right.
-        vm_.write<std::uint64_t>(
-            node + 8,
-            insert(vm_.read<std::uint64_t>(node + 8), key, value));
-    } else {
-        vm_.write<std::uint64_t>(
-            node + 0,
-            insert(vm_.read<std::uint64_t>(node + 0), key, value));
-    }
-    return node;
+
+    const std::uint64_t nodeBytes = 24 + pad8(keyLen_);
+    // Line-align nodes that fit a cacheline (single staged fetch).
+    const std::uint64_t align =
+        nodeBytes <= kCacheLineBytes ? kCacheLineBytes : 8;
+    const Addr fresh = vm_.alloc(nodeBytes, align);
+    vm_.write<std::uint64_t>(fresh + 0, kNullAddr);
+    vm_.write<std::uint64_t>(fresh + 8, kNullAddr);
+    vm_.write<std::uint64_t>(fresh + 16, value);
+    storeKey(vm_, fresh + 24, key);
+    if (link == kNullAddr)
+        root_ = fresh;
+    else
+        vm_.write<std::uint64_t>(link, fresh);
 }
 
 QueryTrace

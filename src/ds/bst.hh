@@ -41,7 +41,9 @@ class SimBst
     double averageDepth() const;
 
   private:
-    Addr insert(Addr node, const Key& key, std::uint64_t value);
+    /** Insert or overwrite @p key; @p scratch is a reusable key buffer. */
+    void insert(const Key& key, std::uint64_t value,
+                std::vector<std::uint8_t>& scratch);
     void accumulateDepth(Addr node, std::uint64_t depth,
                          std::uint64_t& total,
                          std::uint64_t& count) const;

@@ -16,7 +16,6 @@ SimChainedHash::SimChainedHash(
     size_ = items.size();
 
     table_ = vm_.allocLines(bucket_count * 8);
-    vm_.memory(); // table pages are zero-filled (NULL heads)
     for (std::size_t i = 0; i < bucket_count; ++i)
         vm_.write<std::uint64_t>(table_ + i * 8, kNullAddr);
 

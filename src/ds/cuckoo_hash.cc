@@ -10,7 +10,6 @@ SimCuckooHash::SimCuckooHash(VirtualMemory& vm, std::size_t bucket_count,
               "bucket count {} not a power of two", bucket_count);
     mask_ = bucket_count - 1;
     table_ = vm_.allocLines(bucket_count * kBucketBytes);
-    vm_.memory().fill(vm_.translate(table_), 0, 0); // no-op; pages map
     for (std::uint64_t b = 0; b < bucket_count; ++b) {
         for (int e = 0; e < kEntriesPerBucket; ++e) {
             vm_.write<std::uint64_t>(entryAddr(b, e), 0);

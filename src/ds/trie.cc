@@ -1,5 +1,6 @@
 #include "trie.hh"
 
+#include <cstring>
 #include <deque>
 
 namespace qei {
@@ -127,12 +128,15 @@ SimTrie::match(const std::vector<std::uint8_t>& input) const
     Addr node = root_;
     bool first = true;
 
+    std::vector<std::uint8_t> scratch;
     auto childOf = [&](Addr n, std::uint8_t byte,
                        std::uint32_t& scanned) -> Addr {
         const auto count = vm_.read<std::uint16_t>(n);
+        const std::uint8_t* entries =
+            vm_.spanOrCopy(n + 16, count * 8ULL, scratch);
         for (std::uint16_t i = 0; i < count; ++i) {
-            const auto e =
-                vm_.read<std::uint64_t>(n + 16 + i * 8ULL);
+            std::uint64_t e;
+            std::memcpy(&e, entries + i * 8ULL, sizeof(e));
             ++scanned;
             if (static_cast<std::uint8_t>(e >> 56) == byte)
                 return e & ((1ULL << 55) - 1); // strip the output bit

@@ -112,6 +112,26 @@ class SimMemory
         }
     }
 
+    /**
+     * The bytes of frame @p pfn, materialising (zero-filled) it on first
+     * use. Pages are never freed, so the pointer stays valid for the
+     * life of this memory.
+     */
+    std::uint8_t*
+    pageData(Addr pfn)
+    {
+        boundsCheck(pfn * kPageBytes, kPageBytes);
+        return pageFor(pfn).data();
+    }
+
+    /** The bytes of frame @p pfn; nullptr when it was never touched. */
+    const std::uint8_t*
+    findPage(Addr pfn) const
+    {
+        auto it = pages_.find(pfn);
+        return it == pages_.end() ? nullptr : it->second->data();
+    }
+
   private:
     using Page = std::array<std::uint8_t, kPageBytes>;
 

@@ -497,11 +497,13 @@ CmpFlag
 Accelerator::compareKeyFunctional(const QstEntry& entry, Addr mem_vaddr,
                                   std::uint32_t len) const
 {
-    std::vector<std::uint8_t> stored(len);
-    std::vector<std::uint8_t> query(len);
-    env_.vm.readBytes(mem_vaddr, stored.data(), len);
-    env_.vm.readBytes(entry.keyAddr, query.data(), len);
-    const int c = std::memcmp(stored.data(), query.data(), len);
+    std::vector<std::uint8_t> storedCopy;
+    std::vector<std::uint8_t> queryCopy;
+    const std::uint8_t* stored =
+        env_.vm.spanOrCopy(mem_vaddr, len, storedCopy);
+    const std::uint8_t* query =
+        env_.vm.spanOrCopy(entry.keyAddr, len, queryCopy);
+    const int c = std::memcmp(stored, query, len);
     if (c == 0)
         return CmpFlag::Eq;
     return c < 0 ? CmpFlag::Lt : CmpFlag::Gt;
@@ -604,7 +606,10 @@ Accelerator::executeMicroInst(int id)
 
     auto readFieldLE = [&](Addr vaddr, std::uint8_t width) {
         std::uint64_t v = 0;
-        env_.vm.readBytes(vaddr, &v, width);
+        if (const std::uint8_t* field = env_.vm.span(vaddr, width))
+            std::memcpy(&v, field, width);
+        else
+            env_.vm.readBytes(vaddr, &v, width);
         return v;
     };
 
@@ -699,10 +704,10 @@ Accelerator::executeMicroInst(int id)
                 return false;
             }
         }
-        std::vector<std::uint8_t> key(len);
-        env_.vm.readBytes(entry.keyAddr, key.data(), len);
-        entry.regs[mi.dst] =
-            computeHash(entry.header.hashFn, key.data(), len);
+        std::vector<std::uint8_t> keyCopy;
+        const std::uint8_t* key =
+            env_.vm.spanOrCopy(entry.keyAddr, len, keyCopy);
+        entry.regs[mi.dst] = computeHash(entry.header.hashFn, key, len);
         entry.state = mi.next;
         const Cycles hashDone = dpu_.hashKey(now + mem.total, len);
         batchLane(mem.coalesced);
@@ -866,12 +871,21 @@ Accelerator::executeMicroInst(int id)
             return false;
         }
         const auto count = env_.vm.read<std::uint16_t>(node);
+        // Scan the table in place when it lies in one page; otherwise
+        // read only the entries the scan reaches, one by one, so a
+        // malformed count is checked entry by entry as before.
+        const std::uint8_t* table =
+            env_.vm.span(node + 16, static_cast<std::uint64_t>(count) * 8);
         bool found = false;
         std::uint64_t child = 0;
         std::uint32_t scanned = 0;
         for (std::uint16_t i = 0; i < count; ++i) {
-            const auto e = env_.vm.read<std::uint64_t>(
-                node + 16 + static_cast<Addr>(i) * 8);
+            std::uint64_t e;
+            if (table != nullptr)
+                std::memcpy(&e, table + i * 8ULL, sizeof(e));
+            else
+                e = env_.vm.read<std::uint64_t>(
+                    node + 16 + static_cast<Addr>(i) * 8);
             ++scanned;
             if (static_cast<std::uint8_t>(e >> 56) == byte) {
                 found = true;

@@ -1,6 +1,7 @@
 #include "virtual_memory.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 namespace qei {
@@ -12,7 +13,6 @@ FrameAllocator::FrameAllocator(std::uint64_t total_frames, Mode mode,
     if (mode_ == Mode::Fragmented) {
         // Pre-shuffle a window of frames; extend lazily in blocks so a
         // 64 GB memory does not need a 16M-entry shuffle up front.
-        (void)seed;
         rngSeed_ = seed;
     }
 }
@@ -69,9 +69,14 @@ VirtualMemory::ensureMapped(Addr vaddr, std::uint64_t bytes)
 {
     const Addr first = pageNumber(vaddr);
     const Addr last = pageNumber(vaddr + bytes - 1);
+    if (last - kHeapBaseVpn >= slots_.size())
+        slots_.resize(last - kHeapBaseVpn + 1);
     for (Addr vpn = first; vpn <= last; ++vpn) {
-        if (!pageTable_.lookup(vpn))
-            pageTable_.map(vpn, frames_.allocate());
+        PageSlot& slot = slots_[vpn - kHeapBaseVpn];
+        if (slot.pfn == kNoFrame) {
+            slot.pfn = frames_.allocate();
+            pageTable_.map(vpn, slot.pfn);
+        }
     }
 }
 
@@ -83,15 +88,6 @@ VirtualMemory::translate(Addr vaddr) const
     return *paddr;
 }
 
-std::optional<Addr>
-VirtualMemory::tryTranslate(Addr vaddr) const
-{
-    auto pfn = pageTable_.lookup(pageNumber(vaddr));
-    if (!pfn)
-        return std::nullopt;
-    return *pfn * kPageBytes + pageOffset(vaddr);
-}
-
 void
 VirtualMemory::readBytes(Addr vaddr, void* out, std::size_t len) const
 {
@@ -100,7 +96,16 @@ VirtualMemory::readBytes(Addr vaddr, void* out, std::size_t len) const
         const std::uint32_t off = pageOffset(vaddr);
         const std::size_t chunk =
             std::min<std::size_t>(len, kPageBytes - off);
-        memory_.read(translate(vaddr), dst, chunk);
+        const PageSlot& slot = slots_[mappedIndex(vaddr)];
+        // A page another address space over the same memory wrote has
+        // no cached pointer here; one nobody wrote reads as zeros.
+        const std::uint8_t* page = slot.data != nullptr
+                                       ? slot.data
+                                       : memory_.findPage(slot.pfn);
+        if (page != nullptr)
+            std::memcpy(dst, page + off, chunk);
+        else
+            std::memset(dst, 0, chunk);
         dst += chunk;
         vaddr += chunk;
         len -= chunk;
@@ -115,7 +120,10 @@ VirtualMemory::writeBytes(Addr vaddr, const void* src, std::size_t len)
         const std::uint32_t off = pageOffset(vaddr);
         const std::size_t chunk =
             std::min<std::size_t>(len, kPageBytes - off);
-        memory_.write(translate(vaddr), from, chunk);
+        PageSlot& slot = slots_[mappedIndex(vaddr)];
+        if (slot.data == nullptr)
+            slot.data = memory_.pageData(slot.pfn);
+        std::memcpy(slot.data + off, from, chunk);
         from += chunk;
         vaddr += chunk;
         len -= chunk;

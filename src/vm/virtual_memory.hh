@@ -15,6 +15,7 @@
 #define QEI_VM_VIRTUAL_MEMORY_HH
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -40,16 +41,6 @@ class PageTable
         auto [it, inserted] = table_.emplace(vpn, pfn);
         simAssert(inserted, "vpn {:#x} already mapped", vpn);
         (void)it;
-    }
-
-    /** Look up the frame for @p vpn; nullopt when unmapped. */
-    std::optional<Addr>
-    lookup(Addr vpn) const
-    {
-        auto it = table_.find(vpn);
-        if (it == table_.end())
-            return std::nullopt;
-        return it->second;
     }
 
     std::size_t size() const { return table_.size(); }
@@ -178,13 +169,56 @@ class VirtualMemory : public SimObject
     Addr translate(Addr vaddr) const;
 
     /** Translate; nullopt when unmapped (for fault modelling). */
-    std::optional<Addr> tryTranslate(Addr vaddr) const;
+    std::optional<Addr>
+    tryTranslate(Addr vaddr) const
+    {
+        const PageSlot* slot = slotOf(vaddr);
+        if (slot == nullptr)
+            return std::nullopt;
+        return slot->pfn * kPageBytes + pageOffset(vaddr);
+    }
 
-    /** Read through translation (may cross page boundaries). */
+    /**
+     * Read through translation (may cross page boundaries). A mapped
+     * page that was never written reads as zeros and stays lazy.
+     */
     void readBytes(Addr vaddr, void* out, std::size_t len) const;
 
     /** Write through translation (may cross page boundaries). */
     void writeBytes(Addr vaddr, const void* src, std::size_t len);
+
+    /**
+     * The bytes at [@p vaddr, +@p len) in place, when the range lies in
+     * one mapped page that has been written; nullptr otherwise (across
+     * a page boundary, unmapped, or never written), and the caller
+     * copies with readBytes instead.
+     */
+    const std::uint8_t*
+    span(Addr vaddr, std::size_t len) const
+    {
+        const std::uint32_t off = pageOffset(vaddr);
+        if (off + len > kPageBytes)
+            return nullptr;
+        const PageSlot* slot = slotOf(vaddr);
+        if (slot == nullptr || slot->data == nullptr)
+            return nullptr;
+        return slot->data + off;
+    }
+
+    /**
+     * span() when it succeeds; otherwise copy the range into @p scratch
+     * (which readBytes checks like any other read) and return that.
+     */
+    const std::uint8_t*
+    spanOrCopy(Addr vaddr, std::size_t len,
+               std::vector<std::uint8_t>& scratch) const
+    {
+        if (const std::uint8_t* in_place = span(vaddr, len))
+            return in_place;
+        scratch.resize(len);
+        readBytes(vaddr, scratch.data(), len);
+        return scratch.data();
+    }
 
     template <typename T>
     T
@@ -192,7 +226,10 @@ class VirtualMemory : public SimObject
     {
         static_assert(std::is_trivially_copyable_v<T>);
         T value;
-        readBytes(vaddr, &value, sizeof(T));
+        if (const std::uint8_t* in_place = span(vaddr, sizeof(T)))
+            std::memcpy(&value, in_place, sizeof(T));
+        else
+            readBytes(vaddr, &value, sizeof(T));
         return value;
     }
 
@@ -213,10 +250,49 @@ class VirtualMemory : public SimObject
     static constexpr Addr kHeapBase = 0x10000000ULL;
 
   private:
+    /**
+     * One heap page of the dense table: its frame (kNoFrame in the gaps
+     * an aligned alloc skips) and, once this address space has written
+     * it, the frame's bytes.
+     */
+    struct PageSlot
+    {
+        Addr pfn = kNoFrame;
+        std::uint8_t* data = nullptr;
+    };
+
+    static constexpr Addr kNoFrame = ~Addr{0};
+    static constexpr Addr kHeapBaseVpn = kHeapBase / kPageBytes;
+
+    /** The slot of @p vaddr's page; nullptr when unmapped. */
+    const PageSlot*
+    slotOf(Addr vaddr) const
+    {
+        // Below the heap, the index wraps to a huge value.
+        const Addr index = pageNumber(vaddr) - kHeapBaseVpn;
+        if (index >= slots_.size() || slots_[index].pfn == kNoFrame)
+            return nullptr;
+        return &slots_[index];
+    }
+
+    /** The index of @p vaddr's slot; panics when unmapped. */
+    std::size_t
+    mappedIndex(Addr vaddr) const
+    {
+        simAssert(slotOf(vaddr) != nullptr,
+                  "unmapped virtual address {:#x}", vaddr);
+        return pageNumber(vaddr) - kHeapBaseVpn;
+    }
+
     void ensureMapped(Addr vaddr, std::uint64_t bytes);
 
     SimMemory& memory_;
+    // pageTable_ holds the mappings (its iteration order is the LLC
+    // warm's); slots_ indexes the same mappings densely from
+    // kHeapBaseVpn, which works because alloc() is a bump allocator and
+    // ensureMapped() is the only caller of PageTable::map.
     PageTable pageTable_;
+    std::vector<PageSlot> slots_;
     FrameAllocator frames_;
     Addr brk_ = kHeapBase;
     mutable Counter pageWalks_;

@@ -155,6 +155,37 @@ TEST(Bst, OverwriteUpdatesValue)
     EXPECT_EQ(t.resultValue, 9999u);
 }
 
+TEST(Bst, DuplicateInsertOverwritesWithoutNewNode)
+{
+    DsFixture f;
+    auto items = f.makeItems(50, 16, 9);
+    SimBst unique(f.vm, items);
+    const std::uint64_t uniqueBytes = f.vm.bytesAllocated();
+
+    DsFixture g;
+    auto withDup = items;
+    withDup.emplace_back(items[17].first, 4242);
+    SimBst bst(g.vm, withDup);
+    // Same nodes, same layout: the duplicate allocated nothing.
+    EXPECT_EQ(g.vm.bytesAllocated(), uniqueBytes);
+    std::size_t count = 0;
+    std::vector<Addr> stack{bst.rootAddr()};
+    while (!stack.empty()) {
+        const Addr node = stack.back();
+        stack.pop_back();
+        if (node == kNullAddr)
+            continue;
+        ++count;
+        stack.push_back(g.vm.read<std::uint64_t>(node + 0));
+        stack.push_back(g.vm.read<std::uint64_t>(node + 8));
+    }
+    EXPECT_EQ(count, items.size());
+    EXPECT_EQ(bst.averageDepth(), unique.averageDepth());
+    const QueryTrace t = bst.query(items[17].first);
+    EXPECT_TRUE(t.found);
+    EXPECT_EQ(t.resultValue, 4242u);
+}
+
 TEST(SkipList, HeaderPublishesForwardBase)
 {
     DsFixture f;
