@@ -10,6 +10,7 @@
 
 #include "common/thread_pool.hh"
 #include "ds/chained_hash.hh"
+#include "mem/hierarchy.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -57,6 +58,38 @@ BM_CacheAccess(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CacheAccess);
+
+void
+BM_LlcAccess(benchmark::State& state)
+{
+    // Random lines over twice the Tab. II LLC (33 MB over 24 11-way
+    // slices): about half miss to DRAM, and each lookup lands in a
+    // random set of all 24 slices' tags (MBs, unlike BM_CacheAccess's
+    // one 1 MB L2), as in a warmed World.
+    MemoryHierarchy hierarchy;
+    const std::uint64_t llcLines =
+        hierarchy.params().llcSlice.sizeBytes / kCacheLineBytes *
+        static_cast<std::uint64_t>(hierarchy.cores());
+    Rng rng(2);
+    Cycles now = 0;
+    for (auto _ : state) {
+        const Addr a = rng.below(2 * llcLines) * kCacheLineBytes;
+        const int tile = static_cast<int>(rng.below(24));
+        benchmark::DoNotOptimize(hierarchy.chaAccess(tile, a, false, now));
+        now += 10;
+    }
+}
+BENCHMARK(BM_LlcAccess);
+
+void
+BM_FlushAllCaches(benchmark::State& state)
+{
+    // Every cache of a Tab. II chip: 24 x (L1D, L2, LLC slice).
+    MemoryHierarchy hierarchy;
+    for (auto _ : state)
+        hierarchy.flushAllCaches();
+}
+BENCHMARK(BM_FlushAllCaches);
 
 void
 BM_VmReadBytes(benchmark::State& state)

@@ -56,8 +56,7 @@ SimCuckooHash::findFree(std::uint64_t bucket) const
 }
 
 bool
-SimCuckooHash::place(const Key& key, std::uint64_t sig, Addr kv,
-                     int depth, Rng& rng)
+SimCuckooHash::place(std::uint64_t sig, Addr kv, int depth, Rng& rng)
 {
     if (depth > 32)
         return false; // give up: table too loaded
@@ -82,9 +81,7 @@ SimCuckooHash::place(const Key& key, std::uint64_t sig, Addr kv,
     const Addr vKv = vm_.read<std::uint64_t>(vAddr + 8);
     vm_.write<std::uint64_t>(vAddr, sig);
     vm_.write<std::uint64_t>(vAddr + 8, kv);
-
-    const Key vKey = loadKey(vm_, vKv + 8, keyLen_);
-    return place(vKey, vSig, vKv, depth + 1, rng);
+    return place(vSig, vKv, depth + 1, rng);
 }
 
 bool
@@ -96,7 +93,7 @@ SimCuckooHash::insert(const Key& key, std::uint64_t value)
     vm_.write<std::uint64_t>(kv, value);
     storeKey(vm_, kv + 8, key);
     Rng rng(sig ^ 0xC0FFEE);
-    if (!place(key, sig, kv, 0, rng))
+    if (!place(sig, kv, 0, rng))
         return false;
     ++size_;
     return true;

@@ -66,8 +66,7 @@ class SimCuckooHash
     std::uint64_t hashOf(const Key& key) const;
     Addr entryAddr(std::uint64_t bucket, int entry) const;
     std::optional<Slot> findFree(std::uint64_t bucket) const;
-    bool place(const Key& key, std::uint64_t sig, Addr kv, int depth,
-               Rng& rng);
+    bool place(std::uint64_t sig, Addr kv, int depth, Rng& rng);
 
     VirtualMemory& vm_;
     Addr headerAddr_ = kNullAddr;

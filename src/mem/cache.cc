@@ -1,5 +1,9 @@
 #include "cache.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 namespace qei {
 
 Cache::Cache(const CacheParams& params)
@@ -12,7 +16,12 @@ Cache::Cache(const CacheParams& params)
     sets_ = static_cast<std::uint32_t>(lines / params_.ways);
     simAssert(isPowerOfTwo(sets_), "{}: set count {} not a power of two",
               params_.name, sets_);
-    lines_.resize(static_cast<std::size_t>(sets_) * params_.ways);
+    setBits_ = static_cast<std::uint32_t>(std::countr_zero(sets_));
+    // Every row starts stale (epoch 0 < epoch_), so no entry is read
+    // before its row's first fill writes it.
+    entries_ = std::make_unique_for_overwrite<std::uint64_t[]>(
+        static_cast<std::size_t>(sets_) * params_.ways);
+    setEpoch_.assign(sets_, 0);
 }
 
 void
@@ -31,120 +40,97 @@ Cache::regStats(StatsRegistry& registry)
 }
 
 std::uint32_t
-Cache::setIndex(Addr paddr) const
+Cache::find(const std::uint64_t* row, Addr tag) const
 {
-    return static_cast<std::uint32_t>((paddr / kCacheLineBytes) &
-                                      (sets_ - 1));
+    std::uint32_t w = 0;
+    while (w < params_.ways && (row[w] >> 1) != tag)
+        ++w;
+    return w;
 }
 
-Addr
-Cache::tagOf(Addr paddr) const
+Cache::Slot
+Cache::locate(Addr paddr) const
 {
-    return (paddr / kCacheLineBytes) / sets_;
+    const Addr line = paddr / kCacheLineBytes;
+    const auto set = static_cast<std::uint32_t>(line & (sets_ - 1));
+    std::uint64_t* row = entries_.get() + std::size_t{set} * params_.ways;
+    if (setEpoch_[set] != epoch_)
+        return {row, params_.ways};
+    return {row, find(row, line >> setBits_)};
 }
 
 bool
 Cache::access(Addr paddr, bool is_write)
 {
-    const std::uint32_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line* base = &lines_[static_cast<std::size_t>(set) * params_.ways];
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = ++useClock_;
-            line.dirty = line.dirty || is_write;
-            hits_.inc();
-            return true;
-        }
+    const auto [row, w] = locate(paddr);
+    if (w == params_.ways) {
+        misses_.inc();
+        return false;
     }
-    misses_.inc();
-    return false;
+    const std::uint64_t entry = row[w] | static_cast<std::uint64_t>(is_write);
+    std::memmove(row + 1, row, w * sizeof(*row));
+    row[0] = entry;
+    hits_.inc();
+    return true;
 }
 
 bool
 Cache::probe(Addr paddr) const
 {
-    const std::uint32_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    const Line* base =
-        &lines_[static_cast<std::size_t>(set) * params_.ways];
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    }
-    return false;
+    return locate(paddr).way != params_.ways;
 }
 
 CacheAccess
 Cache::fill(Addr paddr, bool dirty)
 {
     CacheAccess result;
-    const std::uint32_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line* base = &lines_[static_cast<std::size_t>(set) * params_.ways];
-
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            // Already present (e.g. racing fills); just refresh.
-            line.lastUse = ++useClock_;
-            line.dirty = line.dirty || dirty;
-            result.hit = true;
-            return result;
-        }
+    const Addr line = paddr / kCacheLineBytes;
+    const auto set = static_cast<std::uint32_t>(line & (sets_ - 1));
+    const Addr tag = line >> setBits_;
+    std::uint64_t* row = entries_.get() + std::size_t{set} * params_.ways;
+    if (setEpoch_[set] != epoch_) {
+        setEpoch_[set] = epoch_;
+        std::fill_n(row, params_.ways, kEmpty);
     }
 
-    // Victim choice: prefer an invalid way, else true LRU.
-    Line* victim = nullptr;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line& line = base[w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
-    }
-
-    if (victim->valid) {
-        evictions_.inc();
-        if (victim->dirty) {
-            writebacks_.inc();
-            result.writeback =
-                (victim->tag * sets_ + set) * kCacheLineBytes;
+    // Already present (e.g. racing fills): just refresh, as a hit.
+    std::uint32_t w = find(row, tag);
+    if (w != params_.ways) {
+        result.hit = true;
+        dirty = dirty || (row[w] & 1);
+    } else {
+        // Insert at the MRU end; a full set's LRU entry falls off.
+        w = params_.ways - 1;
+        const std::uint64_t victim = row[w];
+        if (victim != kEmpty) {
+            evictions_.inc();
+            if (victim & 1) {
+                writebacks_.inc();
+                result.writeback =
+                    (((victim >> 1) << setBits_) | set) * kCacheLineBytes;
+            }
         }
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = dirty;
-    victim->lastUse = ++useClock_;
+    std::memmove(row + 1, row, w * sizeof(*row));
+    row[0] = (tag << 1) | static_cast<std::uint64_t>(dirty);
     return result;
 }
 
 void
 Cache::invalidate(Addr paddr)
 {
-    const std::uint32_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line* base = &lines_[static_cast<std::size_t>(set) * params_.ways];
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.valid = false;
-            line.dirty = false;
-            return;
-        }
-    }
+    const auto [row, w] = locate(paddr);
+    if (w == params_.ways)
+        return;
+    std::memmove(row + w, row + w + 1,
+                 (params_.ways - 1 - w) * sizeof(*row));
+    row[params_.ways - 1] = kEmpty;
 }
 
 void
 Cache::flushAll()
 {
-    for (auto& line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-    }
+    ++epoch_;
 }
 
 } // namespace qei

@@ -5,12 +5,20 @@
  * Tag-array only: data always lives in SimMemory (single coherence
  * domain, one writer at a time), so the model tracks presence, dirty
  * bits, and true LRU order per set.
+ *
+ * A set is `ways` packed entries `(tag << 1) | dirty`, ordered from most
+ * to least recently used: valid entries first, kEmpty after them. A hit
+ * moves its entry to the front, a fill inserts there and evicts the
+ * last entry of a full set, so the victim is always the true-LRU line.
+ * flushAll() only advances an epoch: a set last filled in an older
+ * epoch reads as empty and is cleared by its next fill.
  */
 
 #ifndef QEI_MEM_CACHE_HH
 #define QEI_MEM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,21 +102,27 @@ class Cache : public SimObject
     std::uint32_t sets() const { return sets_; }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+    /** Entry of an unused way; no real tag shifts to it. */
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
-    std::uint32_t setIndex(Addr paddr) const;
-    Addr tagOf(Addr paddr) const;
+    /** Way of @p tag in a live @p row, or `ways` if absent. */
+    std::uint32_t find(const std::uint64_t* row, Addr tag) const;
+
+    /** Where a line sits: its set's row and its way in it. */
+    struct Slot
+    {
+        std::uint64_t* row;
+        std::uint32_t way; ///< `ways` if not cached or the row is stale
+    };
+    Slot locate(Addr paddr) const;
 
     CacheParams params_;
     std::uint32_t sets_;
-    std::vector<Line> lines_; ///< sets_ * ways, row-major by set
-    std::uint64_t useClock_ = 0;
+    std::uint32_t setBits_;
+    /** sets_ rows of `ways` entries, MRU first; starts uninitialised. */
+    std::unique_ptr<std::uint64_t[]> entries_;
+    std::vector<std::uint64_t> setEpoch_; ///< epoch of each row's contents
+    std::uint64_t epoch_ = 1;
 
     Counter hits_;
     Counter misses_;

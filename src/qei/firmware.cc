@@ -288,9 +288,10 @@ buildChainedHashNamed(const char* name)
 {
     // Dispatch: R7 = aux0 = bucket mask, R1 = bucket-head array base.
     ProgramBuilder b(name);
-    const std::uint8_t sHash = 0, sMask = 1, sShl = 2, sAdd = 3,
-                       sHead = 4, sCheck = 5, sLine = 6, sCmp = 7,
-                       sFound = 8, sNext = 9, sFail = 10, sOk = 11;
+    // State 0 hashes the key.
+    const std::uint8_t sMask = 1, sShl = 2, sAdd = 3, sHead = 4,
+                       sCheck = 5, sLine = 6, sCmp = 7, sFound = 8,
+                       sNext = 9, sFail = 10, sOk = 11;
 
     MicroInst h = hashKey(kRegT4, "h = hash(key)");
     h.next = sMask;

@@ -129,8 +129,9 @@ TEST(BatchPlanner, NoReorderPreservesPerAccelSubmissionOrder)
     for (const PlannedBatch& b : plan) {
         EXPECT_EQ(b.accel, 0);
         for (std::size_t idx : b.jobIdxs) {
-            if (!first)
+            if (!first) {
                 EXPECT_GT(idx, prev);
+            }
             prev = idx;
             first = false;
         }

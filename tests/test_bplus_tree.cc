@@ -68,8 +68,9 @@ TEST(BPlusTree, ReferenceQueryMatchesMap)
         const QueryTrace t = tree.query(key);
         auto it = reference.find(key);
         ASSERT_EQ(t.found, it != reference.end());
-        if (t.found)
+        if (t.found) {
             EXPECT_EQ(t.resultValue, it->second);
+        }
     }
 }
 

@@ -63,8 +63,9 @@ checkAgainstReference(
         const QueryTrace trace = ds.query(key);
         auto it = reference.find(key);
         ASSERT_EQ(trace.found, it != reference.end());
-        if (trace.found)
+        if (trace.found) {
             EXPECT_EQ(trace.resultValue, it->second);
+        }
         EXPECT_FALSE(trace.touches.empty());
     }
 }

@@ -145,9 +145,10 @@ TEST(ParallelRuns, TraceEventCountsMatchAcrossThreadCounts)
                 << a[w].name << " / " << cell;
             // With QEI_TRACING=OFF the sinks legitimately stay empty;
             // the equality checks above still hold (0 == 0).
-            if (trace::kCompiledIn)
+            if (trace::kCompiledIn) {
                 EXPECT_GT(buf.emitted, 0u)
                     << a[w].name << " / " << cell;
+            }
         }
     }
 }

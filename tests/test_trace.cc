@@ -327,7 +327,7 @@ TEST(Trace, MatrixTraceFilesAreWellFormed)
     ASSERT_EQ(runs.size(), 1u);
     ASSERT_EQ(runs[0].traces.size(), 2u); // baseline + 1 scheme
 
-    for (const std::string file :
+    for (const std::string& file :
          {path, "test_trace_matrix." + runs[0].name + ".baseline.json",
           "test_trace_matrix." + runs[0].name + "." +
               SchemeConfig::coreIntegrated().name() + ".json"}) {

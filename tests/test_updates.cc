@@ -66,8 +66,9 @@ TEST(Updates, InsertOverwriteAndEraseTrackReference)
             const QueryTrace t = h.table->query(k);
             auto it = h.reference.find(k);
             ASSERT_EQ(t.found, it != h.reference.end());
-            if (t.found)
+            if (t.found) {
                 EXPECT_EQ(t.resultValue, it->second);
+            }
         }
     }
     EXPECT_EQ(h.table->size(), h.reference.size());
