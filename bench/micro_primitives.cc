@@ -9,7 +9,9 @@
 #include <benchmark/benchmark.h>
 
 #include "common/thread_pool.hh"
+#include "ds/bst.hh"
 #include "ds/chained_hash.hh"
+#include "ds/trie.hh"
 #include "mem/hierarchy.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
@@ -119,6 +121,76 @@ BM_VmReadBytes(benchmark::State& state)
         static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_VmReadBytes)->Arg(64)->Arg(8);
+
+/**
+ * Host cost of one structure build into a fresh address space, the
+ * set-up a paper workload pays once per World. @p build gets the
+ * address space; its construction and teardown are not timed.
+ */
+template <typename Build>
+void
+timeBuild(benchmark::State& state, Build build)
+{
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto memory = std::make_unique<SimMemory>();
+        auto vm = std::make_unique<VirtualMemory>(*memory);
+        state.ResumeTiming();
+        build(*vm);
+        state.PauseTiming();
+        vm.reset();
+        memory.reset();
+        state.ResumeTiming();
+    }
+}
+
+void
+BM_SimTrieBuild(benchmark::State& state)
+{
+    // Snort's dictionary: 40 K keywords of 4..12 lowercase letters.
+    Rng rng(3);
+    std::vector<std::string> words(40 * 1000);
+    for (auto& word : words) {
+        word.resize(4 + rng.below(9));
+        for (char& c : word)
+            c = static_cast<char>('a' + rng.below(26));
+    }
+    timeBuild(state, [&](VirtualMemory& vm) {
+        SimTrie trie(vm, words);
+        benchmark::DoNotOptimize(trie.rootAddr());
+    });
+}
+BENCHMARK(BM_SimTrieBuild)->Unit(benchmark::kMillisecond);
+
+void
+BM_SimBstBuild(benchmark::State& state)
+{
+    // The JVM object tree: 150 K random 8-byte ids in random order.
+    Rng rng(3);
+    std::vector<std::pair<Key, std::uint64_t>> items;
+    for (std::uint64_t i = 0; i < 150 * 1000; ++i)
+        items.emplace_back(randomKey(rng, 8), i);
+    timeBuild(state, [&](VirtualMemory& vm) {
+        SimBst tree(vm, items);
+        benchmark::DoNotOptimize(tree.rootAddr());
+    });
+}
+BENCHMARK(BM_SimBstBuild)->Unit(benchmark::kMillisecond);
+
+void
+BM_ChainedHashBuild(benchmark::State& state)
+{
+    // One FLANN LSH table: 30 K 20-byte projected keys, 8192 buckets.
+    Rng rng(3);
+    std::vector<std::pair<Key, std::uint64_t>> items;
+    for (std::uint64_t i = 0; i < 30 * 1000; ++i)
+        items.emplace_back(randomKey(rng, 20), i);
+    timeBuild(state, [&](VirtualMemory& vm) {
+        SimChainedHash table(vm, items, 8192, HashFunction::Fnv1a);
+        benchmark::DoNotOptimize(table.headerAddr());
+    });
+}
+BENCHMARK(BM_ChainedHashBuild)->Unit(benchmark::kMillisecond);
 
 void
 BM_TlbLookup(benchmark::State& state)

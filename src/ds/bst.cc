@@ -1,5 +1,8 @@
 #include "bst.hh"
 
+#include <algorithm>
+#include <cstring>
+
 namespace qei {
 
 SimBst::SimBst(VirtualMemory& vm,
@@ -10,11 +13,104 @@ SimBst::SimBst(VirtualMemory& vm,
     keyLen_ = static_cast<std::uint32_t>(items.front().first.size());
     size_ = items.size();
 
-    std::vector<std::uint8_t> scratch;
-    for (const auto& [key, value] : items) {
+    // Inserting the items in order without rebalancing builds the
+    // Cartesian tree of the distinct keys: a search tree on the key
+    // and a min-heap on the index of the key's first item. So sort the
+    // items by (key, index) and build that tree with a stack instead
+    // of walking one path per insert. A sort entry carries the key's
+    // first 8 bytes big-endian, so most compares are one integer
+    // compare.
+    struct Entry
+    {
+        std::uint64_t prefix;
+        std::uint32_t item;
+    };
+    auto tail = [&](const Entry& e) {
+        return items[e.item].first.data() + 8;
+    };
+    auto keyOrder = [&](const Entry& a, const Entry& b) {
+        if (a.prefix != b.prefix)
+            return a.prefix < b.prefix ? -1 : 1;
+        return keyLen_ > 8 ? std::memcmp(tail(a), tail(b), keyLen_ - 8)
+                           : 0;
+    };
+    std::vector<Entry> sorted(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const Key& key = items[i].first;
         simAssert(key.size() == keyLen_, "inconsistent key length");
-        insert(key, value, scratch);
+        std::uint64_t prefix = 0;
+        for (std::size_t b = 0; b < 8; ++b)
+            prefix = (prefix << 8) | (b < keyLen_ ? key[b] : 0);
+        sorted[i] = {prefix, static_cast<std::uint32_t>(i)};
     }
+    std::sort(sorted.begin(), sorted.end(),
+              [&](const Entry& a, const Entry& b) {
+                  const int c = keyOrder(a, b);
+                  return c != 0 ? c < 0 : a.item < b.item;
+              });
+
+    // One node per distinct key, in key order: its first item places
+    // it, its last item's value wins (a repeated key overwrites).
+    constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    struct Node
+    {
+        std::uint32_t first;
+        std::uint32_t last;
+        std::uint32_t left = kNone;
+        std::uint32_t right = kNone;
+    };
+    std::vector<Node> nodes;
+    nodes.reserve(items.size());
+    for (std::size_t k = 0; k < sorted.size(); ++k) {
+        if (k > 0 && keyOrder(sorted[k - 1], sorted[k]) == 0)
+            nodes.back().last = sorted[k].item;
+        else
+            nodes.push_back({sorted[k].item, sorted[k].item});
+    }
+    std::vector<std::uint32_t> spine; // the rightmost path, root first
+    for (std::uint32_t d = 0; d < nodes.size(); ++d) {
+        std::uint32_t below = kNone;
+        while (!spine.empty() &&
+               nodes[spine.back()].first > nodes[d].first) {
+            below = spine.back();
+            spine.pop_back();
+        }
+        nodes[d].left = below;
+        if (!spine.empty())
+            nodes[spine.back()].right = d;
+        spine.push_back(d);
+    }
+
+    // Allocate in insertion order of the distinct keys, then write
+    // each node once: [left][right][value][key], no padding.
+    const std::uint64_t nodeBytes = 24 + pad8(keyLen_);
+    // Line-align nodes that fit a cacheline (single staged fetch).
+    const std::uint64_t align =
+        nodeBytes <= kCacheLineBytes ? kCacheLineBytes : 8;
+    std::vector<std::uint32_t> firstOf(items.size(), kNone);
+    for (std::uint32_t d = 0; d < nodes.size(); ++d)
+        firstOf[nodes[d].first] = d;
+    std::vector<Addr> addrs(nodes.size());
+    for (const std::uint32_t d : firstOf) {
+        if (d != kNone)
+            addrs[d] = vm_.alloc(nodeBytes, align);
+    }
+    auto addrOf = [&](std::uint32_t d) {
+        return d == kNone ? kNullAddr : addrs[d];
+    };
+    std::vector<std::uint8_t> image(24 + keyLen_);
+    for (const std::uint32_t d : firstOf) {
+        if (d == kNone)
+            continue;
+        const Node& node = nodes[d];
+        const Addr fields[3] = {addrOf(node.left), addrOf(node.right),
+                                items[node.last].second};
+        std::memcpy(image.data(), fields, sizeof(fields));
+        std::memcpy(image.data() + 24, items[node.first].first.data(),
+                    keyLen_);
+        vm_.writeBytes(addrs[d], image.data(), image.size());
+    }
+    root_ = addrs[spine.front()];
 
     headerAddr_ = vm_.allocLines(kCacheLineBytes);
     StructHeader h;
@@ -24,41 +120,6 @@ SimBst::SimBst(VirtualMemory& vm,
     h.flags = kFlagInlineKey | kFlagRemoteCompareOk;
     h.size = size_;
     h.writeTo(vm_, headerAddr_);
-}
-
-void
-SimBst::insert(const Key& key, std::uint64_t value,
-               std::vector<std::uint8_t>& scratch)
-{
-    // Walk down to the null link the key belongs at; kNullAddr stands
-    // for root_.
-    Addr link = kNullAddr;
-    for (Addr node = root_; node != kNullAddr;
-         node = vm_.read<std::uint64_t>(link)) {
-        const std::uint8_t* stored =
-            vm_.spanOrCopy(node + 24, keyLen_, scratch);
-        const int c = std::memcmp(stored, key.data(), keyLen_);
-        if (c == 0) {
-            vm_.write<std::uint64_t>(node + 16, value); // overwrite
-            return;
-        }
-        // stored < key: go right.
-        link = node + (c < 0 ? 8 : 0);
-    }
-
-    const std::uint64_t nodeBytes = 24 + pad8(keyLen_);
-    // Line-align nodes that fit a cacheline (single staged fetch).
-    const std::uint64_t align =
-        nodeBytes <= kCacheLineBytes ? kCacheLineBytes : 8;
-    const Addr fresh = vm_.alloc(nodeBytes, align);
-    vm_.write<std::uint64_t>(fresh + 0, kNullAddr);
-    vm_.write<std::uint64_t>(fresh + 8, kNullAddr);
-    vm_.write<std::uint64_t>(fresh + 16, value);
-    storeKey(vm_, fresh + 24, key);
-    if (link == kNullAddr)
-        root_ = fresh;
-    else
-        vm_.write<std::uint64_t>(link, fresh);
 }
 
 QueryTrace

@@ -4,6 +4,13 @@
  * workload of the paper (JVM garbage-collection object tree).
  *
  * Node layout: [left 8][right 8][value 8][key keyLen].
+ *
+ * The builder shapes the tree on the host: the BST that inserting
+ * the items in order builds is the Cartesian tree of the distinct keys
+ * (search order on the key, heap order on first insertion), so it
+ * sorts the items and links them with a stack. Nodes are allocated in
+ * first-insertion order, as one-by-one inserts allocate them, and each
+ * is written once.
  */
 
 #ifndef QEI_DS_BST_HH
@@ -23,7 +30,10 @@ namespace qei {
 class SimBst
 {
   public:
-    /** Insert @p items in the given order (no rebalancing). */
+    /**
+     * Insert @p items in the given order (no rebalancing); a repeated
+     * key overwrites its node's value.
+     */
     SimBst(VirtualMemory& vm,
            const std::vector<std::pair<Key, std::uint64_t>>& items);
 
@@ -41,9 +51,6 @@ class SimBst
     double averageDepth() const;
 
   private:
-    /** Insert or overwrite @p key; @p scratch is a reusable key buffer. */
-    void insert(const Key& key, std::uint64_t value,
-                std::vector<std::uint8_t>& scratch);
     void accumulateDepth(Addr node, std::uint64_t depth,
                          std::uint64_t& total,
                          std::uint64_t& count) const;

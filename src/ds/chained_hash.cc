@@ -16,23 +16,27 @@ SimChainedHash::SimChainedHash(
     size_ = items.size();
 
     table_ = vm_.allocLines(bucket_count * 8);
-    for (std::size_t i = 0; i < bucket_count; ++i)
-        vm_.write<std::uint64_t>(table_ + i * 8, kNullAddr);
 
     const std::uint64_t nodeBytes = 16 + pad8(keyLen_);
     // Line-align chain nodes that fit a cacheline.
     const std::uint64_t align =
         nodeBytes <= kCacheLineBytes ? kCacheLineBytes : 8;
+    // Each item is prepended to its bucket's chain: the bucket heads
+    // live on the host, each node is written once ([next][value][key])
+    // and the bucket array once, after the last item.
+    std::vector<Addr> heads(bucket_count, kNullAddr);
+    std::vector<std::uint8_t> image(16 + keyLen_);
     for (const auto& [key, value] : items) {
         simAssert(key.size() == keyLen_, "inconsistent key length");
-        const std::uint64_t b = bucketOf(key);
-        const Addr head = vm_.read<std::uint64_t>(table_ + b * 8);
+        Addr& head = heads[bucketOf(key)];
         const Addr node = vm_.alloc(nodeBytes, align);
-        vm_.write<std::uint64_t>(node + 0, head);
-        vm_.write<std::uint64_t>(node + 8, value);
-        storeKey(vm_, node + 16, key);
-        vm_.write<std::uint64_t>(table_ + b * 8, node);
+        const std::uint64_t fields[2] = {head, value};
+        std::memcpy(image.data(), fields, sizeof(fields));
+        std::memcpy(image.data() + 16, key.data(), keyLen_);
+        vm_.writeBytes(node, image.data(), image.size());
+        head = node;
     }
+    vm_.writeBytes(table_, heads.data(), bucket_count * 8);
 
     headerAddr_ = vm_.allocLines(kCacheLineBytes);
     StructHeader h;

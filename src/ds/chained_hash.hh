@@ -7,6 +7,10 @@
  * Layout: root -> array of bucket-head pointers (2^n buckets, mask in
  * header.aux0); chain nodes use the linked-list layout
  * [next 8][value 8][key keyLen].
+ *
+ * The builder keeps the bucket heads on the host while it prepends
+ * each item to its chain (one write per node, in item order), then
+ * writes the bucket array once.
  */
 
 #ifndef QEI_DS_CHAINED_HASH_HH

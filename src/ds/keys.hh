@@ -40,6 +40,19 @@ compareKeys(const Key& a, const Key& b)
     return std::memcmp(a.data(), b.data(), a.size());
 }
 
+/**
+ * compareKeys as a strict weak order, for ordered containers of
+ * equal-length keys (std::map<Key, V, KeyLess>).
+ */
+struct KeyLess
+{
+    bool
+    operator()(const Key& a, const Key& b) const
+    {
+        return compareKeys(a, b) < 0;
+    }
+};
+
 /** Write a key into simulated memory at @p vaddr. */
 inline void
 storeKey(VirtualMemory& vm, Addr vaddr, const Key& key)

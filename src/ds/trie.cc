@@ -1,103 +1,154 @@
 #include "trie.hh"
 
+#include <algorithm>
 #include <cstring>
-#include <deque>
+#include <string_view>
 
 namespace qei {
+
+namespace {
+
+/** Copy @p value's bytes to @p out (the node image is unaligned). */
+template <typename T>
+void
+put(std::uint8_t* out, T value)
+{
+    std::memcpy(out, &value, sizeof(T));
+}
+
+} // namespace
 
 SimTrie::SimTrie(VirtualMemory& vm,
                  const std::vector<std::string>& keywords)
     : vm_(vm), keywordCount_(keywords.size())
 {
-    auto root = std::make_unique<BuildNode>();
-
-    // Phase 1: trie of keywords.
-    for (const auto& word : keywords) {
+    // Phase 1: trie of keywords, node 0 the root. Inserting in sorted
+    // order (std::string order is unsigned-byte order) creates every
+    // node after its siblings, so each node's children come out in
+    // byte order. path[d] is the previous keyword's node at depth d.
+    std::vector<std::string_view> sorted(keywords.begin(),
+                                         keywords.end());
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint32_t> parent{0};
+    std::vector<std::uint8_t> byte{0};
+    std::vector<std::uint32_t> own{0}; // keywords ending at the node
+    std::vector<std::uint32_t> path{0};
+    std::string_view prev;
+    for (const std::string_view word : sorted) {
         simAssert(!word.empty(), "empty keyword");
-        BuildNode* node = root.get();
-        for (char ch : word) {
-            const auto byte = static_cast<std::uint8_t>(ch);
-            auto& child = node->children[byte];
-            if (!child)
-                child = std::make_unique<BuildNode>();
-            node = child.get();
+        const std::size_t shared = static_cast<std::size_t>(
+            std::mismatch(word.begin(), word.end(), prev.begin(),
+                          prev.end())
+                .first -
+            word.begin());
+        path.resize(shared + 1);
+        for (std::size_t d = shared; d < word.size(); ++d) {
+            path.push_back(static_cast<std::uint32_t>(parent.size()));
+            parent.push_back(path[d]);
+            byte.push_back(static_cast<std::uint8_t>(word[d]));
+            own.push_back(0);
         }
-        ++node->outputs;
+        ++own[path.back()];
+        prev = word;
     }
+    const std::size_t n = parent.size();
+
+    // Edges grouped by parent (a stable count sort keeps each group in
+    // creation order, which is byte order): node v's children are
+    // child[first[v] .. first[v + 1]).
+    std::vector<std::uint32_t> first(n + 1, 0);
+    for (std::size_t v = 1; v < n; ++v)
+        ++first[parent[v] + 1];
+    for (std::size_t v = 0; v < n; ++v)
+        first[v + 1] += first[v];
+    std::vector<std::uint32_t> child(first[n]);
+    std::vector<std::uint8_t> edgeByte(first[n]);
+    {
+        std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+        for (std::size_t v = 1; v < n; ++v) {
+            const std::uint32_t e = next[parent[v]]++;
+            child[e] = static_cast<std::uint32_t>(v);
+            edgeByte[e] = byte[v];
+        }
+    }
+    constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    auto childOf = [&](std::uint32_t v, std::uint8_t b) {
+        const auto begin = edgeByte.begin() + first[v];
+        const auto end = edgeByte.begin() + first[v + 1];
+        const auto it = std::lower_bound(begin, end, b);
+        return it != end && *it == b
+                   ? child[static_cast<std::size_t>(
+                         it - edgeByte.begin())]
+                   : kNone;
+    };
 
     // Phase 2: BFS failure links; accumulate output counts through the
     // fail chain so matching only reads the landing node.
-    std::deque<BuildNode*> queue;
-    root->fail = root.get();
-    for (auto& [byte, child] : root->children) {
-        (void)byte;
-        child->fail = root.get();
-        queue.push_back(child.get());
-    }
-    while (!queue.empty()) {
-        BuildNode* node = queue.front();
-        queue.pop_front();
-        node->outputs = static_cast<std::uint16_t>(
-            node->outputs + node->fail->outputs);
-        for (auto& [byte, child] : node->children) {
-            BuildNode* f = node->fail;
-            while (f != root.get() && !f->children.contains(byte))
-                f = f->fail;
-            auto it = f->children.find(byte);
-            child->fail = (it != f->children.end() &&
-                           it->second.get() != child.get())
-                              ? it->second.get()
-                              : root.get();
-            queue.push_back(child.get());
+    std::vector<std::uint32_t> order{0}; // BFS order, the layout's
+    order.reserve(n);
+    std::vector<std::uint32_t> fail(n, 0);
+    std::vector<std::uint16_t> outputs(n, 0);
+    for (std::size_t head = 0; head < order.size(); ++head) {
+        const std::uint32_t v = order[head];
+        if (v != 0) {
+            const std::uint32_t total = own[v] + outputs[fail[v]];
+            simAssert(total <= 0xFFFF,
+                      "{} keywords end at one trie node, over the "
+                      "16-bit output count",
+                      total);
+            outputs[v] = static_cast<std::uint16_t>(total);
+        }
+        for (std::uint32_t e = first[v]; e < first[v + 1]; ++e) {
+            std::uint32_t f = fail[v];
+            std::uint32_t target = kNone;
+            if (v != 0) {
+                while ((target = childOf(f, edgeByte[e])) == kNone &&
+                       f != 0)
+                    f = fail[f];
+            }
+            fail[child[e]] = target == kNone ? 0 : target;
+            order.push_back(child[e]);
         }
     }
 
-    // Phase 3: allocate every node, then fill (fail links may point
-    // forward in BFS order).
-    std::deque<BuildNode*> order;
-    std::deque<BuildNode*> walk{root.get()};
-    while (!walk.empty()) {
-        BuildNode* node = walk.front();
-        walk.pop_front();
-        order.push_back(node);
-        const std::uint64_t bytes =
-            16 + node->children.size() * 8ULL;
-        node->addr = vm_.alloc(bytes, 8);
-        ++nodeCount_;
-        for (auto& [byte, child] : node->children) {
-            (void)byte;
-            walk.push_back(child.get());
+    // Phase 3: lay the nodes out in BFS order. Every node is a
+    // multiple of 8 bytes, so one 8-aligned allocation hands out the
+    // addresses per-node allocations would; fill one image and write
+    // it once.
+    std::vector<Addr> offset(n);
+    std::uint64_t bytes = 0;
+    for (const std::uint32_t v : order) {
+        offset[v] = bytes;
+        bytes += 16 + 8ULL * (first[v + 1] - first[v]);
+    }
+    const Addr base = vm_.alloc(bytes, 8);
+    // Bit 55 flags "child has outputs": the CFA then reads the output
+    // count only on flagged descents instead of touching every child's
+    // header.
+    simAssert(base + bytes <= (1ULL << 55),
+              "node address overflows the entry encoding");
+    std::vector<std::uint8_t> image(bytes);
+    for (const std::uint32_t v : order) {
+        std::uint8_t* out = image.data() + offset[v];
+        put<std::uint16_t>(out + 0, static_cast<std::uint16_t>(
+                                        first[v + 1] - first[v]));
+        put<std::uint16_t>(out + 2, outputs[v]);
+        put<std::uint64_t>(out + 8, base + offset[fail[v]]);
+        out += 16;
+        for (std::uint32_t e = first[v]; e < first[v + 1]; ++e) {
+            const std::uint32_t c = child[e];
+            std::uint64_t entry =
+                (base + offset[c]) |
+                (static_cast<std::uint64_t>(edgeByte[e]) << 56);
+            if (outputs[c] > 0)
+                entry |= 1ULL << 55;
+            put<std::uint64_t>(out, entry);
+            out += 8;
         }
     }
-    for (BuildNode* node : order)
-        serialise(*node);
-    root_ = root->addr;
-}
-
-Addr
-SimTrie::serialise(BuildNode& node)
-{
-    vm_.write<std::uint16_t>(
-        node.addr + 0,
-        static_cast<std::uint16_t>(node.children.size()));
-    vm_.write<std::uint16_t>(node.addr + 2, node.outputs);
-    vm_.write<std::uint32_t>(node.addr + 4, 0);
-    vm_.write<std::uint64_t>(node.addr + 8, node.fail->addr);
-    std::size_t i = 0;
-    for (const auto& [byte, child] : node.children) {
-        // Bit 55 flags "child has outputs": the CFA then reads the
-        // output count only on flagged descents instead of touching
-        // every child's header.
-        simAssert(child->addr < (1ULL << 55),
-                  "node address overflows the entry encoding");
-        std::uint64_t entry =
-            child->addr | (static_cast<std::uint64_t>(byte) << 56);
-        if (child->outputs > 0)
-            entry |= 1ULL << 55;
-        vm_.write<std::uint64_t>(node.addr + 16 + i * 8, entry);
-        ++i;
-    }
-    return node.addr;
+    vm_.writeBytes(base, image.data(), bytes);
+    root_ = base;
+    nodeCount_ = n;
 }
 
 Addr

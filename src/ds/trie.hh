@@ -7,14 +7,17 @@
  * Node layout:
  *   [childCount 2][outputCount 2][pad 4][fail 8]
  *   [entries childCount x 8: child | byte << 56], entries sorted.
+ *
+ * The builder works on the host: it inserts the keywords in sorted
+ * order into flat per-node arrays (children grouped by parent, already
+ * in byte order), links failures breadth first, lays the nodes out in
+ * BFS order and writes the whole automaton with one writeBytes.
  */
 
 #ifndef QEI_DS_TRIE_HH
 #define QEI_DS_TRIE_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,7 +32,11 @@ namespace qei {
 class SimTrie
 {
   public:
-    /** Build the automaton for @p keywords (fail links via BFS). */
+    /**
+     * Build the automaton for @p keywords (fail links via BFS). Panics
+     * when a node's output count, its own keywords plus those reached
+     * through its fail chain, exceeds the 16-bit field.
+     */
     SimTrie(VirtualMemory& vm,
             const std::vector<std::string>& keywords);
 
@@ -54,16 +61,6 @@ class SimTrie
     Addr stageInput(const std::vector<std::uint8_t>& input);
 
   private:
-    struct BuildNode
-    {
-        std::map<std::uint8_t, std::unique_ptr<BuildNode>> children;
-        BuildNode* fail = nullptr;
-        std::uint16_t outputs = 0; ///< keywords ending here (+via fail)
-        Addr addr = kNullAddr;
-    };
-
-    Addr serialise(BuildNode& node);
-
     VirtualMemory& vm_;
     Addr root_ = kNullAddr;
     std::size_t nodeCount_ = 0;

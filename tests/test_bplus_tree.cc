@@ -16,7 +16,7 @@ namespace {
 std::vector<std::pair<Key, std::uint64_t>>
 makeItems(Rng& rng, std::size_t n, std::size_t key_len)
 {
-    std::map<Key, std::uint64_t> unique;
+    std::map<Key, std::uint64_t, KeyLess> unique;
     while (unique.size() < n)
         unique[randomKey(rng, key_len)] = 0;
     std::vector<std::pair<Key, std::uint64_t>> items;
@@ -60,7 +60,8 @@ TEST(BPlusTree, ReferenceQueryMatchesMap)
     Rng rng(6);
     auto items = makeItems(rng, 700, 24);
     SimBPlusTree tree(world.vm, items);
-    std::map<Key, std::uint64_t> reference(items.begin(), items.end());
+    std::map<Key, std::uint64_t, KeyLess> reference(items.begin(),
+                                                    items.end());
     for (int q = 0; q < 300; ++q) {
         const Key key = q % 3 == 0
                             ? randomKey(rng, 24)

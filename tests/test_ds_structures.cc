@@ -27,7 +27,7 @@ struct DsFixture
     makeItems(std::size_t n, std::size_t key_len, std::uint64_t seed)
     {
         Rng rng(seed);
-        std::map<Key, std::uint64_t> unique;
+        std::map<Key, std::uint64_t, KeyLess> unique;
         while (unique.size() < n)
             unique[randomKey(rng, key_len)] = 0;
         std::vector<std::pair<Key, std::uint64_t>> items;
@@ -54,7 +54,8 @@ checkAgainstReference(
     Ds& ds, const std::vector<std::pair<Key, std::uint64_t>>& items,
     std::size_t key_len, std::uint64_t seed)
 {
-    std::map<Key, std::uint64_t> reference(items.begin(), items.end());
+    std::map<Key, std::uint64_t, KeyLess> reference(items.begin(),
+                                                    items.end());
     Rng rng(seed);
     for (int q = 0; q < 200; ++q) {
         const Key key = q % 3 == 0
@@ -291,6 +292,42 @@ TEST(Trie, NodeCountGrowsWithDictionary)
     SimTrie small(f.vm, {"a"});
     SimTrie big(f.vm, {"abcdef", "abcxyz", "qrstuv"});
     EXPECT_GT(big.nodeCount(), small.nodeCount());
+}
+
+TEST(Trie, OutputCountOverflowPanics)
+{
+    // 65,536 copies of one keyword end at one node: one more than the
+    // 16-bit output count holds.
+    const std::vector<std::string> words(65536, "dup");
+    EXPECT_DEATH(
+        {
+            DsFixture f;
+            SimTrie trie(f.vm, words);
+        },
+        "16-bit output count");
+}
+
+TEST(Trie, OutputCountThroughFailChainPanics)
+{
+    // "b" ends 40,000 keywords itself and "ab" 30,000; "ab"'s fail link
+    // is "b", so its count would be 70,000.
+    std::vector<std::string> words(40000, "b");
+    words.insert(words.end(), 30000, "ab");
+    EXPECT_DEATH(
+        {
+            DsFixture f;
+            SimTrie trie(f.vm, words);
+        },
+        "70000 keywords end at one trie node");
+}
+
+TEST(Trie, OutputCountAtLimitBuilds)
+{
+    DsFixture f;
+    const std::vector<std::string> words(65535, "dup");
+    SimTrie trie(f.vm, words);
+    std::vector<std::uint8_t> input{'d', 'u', 'p'};
+    EXPECT_EQ(trie.match(input).resultValue, 65535u);
 }
 
 TEST(TupleSpace, ClassifiesAcrossTuples)

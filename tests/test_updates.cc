@@ -40,7 +40,7 @@ struct UpdateHarness
     Rng rng;
     std::unique_ptr<SimChainedHash> table;
     std::vector<Key> universe;
-    std::map<Key, std::uint64_t> reference;
+    std::map<Key, std::uint64_t, KeyLess> reference;
 };
 
 } // namespace
