@@ -9,10 +9,21 @@ This script drops those, compares the rest exactly, prints the first
 differing dotted paths, and exits 1 on any difference (2 on bad
 usage or unreadable input).
 
+With --digest, it instead prints a JSON object that maps each
+artifact's file name to the sha256 of its host-stripped content, keys
+sorted, so one artifact set can be checked against a committed golden
+file (perf/golden.json) with diff:
+
+  scripts/diff_artifacts.py --digest BENCH_out/BENCH_*.json > golden.json
+  diff -u perf/golden.json golden.json
+
 Usage: scripts/diff_artifacts.py A.json B.json
+       scripts/diff_artifacts.py --digest A.json [B.json ...]
 """
 
+import hashlib
 import json
+import os
 import sys
 
 HOST_ANYWHERE = {"host_wall_ms"}
@@ -68,9 +79,32 @@ def load(path):
         sys.exit(2)
 
 
+def digest(doc):
+    """sha256 of ``doc`` without its host fields, in canonical form."""
+    canonical = json.dumps(strip(doc, top=True), sort_keys=True,
+                           separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def digests(paths):
+    """{file name: digest} of every artifact; exits 2 on a name clash."""
+    out = {}
+    for path in paths:
+        name = os.path.basename(path)
+        if name in out:
+            print(f"error: two artifacts named {name}", file=sys.stderr)
+            sys.exit(2)
+        out[name] = digest(load(path))
+    return out
+
+
 def main(argv):
-    if len(argv) != 2:
-        print("usage: scripts/diff_artifacts.py A.json B.json",
+    if argv[:1] == ["--digest"] and len(argv) > 1:
+        print(json.dumps(digests(argv[1:]), indent=2, sort_keys=True))
+        return 0
+    if len(argv) != 2 or "--digest" in argv:
+        print("usage: scripts/diff_artifacts.py A.json B.json\n"
+              "       scripts/diff_artifacts.py --digest A.json...",
               file=sys.stderr)
         return 2
     a, b = argv

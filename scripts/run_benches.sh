@@ -123,7 +123,7 @@ if [ -n "$faults" ]; then
         --json "$out_dir/BENCH_FAULT_abl_fault.json" || status=1
     # Only the Fig. 9 view is gated: the Fig. 7 and Fig. 12 snort
     # bands FAIL under the default mix because software-recovery
-    # re-runs overlap in time (ROADMAP.md item 8).
+    # re-runs overlap in time (ROADMAP.md item 2a).
     rm -f "$out_dir/BENCH_FAULT_fig07_speedup".*.json
     "$build_dir/bench/fig07_speedup" --threads "$threads" \
         --faults "$fault_spec" \

@@ -15,7 +15,7 @@
  *
  * Counters and formulas serialize as bare numbers; scalars and
  * histograms as records. snapshot()/diff support dump-over-dump
- * perf-trajectory comparisons (the BENCH_*.json artifacts), and
+ * comparisons (the BENCH_*.json artifacts), and
  * StatsRegistry::resetAll() handles reset-between-ROIs.
  */
 

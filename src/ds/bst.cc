@@ -11,7 +11,6 @@ SimBst::SimBst(VirtualMemory& vm,
 {
     simAssert(!items.empty(), "empty BST");
     keyLen_ = static_cast<std::uint32_t>(items.front().first.size());
-    size_ = items.size();
 
     // Inserting the items in order without rebalancing builds the
     // Cartesian tree of the distinct keys: a search tree on the key
@@ -67,6 +66,7 @@ SimBst::SimBst(VirtualMemory& vm,
         else
             nodes.push_back({sorted[k].item, sorted[k].item});
     }
+    size_ = nodes.size();
     std::vector<std::uint32_t> spine; // the rightmost path, root first
     for (std::uint32_t d = 0; d < nodes.size(); ++d) {
         std::uint32_t below = kNone;

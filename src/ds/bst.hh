@@ -40,6 +40,7 @@ class SimBst
     Addr headerAddr() const { return headerAddr_; }
     Addr rootAddr() const { return root_; }
     std::uint32_t keyLen() const { return keyLen_; }
+    /** Number of distinct keys (nodes). */
     std::size_t size() const { return size_; }
 
     /** Software reference search with baseline trace. */

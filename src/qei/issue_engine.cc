@@ -312,7 +312,7 @@ IssueEngine::tryIssue(Lane& lane, int tenant, bool allow_borrow)
                                           : 0u);
     lane.fetchTime =
         std::max(lane.fetchTime, static_cast<double>(events_.now()));
-    // Store-like units pass 0 mispredicts (ROADMAP item 5).
+    // Store-like units pass 0 mispredicts (ROADMAP item 2c).
     lane.fetchTime += issueGap(
         instr, storeLike() ? 0 : profile_.nonQueryMispredictsPerOp);
     stats_.coreInstructions += instr;

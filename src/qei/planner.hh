@@ -6,8 +6,8 @@
  * serves which key-space class.
  *
  * The paper evaluates one fixed integration scheme per experiment; a
- * cloud deployment has to *choose* (ROADMAP item 4). The planner makes
- * that choice from a calibrated CostModel: mean cycles-per-query of
+ * cloud deployment has to *choose*. The planner makes that choice
+ * from a calibrated CostModel: mean cycles-per-query of
  * the software walk and of each accelerator family, fitted offline
  * from the fig07 speedup artifact by tools/qei-calibrate and committed
  * as perf/cost_model.json. See docs/planner.md for the full story.
