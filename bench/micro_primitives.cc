@@ -13,6 +13,7 @@
 #include "ds/chained_hash.hh"
 #include "ds/trie.hh"
 #include "mem/hierarchy.hh"
+#include "qei/line_stage.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -252,9 +253,10 @@ BENCHMARK(BM_EventQueueChurn);
 void
 BM_EventQueueSchedule(benchmark::State& state)
 {
-    // Pure scheduling cost: push events without draining. Measures
-    // the move-only EventFn path (no per-event std::function heap
-    // allocation for small captures).
+    // Scheduling cost without a drain: each iteration pushes
+    // range(0) events, building each small-capture EventFn in its
+    // slab slot and sifting its key up the heap, then reset()
+    // destroys them all (no per-event heap allocation).
     EventQueue q;
     q.reserve(static_cast<std::size_t>(state.range(0)));
     int sink = 0;
@@ -295,6 +297,68 @@ BM_EventQueueRunDrain(benchmark::State& state)
         state.range(0) * 2);
 }
 BENCHMARK(BM_EventQueueRunDrain)->Arg(1000)->Arg(10000);
+
+void
+BM_EventQueueRunDrainDeep(benchmark::State& state)
+{
+    // RunDrain on a deep heap: range(0) events pending at once, spread
+    // over 64 K cycles at all four priorities (an open-loop run's
+    // pre-scheduled arrivals), each rescheduling once as it fires.
+    static constexpr EventPriority kPrios[] = {
+        EventPriority::MemoryResponse, EventPriority::Default,
+        EventPriority::CfaTick, EventPriority::Stats};
+    const auto n = static_cast<std::size_t>(state.range(0));
+    std::vector<Cycles> delays(n);
+    Rng rng(3);
+    for (Cycles& d : delays)
+        d = rng.below(1 << 16);
+    EventQueue q;
+    q.reserve(n);
+    for (auto _ : state) {
+        q.reset();
+        int sink = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            q.schedule(delays[i], [&q, &sink, i] {
+                q.schedule(static_cast<Cycles>(i % 7),
+                           [&sink] { ++sink; }, kPrios[(i + 1) % 4]);
+            }, kPrios[i % 4]);
+        }
+        q.run();
+        benchmark::DoNotOptimize(sink);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        state.range(0) * 2);
+}
+BENCHMARK(BM_EventQueueRunDrainDeep)->Arg(100000);
+
+void
+BM_LineStageProbe(benchmark::State& state)
+{
+    // A batch's line-staging buffer as fetchSpan drives it: probe each
+    // fetched line, stage it on a miss (dropping all 256 when full).
+    // Lines come from 1024 distinct addresses, so it both hits and
+    // overflows.
+    std::vector<Addr> lines(4096);
+    Rng rng(4);
+    for (Addr& line : lines)
+        line = rng.below(1024) * kCacheLineBytes;
+    LineStage stage;
+    std::uint64_t hits = 0;
+    for (auto _ : state) {
+        for (const Addr line : lines) {
+            if (stage.find(line) != nullptr)
+                ++hits;
+            else
+                stage.stage(line, line);
+        }
+    }
+    benchmark::DoNotOptimize(hits);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(lines.size()));
+}
+BENCHMARK(BM_LineStageProbe);
 
 void
 BM_ThreadPoolDispatch(benchmark::State& state)

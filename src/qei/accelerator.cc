@@ -154,8 +154,11 @@ Accelerator::enqueueBatch(std::vector<BatchMember> members,
     std::size_t idx = 0;
     while (idx < batches_.size() && batches_[idx] != nullptr)
         ++idx;
-    if (idx == batches_.size())
+    if (idx == batches_.size()) {
         batches_.emplace_back();
+        lineStages_.emplace_back();
+    }
+    lineStages_[idx].clear();
     auto ctx = std::make_unique<BatchCtx>();
     ctx->id = static_cast<int>(idx);
     ctx->base = base;
@@ -412,11 +415,13 @@ Accelerator::executeHeaderFetch(int id)
     Cycles latency = 0;
     bool headerStaged = false;
     if (batch != nullptr) {
-        const auto it = batch->headers.find(entry.headerAddr);
-        if (it != batch->headers.end()) {
-            latency = it->second > now ? it->second - now : 1;
+        for (const auto& [addr, landed] : batch->headers) {
+            if (addr != entry.headerAddr)
+                continue;
+            latency = landed > now ? landed - now : 1;
             batchHeaderHits_.inc();
             headerStaged = true;
+            break;
         }
     }
     if (!headerStaged) {
@@ -429,7 +434,7 @@ Accelerator::executeHeaderFetch(int id)
         latency = xlat.latency +
                   dataAccess(xlat.paddr, false, now + xlat.latency);
         if (batch != nullptr)
-            batch->headers.emplace(entry.headerAddr, now + latency);
+            batch->headers.emplace_back(entry.headerAddr, now + latency);
     }
 
     entry.header = StructHeader::readFrom(env_.vm, entry.headerAddr);
@@ -514,23 +519,25 @@ Accelerator::fetchSpan(QstEntry& entry, Addr vaddr,
                        std::uint64_t bytes, Cycles start)
 {
     BatchCtx* batch = batchCtx(entry);
-    const bool coalesce = batch != nullptr && batch->lineMode == 1;
+    // The batch's staged lines, when its traversal coalesces them.
+    LineStage* staged = batch != nullptr && batch->lineMode == 1
+                            ? &lineStages_[static_cast<std::size_t>(
+                                  batch->id)]
+                            : nullptr;
     SpanCost worst;
     const std::uint64_t lines = linesCovering(vaddr, bytes);
-    worst.coalesced = coalesce && lines > 0;
+    worst.coalesced = staged != nullptr && lines > 0;
     for (std::uint64_t i = 0; i < lines; ++i) {
         const Addr lineVaddr = lineAlign(vaddr) + i * kCacheLineBytes;
-        if (coalesce) {
+        if (staged != nullptr) {
             // Level-wise traversal batching: a line a fellow member
             // already staged costs only its residual staging latency
             // (min 1 cycle to read the batch buffer) — no translation,
             // no memory access. Only the timing coalesces; functional
             // reads stay per member, so results are bit-identical to
             // the scalar path.
-            const auto it = batch->lines.find(lineVaddr);
-            if (it != batch->lines.end()) {
-                const Cycles lat =
-                    it->second > start ? it->second - start : 1;
+            if (const Cycles* at = staged->find(lineVaddr)) {
+                const Cycles lat = *at > start ? *at - start : 1;
                 batchLineHits_.inc();
                 if (lat > worst.total) {
                     worst.total = lat;
@@ -545,14 +552,11 @@ Accelerator::fetchSpan(QstEntry& entry, Addr vaddr,
             return SpanCost{kInvalidCycle, 0};
         const Cycles lat =
             x.latency + dataAccess(x.paddr, false, start + x.latency);
-        if (coalesce) {
-            // Bounded staging buffer: hold the batch's hot upper
-            // levels, drop everything on overflow (lower levels churn
-            // through and would not have been reused anyway).
-            if (batch->lines.size() >= BatchCtx::kMaxLines)
-                batch->lines.clear();
-            batch->lines.emplace(lineVaddr, start + lat);
-        }
+        // Bounded staging buffer: hold the batch's hot upper levels,
+        // drop everything on overflow (lower levels churn through and
+        // would not have been reused anyway).
+        if (staged != nullptr)
+            staged->stage(lineVaddr, start + lat);
         if (lat > worst.total) {
             worst.total = lat;
             worst.xlat = x.latency;

@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/sim_object.hh"
@@ -30,6 +30,7 @@
 #include "mem/hierarchy.hh"
 #include "qei/dpu.hh"
 #include "qei/firmware.hh"
+#include "qei/line_stage.hh"
 #include "qei/qst.hh"
 #include "qei/scheme.hh"
 #include "sim/event_queue.hh"
@@ -277,12 +278,9 @@ class Accelerator : public SimObject
          *  1 = level-wise line coalescing on, 2 = off. */
         int lineMode = 0;
         BatchDoneFn onDone;
-        /** headerAddr -> cycle its line lands in the batch buffer. */
-        std::unordered_map<Addr, Cycles> headers;
-        /** Level-line vaddr -> staged-at cycle. Bounded staging
-         *  buffer: cleared wholesale when full (see fetchSpan). */
-        std::unordered_map<Addr, Cycles> lines;
-        static constexpr std::size_t kMaxLines = 256;
+        /** (headerAddr, cycle its line lands in the batch buffer);
+         *  a batch names only a handful of headers. */
+        std::vector<std::pair<Addr, Cycles>> headers;
     };
 
     /** The batch context @p entry belongs to, or nullptr (scalar). */
@@ -372,6 +370,12 @@ class Accelerator : public SimObject
 
     /** Live batch contexts, indexed by batch id (nullptr = free). */
     std::vector<std::unique_ptr<BatchCtx>> batches_;
+    /**
+     * Each batch id's staged level lines (see fetchSpan), indexed like
+     * batches_. A table outlives its batches: a new batch in the slot
+     * clears it by generation, so no batch allocates or zeroes one.
+     */
+    std::vector<LineStage> lineStages_;
 
     Counter completed_;
     Counter memAccesses_;

@@ -1,5 +1,6 @@
 #include "event_queue.hh"
 
+#include <algorithm>
 #include <atomic>
 
 namespace qei {
@@ -31,13 +32,14 @@ EventQueue::run(Cycles maxCycles)
             lastReal = deadline;
             break;
         }
-        Event ev = popEarliest();
-        now_ = ev.when;
-        if (ev.daemon)
+        const Key key = popEarliest();
+        now_ = key.when;
+        if (key.daemon)
             --daemons_;
         else
             lastReal = now_;
-        ev.action();
+        EventFn action = take(key.slot);
+        action();
         ++executed;
     }
     now_ = lastReal;
@@ -55,11 +57,12 @@ EventQueue::runUntil(Cycles until)
     const Cycles start = now_;
     std::uint64_t executed = 0;
     while (!heap_.empty() && heap_.front().when <= until) {
-        Event ev = popEarliest();
-        now_ = ev.when;
-        if (ev.daemon)
+        const Key key = popEarliest();
+        now_ = key.when;
+        if (key.daemon)
             --daemons_;
-        ev.action();
+        EventFn action = take(key.slot);
+        action();
         ++executed;
     }
     if (now_ < until)
@@ -73,9 +76,57 @@ EventQueue::runUntil(Cycles until)
 }
 
 void
+EventQueue::push(Key key)
+{
+    std::size_t i = heap_.size();
+    heap_.push_back(key);
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / kArity;
+        if (!earlier(key, heap_[parent]))
+            break;
+        heap_[i] = heap_[parent];
+        i = parent;
+    }
+    heap_[i] = key;
+}
+
+EventQueue::Key
+EventQueue::popEarliest()
+{
+    const Key top = heap_.front();
+    const Key last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0)
+        return top;
+    // Sift the former last key down from the root: each level moves
+    // the earliest of up to kArity children into the hole.
+    std::size_t i = 0;
+    for (;;) {
+        const std::size_t first = i * kArity + 1;
+        if (first >= n)
+            break;
+        const std::size_t end = std::min(first + kArity, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < end; ++c) {
+            if (earlier(heap_[c], heap_[best]))
+                best = c;
+        }
+        if (!earlier(heap_[best], last))
+            break;
+        heap_[i] = heap_[best];
+        i = best;
+    }
+    heap_[i] = last;
+    return top;
+}
+
+void
 EventQueue::reset()
 {
     heap_.clear();
+    slots_.clear();
+    free_.clear();
     now_ = 0;
     nextSequence_ = 0;
     daemons_ = 0;

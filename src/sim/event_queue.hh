@@ -2,26 +2,31 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The EventQueue orders callbacks by (cycle, priority, sequence) — the
- * sequence number makes same-cycle, same-priority events fire in
- * scheduling order, which keeps runs deterministic.
+ * The EventQueue orders callbacks by (cycle, priority, sequence). The
+ * sequence number is unique per scheduled event, so this is a strict
+ * total order: same-cycle, same-priority events fire in scheduling
+ * order, and any correct heap pops the same sequence of events.
  *
- * Host performance: scheduling is the hottest operation in a run (one
- * or more events per micro-operation), so the kernel avoids the two
- * allocation sources a naive std::priority_queue<std::function> has:
- * EventFn stores capture state inline (std::function's small-buffer
- * is too small for the simulator's callbacks, so every schedule()
- * would heap-allocate), and the heap is an explicit std::vector that
- * events are *moved* through (std::priority_queue::top() only exposes
- * a const ref, forcing a deep copy of the callback on every pop).
- * The vector's capacity survives reset(), so back-to-back experiment
- * runs on one World reuse the same storage.
+ * Host performance: scheduling and popping run once or more per
+ * simulated micro-operation, so the kernel keeps the callbacks out of
+ * the heap.
+ *  - Each action is an EventFn, which stores its capture state inline
+ *    (std::function's small buffer is too small for the simulator's
+ *    callbacks). It is built once, in place, into a slot of a slab
+ *    (`slots_`); a free list recycles the slots.
+ *  - The heap (`heap_`) is a 4-ary min-heap of 24-byte keys: the
+ *    ordering fields plus the action's slot index. Sifting moves keys
+ *    only, never an action.
+ *  - Popping takes the earliest key, moves its action out of the slot
+ *    into a local and frees the slot, then invokes it. An action that
+ *    schedules may grow the slab, so it must not run in place.
+ * The heap, slab and free list keep their capacity across reset(), so
+ * back-to-back experiment runs on one World reuse the same storage.
  */
 
 #ifndef QEI_SIM_EVENT_QUEUE_HH
 #define QEI_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -71,18 +76,7 @@ class EventFn
                   !std::is_same_v<std::decay_t<F>, EventFn>>>
     EventFn(F&& fn)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            ::new (static_cast<void*>(storage_))
-                Fn(std::forward<F>(fn));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn**>(storage_) =
-                new Fn(std::forward<F>(fn));
-            ops_ = &heapOps<Fn>;
-        }
+        construct(std::forward<F>(fn));
     }
 
     EventFn(EventFn&& other) noexcept { moveFrom(other); }
@@ -101,6 +95,24 @@ class EventFn
     EventFn& operator=(const EventFn&) = delete;
 
     ~EventFn() { destroy(); }
+
+    /**
+     * Replace the held action with @p fn, built in place (an EventFn
+     * argument is moved in instead of being wrapped).
+     */
+    template <typename F>
+    void
+    emplace(F&& fn)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "an EventFn is move-only");
+            *this = std::move(fn);
+        } else {
+            destroy();
+            construct(std::forward<F>(fn));
+        }
+    }
 
     void operator()() { ops_->invoke(storage_); }
 
@@ -135,6 +147,24 @@ class EventFn
         [](void* p) { delete *static_cast<Fn**>(p); },
     };
 
+    template <typename F>
+    void
+    construct(F&& fn)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (sizeof(Fn) <= kInlineBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t) &&
+                      std::is_nothrow_move_constructible_v<Fn>) {
+            ::new (static_cast<void*>(storage_))
+                Fn(std::forward<F>(fn));
+            ops_ = &inlineOps<Fn>;
+        } else {
+            *reinterpret_cast<Fn**>(storage_) =
+                new Fn(std::forward<F>(fn));
+            ops_ = &heapOps<Fn>;
+        }
+    }
+
     void
     moveFrom(EventFn& other) noexcept
     {
@@ -158,22 +188,11 @@ class EventFn
     const Ops* ops_ = nullptr;
 };
 
-/** A single scheduled callback. */
-struct Event
-{
-    Cycles when = 0;
-    std::uint64_t sequence = 0;
-    EventFn action;
-    EventPriority priority = EventPriority::Default;
-    /** Housekeeping event (see scheduleDaemon()). */
-    bool daemon = false;
-};
-
 /** Central time-ordered event queue driving a simulation. */
 class EventQueue
 {
   public:
-    EventQueue() { heap_.reserve(kInitialCapacity); }
+    EventQueue() { reserve(kInitialCapacity); }
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
 
@@ -182,25 +201,27 @@ class EventQueue
 
     /**
      * Schedule @p action to run @p delay cycles from now.
-     * A zero delay runs later in the current cycle.
+     * A zero delay runs later in the current cycle. @p action is any
+     * callable (or an EventFn); it is built once, in its slot.
      */
+    template <typename F>
     void
-    schedule(Cycles delay, EventFn action,
+    schedule(Cycles delay, F&& action,
              EventPriority prio = EventPriority::Default)
     {
-        scheduleAt(now_ + delay, std::move(action), prio);
+        scheduleAt(now_ + delay, std::forward<F>(action), prio);
     }
 
     /** Schedule @p action at absolute cycle @p when (>= now). */
+    template <typename F>
     void
-    scheduleAt(Cycles when, EventFn action,
+    scheduleAt(Cycles when, F&& action,
                EventPriority prio = EventPriority::Default)
     {
         simAssert(when >= now_,
                   "scheduling into the past: {} < {}", when, now_);
-        heap_.push_back(Event{when, nextSequence_++,
-                              std::move(action), prio});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
+        push(Key{when, nextSequence_++,
+                 store(std::forward<F>(action)), prio, false});
     }
 
     /** True when no events remain. */
@@ -225,13 +246,13 @@ class EventQueue
      * while pendingWork() is non-zero, and schedule no real work once
      * it has hit zero.
      */
+    template <typename F>
     void
-    scheduleDaemon(Cycles delay, EventFn action)
+    scheduleDaemon(Cycles delay, F&& action)
     {
-        heap_.push_back(Event{now_ + delay, nextSequence_++,
-                              std::move(action),
-                              EventPriority::Default, true});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
+        push(Key{now_ + delay, nextSequence_++,
+                 store(std::forward<F>(action)),
+                 EventPriority::Default, true});
         ++daemons_;
     }
 
@@ -248,8 +269,13 @@ class EventQueue
         return heap_.size() - static_cast<std::size_t>(daemons_);
     }
 
-    /** Pre-size the event storage for an expected @p events load. */
-    void reserve(std::size_t events) { heap_.reserve(events); }
+    /** Pre-size the heap and the slot slab for @p events pending. */
+    void
+    reserve(std::size_t events)
+    {
+        heap_.reserve(events);
+        slots_.reserve(events);
+    }
 
     /**
      * Run until the queue drains or @p maxCycles elapse.
@@ -261,8 +287,9 @@ class EventQueue
     std::uint64_t runUntil(Cycles until);
 
     /**
-     * Drop all pending events (used between independent experiments).
-     * Keeps the allocated storage for the next run.
+     * Drop all pending events (used between independent experiments),
+     * destroying their actions. Keeps the allocated storage for the
+     * next run.
      */
     void reset();
 
@@ -283,35 +310,76 @@ class EventQueue
 
   private:
     static constexpr std::size_t kInitialCapacity = 256;
+    /** Children per heap node (chosen with BM_EventQueue*). */
+    static constexpr std::size_t kArity = 4;
 
-    /** Max-heap comparator: "later" events sink below earlier ones. */
-    struct Later
+    /** One pending event's ordering fields and its action's slot. */
+    struct Key
     {
-        bool
-        operator()(const Event& a, const Event& b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.sequence > b.sequence;
-        }
+        Cycles when;
+        std::uint64_t sequence;
+        std::uint32_t slot;
+        EventPriority priority;
+        /** Housekeeping event (see scheduleDaemon()). */
+        bool daemon;
     };
+    static_assert(sizeof(Key) == 24, "heap keys must stay 24 bytes");
 
-    /** Move the earliest event out of the heap. */
-    Event
-    popEarliest()
+    /** The heap order: (when, priority, sequence), all ascending. */
+    static bool
+    earlier(const Key& a, const Key& b)
     {
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        Event ev = std::move(heap_.back());
-        heap_.pop_back();
-        return ev;
+        if (a.when != b.when)
+            return a.when < b.when;
+        if (a.priority != b.priority)
+            return a.priority < b.priority;
+        return a.sequence < b.sequence;
+    }
+
+    /** Build @p action in a free slot of the slab; return its index. */
+    template <typename F>
+    std::uint32_t
+    store(F&& action)
+    {
+        if (!free_.empty()) {
+            const std::uint32_t slot = free_.back();
+            free_.pop_back();
+            slots_[slot].emplace(std::forward<F>(action));
+            return slot;
+        }
+        const auto slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back().emplace(std::forward<F>(action));
+        return slot;
+    }
+
+    /** Add @p key to the heap and sift it up to its place. */
+    void push(Key key);
+
+    /** Remove and return the earliest key. Requires !empty(). */
+    Key popEarliest();
+
+    /**
+     * Move the action out of @p slot and free the slot. The caller
+     * invokes the returned action only after this: an action that
+     * schedules may grow (and so move) the slab.
+     */
+    EventFn
+    take(std::uint32_t slot)
+    {
+        EventFn action = std::move(slots_[slot]);
+        free_.push_back(slot);
+        return action;
     }
 
     Cycles now_ = 0;
     std::uint64_t nextSequence_ = 0;
     int daemons_ = 0;
-    std::vector<Event> heap_;
+    /** kArity-ary min-heap of keys under earlier(). */
+    std::vector<Key> heap_;
+    /** Pending actions, indexed by Key::slot; free ones are empty. */
+    std::vector<EventFn> slots_;
+    /** Indices of the free slots in slots_. */
+    std::vector<std::uint32_t> free_;
     trace::TraceSink* trace_ = nullptr;
     std::uint16_t traceComp_ = 0;
     std::uint32_t traceRun_ = 0;

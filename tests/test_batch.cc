@@ -8,12 +8,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/random.hh"
 #include "fault/fault_config.hh"
 #include "qei/batch.hh"
 #include "qei/driver.hh"
+#include "qei/line_stage.hh"
 #include "qei/qst.hh"
 #include "workloads/workload.hh"
 
@@ -21,6 +24,59 @@ using namespace qei;
 using namespace qei::bench;
 
 namespace {
+
+// ---------------------------------------------------------------
+// The batch line-staging buffer
+// ---------------------------------------------------------------
+
+TEST(LineStage, MatchesClearWhenFullMap)
+{
+    // The rule the table implements, as a std::unordered_map: probe a
+    // line, and on a miss clear at 256 live entries, then insert.
+    std::unordered_map<Addr, Cycles> ref;
+    LineStage stage;
+    Rng rng(11);
+    std::size_t hits = 0;
+    std::size_t overflows = 0;
+    for (Cycles t = 0; t < 200000; ++t) {
+        // Lines from a 4 K-line window that drifts, so the table sees
+        // hits, long miss runs, overflows and probe chains.
+        const Addr line =
+            (t / 64 + rng.below(4096)) * kCacheLineBytes + 0x10000000;
+        const auto it = ref.find(line);
+        const Cycles* got = stage.find(line);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << "tick " << t;
+        if (got != nullptr) {
+            ASSERT_EQ(*got, it->second) << "tick " << t;
+            ++hits;
+            continue;
+        }
+        if (ref.size() >= LineStage::kMaxLines) {
+            ref.clear();
+            ++overflows;
+        }
+        ref.emplace(line, t);
+        stage.stage(line, t);
+        ASSERT_EQ(stage.size(), ref.size()) << "tick " << t;
+    }
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(overflows, 100u);
+}
+
+TEST(LineStage, ClearDropsEveryLine)
+{
+    LineStage stage;
+    for (Addr i = 0; i < LineStage::kMaxLines; ++i)
+        stage.stage(i * kCacheLineBytes, i);
+    EXPECT_EQ(stage.size(), LineStage::kMaxLines);
+    stage.clear();
+    EXPECT_EQ(stage.size(), 0u);
+    for (Addr i = 0; i < LineStage::kMaxLines; ++i)
+        EXPECT_EQ(stage.find(i * kCacheLineBytes), nullptr);
+    stage.stage(0, 7);
+    ASSERT_NE(stage.find(0), nullptr);
+    EXPECT_EQ(*stage.find(0), 7u);
+}
 
 // ---------------------------------------------------------------
 // QST window reservation invariants
