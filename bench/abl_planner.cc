@@ -2,8 +2,7 @@
  * Ablation — cost-model-driven offload planner. The paper picks one
  * integration scheme per deployment and sticks with it; this harness
  * asks what a submit-time planner buys when it can consult the
- * calibrated cost model (perf/cost_model.json, baked into
- * CostModel::builtin()) and choose per query.
+ * calibrated cost model (CostModel::builtin()) and choose per query.
  *
  * Three sections:
  *  (a) per-workload: every canonical static scheme vs. the planner's

@@ -10,7 +10,7 @@
  * from a calibrated CostModel: mean cycles-per-query of
  * the software walk and of each accelerator family, fitted offline
  * from the fig07 speedup artifact by tools/qei-calibrate and committed
- * as perf/cost_model.json. See docs/planner.md for the full story.
+ * as CostModel::builtin(). See docs/planner.md for the full story.
  *
  * Three pieces, deliberately separated:
  *  - CostModel / PlannerConfig: plain values, copyable across the
@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hh"
 #include "common/sim_object.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -83,12 +82,8 @@ class CostModel
         std::map<std::string, double> schemes;
     };
 
-    /** The committed calibration (mirrors perf/cost_model.json). */
+    /** The committed calibration: qei-calibrate prints its table. */
     static const CostModel& builtin();
-
-    /** Load a model from a perf/cost_model.json-shaped document. */
-    static CostModel fromJson(const Json& doc);
-    Json toJson() const;
 
     bool knows(const std::string& workload) const;
     /** Software-walk cost; 0 for unknown workloads. */

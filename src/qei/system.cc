@@ -572,14 +572,13 @@ QeiSystem::resultDigest(const QstEntry& entry)
 void
 warmLlc(MemoryHierarchy& memory, const VirtualMemory& vm)
 {
-    for (const auto& [vpn, pfn] : vm.pageTable().entries()) {
-        (void)vpn;
+    vm.forEachMapping([&memory](Addr, Addr pfn) {
         const Addr base = pfn * kPageBytes;
         for (std::uint32_t off = 0; off < kPageBytes;
              off += kCacheLineBytes) {
             memory.preloadLlc(base + off);
         }
-    }
+    });
 }
 
 } // namespace qei

@@ -484,7 +484,7 @@ class QeiSystem : public SimObject
 
 /**
  * Load every line of @p vm's mapped footprint into @p memory's LLC, in
- * page-table order: the steady state the paper evaluates (structures
+ * ascending VPN order: the steady state the paper evaluates (structures
  * LLC-resident, private caches cold). World::warmLlc() and the
  * software-fallback core's private hierarchy both start from it.
  */

@@ -8,13 +8,8 @@ namespace qei {
 
 FrameAllocator::FrameAllocator(std::uint64_t total_frames, Mode mode,
                                std::uint64_t seed)
-    : totalFrames_(total_frames), mode_(mode)
+    : totalFrames_(total_frames), mode_(mode), rngSeed_(seed)
 {
-    if (mode_ == Mode::Fragmented) {
-        // Pre-shuffle a window of frames; extend lazily in blocks so a
-        // 64 GB memory does not need a 16M-entry shuffle up front.
-        rngSeed_ = seed;
-    }
 }
 
 Addr
@@ -27,7 +22,8 @@ FrameAllocator::allocate()
         return nextSequential_++;
 
     if (shuffledNext_ >= shuffled_.size()) {
-        // Refill: shuffle the next block of frame numbers.
+        // Refill: shuffle the next block of frame numbers, lazily, so a
+        // 64 GB memory never needs a 16M-entry shuffle up front.
         constexpr std::uint64_t kBlock = 1 << 16;
         const std::uint64_t base = nextSequential_;
         const std::uint64_t count =
@@ -73,10 +69,8 @@ VirtualMemory::ensureMapped(Addr vaddr, std::uint64_t bytes)
         slots_.resize(last - kHeapBaseVpn + 1);
     for (Addr vpn = first; vpn <= last; ++vpn) {
         PageSlot& slot = slots_[vpn - kHeapBaseVpn];
-        if (slot.pfn == kNoFrame) {
+        if (slot.pfn == kNoFrame)
             slot.pfn = frames_.allocate();
-            pageTable_.map(vpn, slot.pfn);
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Simulated per-process virtual memory: page table, fragmenting frame
- * allocator, and a bump allocator for laying data structures out in the
+ * Simulated per-process virtual memory: a dense page table, a fragmenting
+ * frame allocator, and a bump allocator for laying data structures out in the
  * simulated address space.
  *
  * Fragmentation matters to QEI: the paper argues queried data
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
@@ -29,31 +28,6 @@
 #include "trace/trace.hh"
 
 namespace qei {
-
-/** Maps virtual page numbers to physical frame numbers. */
-class PageTable
-{
-  public:
-    /** Install a vpn→pfn mapping; remapping an existing vpn panics. */
-    void
-    map(Addr vpn, Addr pfn)
-    {
-        auto [it, inserted] = table_.emplace(vpn, pfn);
-        simAssert(inserted, "vpn {:#x} already mapped", vpn);
-        (void)it;
-    }
-
-    std::size_t size() const { return table_.size(); }
-
-    /** All vpn -> pfn mappings (for whole-footprint cache warming). */
-    const std::unordered_map<Addr, Addr>& entries() const
-    {
-        return table_;
-    }
-
-  private:
-    std::unordered_map<Addr, Addr> table_;
-};
 
 /**
  * Physical frame allocator.
@@ -81,7 +55,7 @@ class FrameAllocator
   private:
     std::uint64_t totalFrames_;
     Mode mode_;
-    std::uint64_t rngSeed_ = 1;
+    std::uint64_t rngSeed_;
     std::uint64_t allocatedCount_ = 0;
     std::uint64_t nextSequential_ = 0;
     std::vector<Addr> shuffled_;
@@ -108,7 +82,7 @@ class VirtualMemory : public SimObject
         const std::string base = fullPath() + ".";
         registry.addFormula(
             base + "pages_mapped",
-            [this] { return static_cast<double>(pageTable_.size()); },
+            [this] { return static_cast<double>(frames_.allocated()); },
             "virtual pages with a frame");
         registry.addFormula(
             base + "bytes_allocated",
@@ -241,7 +215,22 @@ class VirtualMemory : public SimObject
         writeBytes(vaddr, &value, sizeof(T));
     }
 
-    const PageTable& pageTable() const { return pageTable_; }
+    /**
+     * Call @p fn(vpn, pfn) for every mapped page in ascending VPN order,
+     * skipping the gaps an aligned alloc leaves. The order is the LLC
+     * warm's and the TLB prefill's, so it must not depend on anything
+     * but the allocation sequence.
+     */
+    template <typename Fn>
+    void
+    forEachMapping(Fn&& fn) const
+    {
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            if (slots_[i].pfn != kNoFrame)
+                fn(kHeapBaseVpn + i, slots_[i].pfn);
+        }
+    }
+
     SimMemory& memory() { return memory_; }
     const SimMemory& memory() const { return memory_; }
     std::uint64_t bytesAllocated() const { return brk_ - kHeapBase; }
@@ -287,11 +276,8 @@ class VirtualMemory : public SimObject
     void ensureMapped(Addr vaddr, std::uint64_t bytes);
 
     SimMemory& memory_;
-    // pageTable_ holds the mappings (its iteration order is the LLC
-    // warm's); slots_ indexes the same mappings densely from
-    // kHeapBaseVpn, which works because alloc() is a bump allocator and
-    // ensureMapped() is the only caller of PageTable::map.
-    PageTable pageTable_;
+    // Every mapping, densely indexed from kHeapBaseVpn: alloc() is a
+    // bump allocator and ensureMapped() the only writer of a frame.
     std::vector<PageSlot> slots_;
     FrameAllocator frames_;
     Addr brk_ = kHeapBase;

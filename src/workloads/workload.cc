@@ -1,7 +1,5 @@
 #include "workload.hh"
 
-#include <algorithm>
-
 #include "workloads/dpdk_fib.hh"
 #include "workloads/flann_lsh.hh"
 #include "workloads/jvm_gc.hh"
@@ -12,17 +10,12 @@ namespace qei {
 
 namespace {
 
-/** Mapped virtual pages, sorted for deterministic TLB pre-warming. */
+/** Mapped virtual pages in VPN order, for pre-warming the TLBs. */
 std::vector<Addr>
-sortedVpns(const World& world)
+mappedVpns(const VirtualMemory& vm)
 {
     std::vector<Addr> vpns;
-    vpns.reserve(world.vm.pageTable().entries().size());
-    for (const auto& [vpn, pfn] : world.vm.pageTable().entries()) {
-        (void)pfn;
-        vpns.push_back(vpn);
-    }
-    std::sort(vpns.begin(), vpns.end());
+    vm.forEachMapping([&vpns](Addr vpn, Addr) { vpns.push_back(vpn); });
     return vpns;
 }
 
@@ -34,7 +27,7 @@ runBaseline(World& world, const Prepared& prepared, int core)
     world.resetTiming();
     world.warmLlc();
     Mmu mmu(world.vm, world.chip.mmu);
-    mmu.prefillL2(sortedVpns(world));
+    mmu.prefillL2(mappedVpns(world.vm));
     CoreModel model(core, world.chip.core, world.hierarchy, mmu);
     mmu.setTraceSink(&world.traceSink);
     model.setTraceSink(&world.traceSink);
@@ -104,7 +97,7 @@ runQei(World& world, const Prepared& prepared,
     QeiSystem system(world.chip, world.events, world.hierarchy,
                      world.vm, world.firmware, config.topology,
                      &world.traceSink);
-    system.warmTlbs(sortedVpns(world));
+    system.warmTlbs(mappedVpns(world.vm));
     // The baseline traces double as the software view of each job:
     // with a fault mix configured, faulted queries re-execute on the
     // simulated core instead of surfacing as exceptions (Sec. IV-D).

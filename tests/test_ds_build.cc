@@ -280,7 +280,7 @@ checkBst(const Items& items)
     const SimBst tree(fast.vm, items);
     EXPECT_EQ(tree.rootAddr(), expected.rootAddr);
     EXPECT_EQ(tree.headerAddr(), expected.headerAddr);
-    std::set<Key> distinct;
+    std::set<Key, KeyLess> distinct;
     for (const auto& item : items)
         distinct.insert(item.first);
     EXPECT_EQ(tree.size(), distinct.size());

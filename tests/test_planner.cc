@@ -1,16 +1,14 @@
-// Offload-planner subsystem tests: cost-model JSON round-trips against
-// the committed calibration (perf/cost_model.json), planner-vs-static
-// cycle and checksum identity on every workload, the synthetic-model
-// core-execute path, sharded deployments under fault injection and
-// flush recovery, and host-thread-count invariance of the planner-
-// enabled experiment matrix.
+// Offload-planner subsystem tests: the committed calibration
+// (CostModel::builtin()), planner-vs-static cycle and checksum identity
+// on every workload, the synthetic-model core-execute path, sharded
+// deployments under fault injection and flush recovery, and
+// host-thread-count invariance of the planner-enabled experiment
+// matrix.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,60 +23,9 @@ using namespace qei::bench;
 
 namespace {
 
-std::string
-readFile(const std::string& path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in) << "cannot read " << path;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** Max |cycles/query| difference over the union of both models. */
-double
-modelDelta(const CostModel& a, const CostModel& b)
-{
-    double worst = 0.0;
-    auto fold = [&](const CostModel& x, const CostModel& y) {
-        for (const auto& [name, costs] : x.workloads()) {
-            worst = std::max(worst,
-                             std::abs(costs.core - y.coreCost(name)));
-            for (const auto& [scheme, cycles] : costs.schemes) {
-                worst = std::max(
-                    worst,
-                    std::abs(cycles - y.schemeCost(name, scheme)));
-            }
-        }
-    };
-    fold(a, b);
-    fold(b, a);
-    return worst;
-}
-
 // ---------------------------------------------------------------
-// CostModel: JSON round-trip and the committed calibration
+// CostModel: the committed calibration
 // ---------------------------------------------------------------
-
-TEST(CostModel, JsonRoundTripIsLossless)
-{
-    const CostModel& builtin = CostModel::builtin();
-    const CostModel restored = CostModel::fromJson(builtin.toJson());
-    EXPECT_EQ(modelDelta(builtin, restored), 0.0);
-    EXPECT_EQ(restored.workloads().size(), 5u);
-}
-
-TEST(CostModel, CommittedFileMatchesBuiltin)
-{
-    // The same invariant CI enforces via `qei-calibrate --check`: the
-    // committed perf/cost_model.json and CostModel::builtin() are two
-    // renditions of one calibration.
-    const std::string path =
-        std::string(QEI_SOURCE_DIR) + "/perf/cost_model.json";
-    const CostModel committed =
-        CostModel::fromJson(Json::parse(readFile(path)));
-    EXPECT_LE(modelDelta(CostModel::builtin(), committed), 1e-3);
-}
 
 TEST(CostModel, BestSchemeFollowsCalibration)
 {

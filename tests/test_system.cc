@@ -1,8 +1,11 @@
 // QeiSystem-level tests: dispatch policy per scheme, core-side issue
-// constraints of QUERY_B / QUERY_NB, TLB warming, and timing-shape
-// invariants across schemes.
+// constraints of QUERY_B / QUERY_NB, TLB warming, the LLC warm's fill
+// order, and timing-shape invariants across schemes.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "ds/chained_hash.hh"
 #include "ds/linked_list.hh"
@@ -166,6 +169,46 @@ TEST_F(SystemFixture, WarmTlbsReduceCycles)
 
     const QeiRunStats warmStats = runQei(world, prep, config);
     EXPECT_LT(warmStats.cycles, coldStats.cycles);
+}
+
+TEST(WarmLlc, FillsInAscendingVpnOrder)
+{
+    // An LLC of 4 sets per slice holds 1056 lines; the 32 KB of mapped
+    // heap below is 512 lines plus 2048 lines of a 128 KB block past an
+    // over-aligned gap, so sets overfill and the fill order decides
+    // which lines stay resident.
+    SimMemory mem(1 << 26);
+    VirtualMemory vm(mem);
+    vm.alloc(8 * kPageBytes);
+    vm.alloc(32 * kPageBytes, 16 * kPageBytes);
+    HierarchyParams params;
+    params.llcSlice.sizeBytes = 4 * 11 * kCacheLineBytes;
+    MemoryHierarchy warmed(params);
+    MemoryHierarchy reference(params);
+
+    warmLlc(warmed, vm);
+    std::vector<Addr> lines;
+    const Addr end = VirtualMemory::kHeapBase + vm.bytesAllocated();
+    for (Addr va = VirtualMemory::kHeapBase; va < end;
+         va += kCacheLineBytes) {
+        if (!vm.tryTranslate(va).has_value())
+            continue;
+        lines.push_back(vm.translate(va));
+        reference.preloadLlc(lines.back());
+    }
+
+    auto residency = [&lines](MemoryHierarchy& memory) {
+        std::vector<bool> resident;
+        for (Addr line : lines)
+            resident.push_back(
+                memory.llcSlice(memory.homeSlice(line)).probe(line));
+        return resident;
+    };
+    const std::vector<bool> expected = residency(reference);
+    EXPECT_EQ(residency(warmed), expected);
+    EXPECT_EQ(lines.size(), 40u * kPageBytes / kCacheLineBytes);
+    EXPECT_LT(std::count(expected.begin(), expected.end(), true),
+              static_cast<std::ptrdiff_t>(lines.size()));
 }
 
 TEST_F(SystemFixture, CoreInstructionsFarBelowBaseline)

@@ -163,7 +163,19 @@ TEST(VirtualMemory, OverAlignedAllocLeavesUnmappedGap)
         EXPECT_FALSE(vm.tryTranslate(vpn * kPageBytes).has_value());
     EXPECT_TRUE(vm.tryTranslate(a).has_value());
     EXPECT_TRUE(vm.tryTranslate(b).has_value());
-    EXPECT_EQ(vm.pageTable().size(), 2u);
+    // The walk yields the two mapped pages in ascending VPN order, with
+    // their frames, and skips the gap between them.
+    std::vector<std::pair<Addr, Addr>> walked;
+    vm.forEachMapping(
+        [&walked](Addr vpn, Addr pfn) { walked.emplace_back(vpn, pfn); });
+    ASSERT_EQ(walked.size(), 2u);
+    EXPECT_EQ(walked[0].first, pageNumber(a));
+    EXPECT_EQ(walked[1].first, pageNumber(b));
+    EXPECT_EQ(walked[0].second, pageNumber(vm.translate(a)));
+    EXPECT_EQ(walked[1].second, pageNumber(vm.translate(b)));
+    StatsRegistry registry;
+    vm.regStats(registry);
+    EXPECT_EQ(registry.value("vm.pages_mapped"), 2.0);
 }
 
 TEST(VirtualMemory, BelowHeapBaseIsUnmapped)

@@ -1,22 +1,21 @@
 /**
  * @file
- * qei-calibrate: fit the offload planner's cost model from committed
- * BENCH artifacts.
+ * qei-calibrate: fit the offload planner's cost model from the fig07
+ * artifact.
  *
  * Reads the fig07 speedup artifact (the per-workload cycles/query of
- * the software baseline and of every integration scheme) and emits
- * the planner's calibration as perf/cost_model.json. The same numbers
- * are baked into CostModel::builtin() so the simulator needs no
- * filesystem access at run time; `--check` verifies artifact, JSON,
- * and builtin all agree, which is what CI runs.
+ * the software baseline and of every integration scheme). The fit has
+ * one committed copy, the table in CostModel::builtin()
+ * (src/qei/planner.cc), so the simulator needs no filesystem access
+ * at run time.
  *
  *   qei-calibrate [--artifact BENCH_out/BENCH_fig07_speedup.json]
- *                 [--out perf/cost_model.json] [--check]
+ *                 [--check]
  *
- * With --check, no file is written: the tool recomputes the model
- * from the artifact and diffs it against both the committed JSON and
- * the builtin table (tolerance 1e-3 cycles/query), exiting non-zero
- * on any drift. Regenerate with the same command minus --check.
+ * Without --check, the tool prints the fitted model as the body of
+ * builtin()'s initializer, to paste over the old one. With --check, it
+ * diffs the fit against builtin() (tolerance 1e-3 cycles/query) and
+ * exits 1 on any drift, which is what CI runs.
  */
 
 #include <cstdio>
@@ -90,37 +89,40 @@ modelDelta(const qei::CostModel& a, const qei::CostModel& b)
     return worst;
 }
 
+/** Print @p model as the body of CostModel::builtin()'s initializer. */
+void
+printInitializer(const qei::CostModel& model)
+{
+    for (const auto& [name, costs] : model.workloads()) {
+        std::printf("        m.set(\"%s\",\n              {%.4f,\n",
+                    name.c_str(), costs.core);
+        const char* sep = "               {{";
+        for (const auto& [scheme, cycles] : costs.schemes) {
+            std::printf("%s\"%s\", %.4f}", sep, scheme.c_str(), cycles);
+            sep = ",\n                {";
+        }
+        std::printf("}});\n");
+    }
+}
+
 } // namespace
 
 int
 main(int argc, char** argv)
 {
     std::string artifactPath = "BENCH_out/BENCH_fig07_speedup.json";
-    std::string outPath = "perf/cost_model.json";
     bool check = false;
 
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
-        auto operand = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "qei-calibrate: %s needs an argument\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(arg, "--artifact") == 0) {
-            artifactPath = operand("--artifact");
-        } else if (std::strcmp(arg, "--out") == 0) {
-            outPath = operand("--out");
+        if (std::strcmp(arg, "--artifact") == 0 && i + 1 < argc) {
+            artifactPath = argv[++i];
         } else if (std::strcmp(arg, "--check") == 0) {
             check = true;
         } else {
             std::fprintf(stderr,
                          "usage: qei-calibrate [--artifact <fig07 "
-                         "json>] [--out <cost_model.json>] "
-                         "[--check]\n");
+                         "json>] [--check]\n");
             return 2;
         }
     }
@@ -128,54 +130,22 @@ main(int argc, char** argv)
     const qei::Json artifact =
         qei::Json::parse(readFile(artifactPath));
     const qei::CostModel fitted = fitFromArtifact(artifact);
+
+    if (!check) {
+        printInitializer(fitted);
+        return 0;
+    }
     constexpr double kTolerance = 1e-3;
-
-    if (check) {
-        bool ok = true;
-        const double builtinDelta =
-            modelDelta(fitted, qei::CostModel::builtin());
-        if (builtinDelta > kTolerance) {
-            std::fprintf(stderr,
-                         "CostModel::builtin() drifted from %s by "
-                         "%.4f cycles/query — re-run qei-calibrate "
-                         "and update planner.cc\n",
-                         artifactPath.c_str(), builtinDelta);
-            ok = false;
-        }
-        const qei::CostModel committed =
-            qei::CostModel::fromJson(qei::Json::parse(readFile(outPath)));
-        const double jsonDelta = modelDelta(fitted, committed);
-        if (jsonDelta > kTolerance) {
-            std::fprintf(stderr,
-                         "%s drifted from %s by %.4f cycles/query — "
-                         "re-run qei-calibrate\n",
-                         outPath.c_str(), artifactPath.c_str(),
-                         jsonDelta);
-            ok = false;
-        }
-        if (ok) {
-            std::printf("cost model in sync: %s == %s == builtin "
-                        "(tolerance %.0e)\n",
-                        outPath.c_str(), artifactPath.c_str(),
-                        kTolerance);
-        }
-        return ok ? 0 : 1;
+    const double delta = modelDelta(fitted, qei::CostModel::builtin());
+    if (delta > kTolerance) {
+        std::fprintf(stderr,
+                     "CostModel::builtin() drifted from %s by %.4f "
+                     "cycles/query: re-run qei-calibrate and paste its "
+                     "output into src/qei/planner.cc\n",
+                     artifactPath.c_str(), delta);
+        return 1;
     }
-
-    std::ofstream out(outPath);
-    if (!out) {
-        std::fprintf(stderr, "qei-calibrate: cannot write %s\n",
-                     outPath.c_str());
-        return 2;
-    }
-    out << fitted.toJson().dump(2) << '\n';
-    out.flush();
-    if (!out) {
-        std::fprintf(stderr, "qei-calibrate: failed writing %s\n",
-                     outPath.c_str());
-        return 2;
-    }
-    std::printf("wrote %s (%zu workloads)\n", outPath.c_str(),
-                fitted.workloads().size());
+    std::printf("cost model in sync: builtin == %s (tolerance %.0e)\n",
+                artifactPath.c_str(), kTolerance);
     return 0;
 }
