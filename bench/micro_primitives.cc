@@ -206,6 +206,23 @@ BM_TlbLookup(benchmark::State& state)
 BENCHMARK(BM_TlbLookup);
 
 void
+BM_TlbChurn(benchmark::State& state)
+{
+    // A full L2-TLB under a working set of twice its size: about half
+    // the lookups miss, and each miss fills and evicts the LRU entry.
+    Tlb tlb(1536, 9);
+    for (Addr v = 0; v < 1536; ++v)
+        tlb.fill(v);
+    Rng rng(5);
+    for (auto _ : state) {
+        const Addr vpn = rng.below(3072);
+        if (!tlb.lookup(vpn))
+            tlb.fill(vpn);
+    }
+}
+BENCHMARK(BM_TlbChurn);
+
+void
 BM_MeshTraverse(benchmark::State& state)
 {
     Mesh mesh;

@@ -123,17 +123,6 @@ fnv1a64(const void* data, std::size_t len)
 }
 
 std::uint64_t
-mix64(std::uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDULL;
-    x ^= x >> 33;
-    x *= 0xC4CEB9FE1A85EC53ULL;
-    x ^= x >> 33;
-    return x;
-}
-
-std::uint64_t
 computeHash(HashFunction fn, const void* data, std::size_t len,
             std::uint64_t seed)
 {

@@ -29,7 +29,16 @@ std::uint32_t jhash(const void* data, std::size_t len,
 std::uint64_t fnv1a64(const void* data, std::size_t len);
 
 /** 64-bit avalanche finalizer (MurmurHash3 fmix64). */
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xFF51AFD7ED558CCDULL;
+    x ^= x >> 33;
+    x *= 0xC4CEB9FE1A85EC53ULL;
+    x ^= x >> 33;
+    return x;
+}
 
 /** Identifiers for the hash functions the DPU hash unit implements. */
 enum class HashFunction : std::uint8_t {

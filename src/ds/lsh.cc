@@ -15,12 +15,13 @@ SimLsh::SimLsh(VirtualMemory& vm, int tables,
     while (buckets * 4 < items.size())
         buckets *= 2;
 
+    // One working copy of the dataset; each table overwrites its key
+    // bytes with that table's projection.
+    std::vector<std::pair<Key, std::uint64_t>> projected = items;
     for (int t = 0; t < tables; ++t) {
         projections_.push_back(randomKey(rng, keyLen_));
-        std::vector<std::pair<Key, std::uint64_t>> projected;
-        projected.reserve(items.size());
-        for (const auto& [key, id] : items)
-            projected.emplace_back(project(key, t), id);
+        for (std::size_t k = 0; k < items.size(); ++k)
+            projectInto(items[k].first, t, projected[k].first);
         tables_.push_back(std::make_unique<SimChainedHash>(
             vm_, projected, buckets, HashFunction::Fnv1a));
     }
@@ -29,12 +30,19 @@ SimLsh::SimLsh(VirtualMemory& vm, int tables,
 Key
 SimLsh::project(const Key& key, int t) const
 {
-    simAssert(key.size() == keyLen_, "bad key length");
-    const Key& mask = projections_[static_cast<std::size_t>(t)];
     Key out(keyLen_);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = key[i] ^ mask[i];
+    projectInto(key, t, out);
     return out;
+}
+
+void
+SimLsh::projectInto(const Key& key, int t, Key& out) const
+{
+    simAssert(key.size() == keyLen_ && out.size() == keyLen_,
+              "bad key length");
+    const Key& mask = projections_[static_cast<std::size_t>(t)];
+    for (std::size_t i = 0; i < keyLen_; ++i)
+        out[i] = key[i] ^ mask[i];
 }
 
 std::vector<QueryTrace>

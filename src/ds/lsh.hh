@@ -50,6 +50,9 @@ class SimLsh
     std::vector<QueryTrace> probeAll(const Key& key) const;
 
   private:
+    /** project() into @p out, a key of keyLen() bytes. */
+    void projectInto(const Key& key, int t, Key& out) const;
+
     VirtualMemory& vm_;
     std::uint32_t keyLen_ = 0;
     std::vector<std::unique_ptr<SimChainedHash>> tables_;

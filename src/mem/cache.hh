@@ -68,6 +68,20 @@ class Cache : public SimObject
     /** Insert the line containing @p paddr; returns any dirty victim. */
     CacheAccess fill(Addr paddr, bool dirty = false);
 
+    /**
+     * Start loading the host memory that a lookup of @p paddr reads
+     * (its set's row and epoch word), so a later access(), fill() or
+     * probe() of it finds them cached. No simulated effect.
+     */
+    void
+    prefetch(Addr paddr) const
+    {
+        const auto set = static_cast<std::uint32_t>(
+            (paddr / kCacheLineBytes) & (sets_ - 1));
+        __builtin_prefetch(entries_.get() + std::size_t{set} * params_.ways);
+        __builtin_prefetch(setEpoch_.data() + set);
+    }
+
     /** Drop the line containing @p paddr if present. */
     void invalidate(Addr paddr);
 

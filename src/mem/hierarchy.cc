@@ -74,6 +74,10 @@ MemoryHierarchy::llcPath(int requester_tile, Addr paddr, bool is_write,
     MemAccess out;
     const int slice = homeSlice(paddr);
     out.homeSlice = slice;
+    Cache& sliceCache = *llc_[static_cast<std::size_t>(slice)];
+    // The set's tags are a random host miss; load them while the
+    // request traversal is charged.
+    sliceCache.prefetch(paddr);
 
     Cycles latency = accumulated;
     if (slice != requester_tile) {
@@ -81,7 +85,6 @@ MemoryHierarchy::llcPath(int requester_tile, Addr paddr, bool is_write,
                                   params_.reqBytes, now);
     }
 
-    Cache& sliceCache = *llc_[static_cast<std::size_t>(slice)];
     latency += sliceCache.latency();
     if (sliceCache.access(paddr, is_write)) {
         out.servedBy = ServedBy::Llc;

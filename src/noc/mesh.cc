@@ -13,6 +13,31 @@ Mesh::Mesh(const MeshParams& params) : SimObject("mesh"), params_(params)
         static_cast<std::size_t>(tiles()) * 4;
     windowBytes_.assign(links, 0);
     lastUtilisation_.assign(links, 0.0);
+    delay_.assign(links, 0);
+
+    // XY routing: move along X first, then Y, one link per hop.
+    routeStart_.reserve(static_cast<std::size_t>(tiles()) * tiles() + 1);
+    for (int from = 0; from < tiles(); ++from) {
+        for (int to = 0; to < tiles(); ++to) {
+            routeStart_.push_back(
+                static_cast<std::uint32_t>(routeLinks_.size()));
+            TileCoord at = coordOf(from);
+            const TileCoord dst = coordOf(to);
+            while (at.x != dst.x) {
+                const Direction dir = at.x < dst.x ? East : West;
+                routeLinks_.push_back(
+                    static_cast<std::uint32_t>(linkId(at, dir)));
+                at.x += at.x < dst.x ? 1 : -1;
+            }
+            while (at.y != dst.y) {
+                const Direction dir = at.y < dst.y ? South : North;
+                routeLinks_.push_back(
+                    static_cast<std::uint32_t>(linkId(at, dir)));
+                at.y += at.y < dst.y ? 1 : -1;
+            }
+        }
+    }
+    routeStart_.push_back(static_cast<std::uint32_t>(routeLinks_.size()));
 }
 
 void
@@ -78,6 +103,7 @@ Mesh::rollWindow(Cycles now)
             std::min(0.99, static_cast<double>(windowBytes_[i]) /
                                capacity);
         lastUtilisation_[i] = rho;
+        delay_[i] = linkDelay(static_cast<int>(i));
         peak = std::max(peak, rho);
         sum += rho;
         windowBytes_[i] = 0;
@@ -106,27 +132,22 @@ Mesh::traverse(int from, int to, std::uint32_t bytes, Cycles now)
     messages_.inc();
     totalBytes_.inc(bytes);
 
+    simAssert(from >= 0 && from < tiles() && to >= 0 && to < tiles(),
+              "route {} -> {} out of range", from, to);
     Cycles latency = params_.injectionLatency;
     if (from == to)
         return latency;
 
-    TileCoord at = coordOf(from);
-    const TileCoord dst = coordOf(to);
-
-    // XY routing: move along X first, then Y, charging each link.
-    while (at.x != dst.x) {
-        const Direction dir = at.x < dst.x ? East : West;
-        const int link = linkId(at, dir);
-        windowBytes_[static_cast<std::size_t>(link)] += bytes;
-        latency += params_.hopLatency + linkDelay(link);
-        at.x += at.x < dst.x ? 1 : -1;
-    }
-    while (at.y != dst.y) {
-        const Direction dir = at.y < dst.y ? South : North;
-        const int link = linkId(at, dir);
-        windowBytes_[static_cast<std::size_t>(link)] += bytes;
-        latency += params_.hopLatency + linkDelay(link);
-        at.y += at.y < dst.y ? 1 : -1;
+    // The route's links, each charged its bytes, one hop and the
+    // queueing delay of the last complete window.
+    const std::size_t route =
+        static_cast<std::size_t>(from) * static_cast<std::size_t>(tiles()) +
+        static_cast<std::size_t>(to);
+    for (std::uint32_t i = routeStart_[route]; i < routeStart_[route + 1];
+         ++i) {
+        const std::uint32_t link = routeLinks_[i];
+        windowBytes_[link] += bytes;
+        latency += params_.hopLatency + delay_[link];
     }
     if (trace::active(trace_)) {
         trace_->record(trace::Category::Noc, traceComp_, traceMsg_,
@@ -140,6 +161,7 @@ Mesh::resetTraffic()
 {
     std::fill(windowBytes_.begin(), windowBytes_.end(), 0);
     std::fill(lastUtilisation_.begin(), lastUtilisation_.end(), 0.0);
+    std::fill(delay_.begin(), delay_.end(), 0);
     windowStart_ = 0;
     peakUtilisation_ = 0.0;
     meanUtilisation_ = 0.0;

@@ -120,10 +120,19 @@ class Mesh : public SimObject
     Cycles linkDelay(int link) const;
 
     MeshParams params_;
+    /**
+     * XY route of every (from, to) pair as one CSR table: the links of
+     * route `from * tiles() + to`, in crossing order, are
+     * routeLinks_[routeStart_[r], routeStart_[r + 1]).
+     */
+    std::vector<std::uint32_t> routeStart_;
+    std::vector<std::uint32_t> routeLinks_;
     /** Bytes sent on each directed link in the current window. */
     std::vector<std::uint64_t> windowBytes_;
     /** Utilisation of each link over the previous window. */
     std::vector<double> lastUtilisation_;
+    /** linkDelay() of each link, refreshed whenever lastUtilisation_ is. */
+    std::vector<Cycles> delay_;
     Cycles windowStart_ = 0;
     double peakUtilisation_ = 0.0;
     double meanUtilisation_ = 0.0;

@@ -7,16 +7,26 @@
  * the L2-TLB; the CHA-TLB scheme instantiates a dedicated 1024-entry
  * Tlb per CHA; the CHA-noTLB scheme pays a NoC round trip to the core
  * MMU instead.
+ *
+ * A Tlb is true LRU: a hit moves its entry to MRU, a fill of a VPN
+ * already present changes nothing, a fill into a full TLB evicts the
+ * LRU entry, and prefill() stops at capacity. Its entries sit in two
+ * arrays sized at construction (an index-linked LRU list and an
+ * open-addressed VPN index), so lookups and fills allocate nothing;
+ * tests/test_tlb.cc checks every rule against a std::list model.
  */
 
 #ifndef QEI_VM_TLB_HH
 #define QEI_VM_TLB_HH
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <vector>
-#include <unordered_map>
 
+#include "common/logging.hh"
 #include "common/sim_object.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -25,7 +35,15 @@
 
 namespace qei {
 
-/** Fully-associative LRU TLB over 4 KB pages. */
+/**
+ * Fully-associative LRU TLB over 4 KB pages.
+ *
+ * Entries live in a fixed array of `capacity` nodes, doubly linked by
+ * index from MRU (head) to LRU (tail). An open-addressed index of
+ * twice the capacity (rounded up to a power of two, linear probing)
+ * maps a VPN to its node and deletes by backward shift, so no probe
+ * chain ever holds a hole. Nothing is allocated after construction.
+ */
 class Tlb : public SimObject
 {
   public:
@@ -34,6 +52,18 @@ class Tlb : public SimObject
         : SimObject(std::move(name)), capacity_(entries),
           hitLatency_(hit_latency)
     {
+        simAssert(entries > 0 && entries < kNil, "{}: {} TLB entries",
+                  this->name(), entries);
+        const std::size_t slots = std::bit_ceil(2 * entries);
+        mask_ = slots - 1;
+        shift_ = 64 - std::countr_zero(slots);
+        // One block: the index, then the nodes (slots is even, so the
+        // nodes start 8-byte aligned).
+        storage_ = std::make_unique_for_overwrite<std::byte[]>(
+            slots * sizeof(std::uint32_t) + entries * sizeof(Node));
+        index_ = reinterpret_cast<std::uint32_t*>(storage_.get());
+        nodes_ = reinterpret_cast<Node*>(index_ + slots);
+        std::fill_n(index_, slots, kNil);
     }
 
     void
@@ -53,12 +83,15 @@ class Tlb : public SimObject
     bool
     lookup(Addr vpn)
     {
-        auto it = index_.find(vpn);
-        if (it == index_.end()) {
+        const std::uint32_t n = index_[slotOf(vpn)];
+        if (n == kNil) {
             misses_.inc();
             return false;
         }
-        lru_.splice(lru_.begin(), lru_, it->second);
+        if (n != head_) {
+            unlink(n);
+            pushFront(n);
+        }
         hits_.inc();
         return true;
     }
@@ -67,14 +100,22 @@ class Tlb : public SimObject
     void
     fill(Addr vpn)
     {
-        if (index_.contains(vpn))
+        std::size_t slot = slotOf(vpn);
+        if (index_[slot] != kNil)
             return;
-        if (lru_.size() >= capacity_) {
-            index_.erase(lru_.back());
-            lru_.pop_back();
+        std::uint32_t n = size_;
+        if (size_ == capacity_) {
+            n = tail_;
+            erase(slotOf(nodes_[n].vpn));
+            unlink(n);
+            // The backward shift may have opened a nearer slot.
+            slot = slotOf(vpn);
+        } else {
+            ++size_;
         }
-        lru_.push_front(vpn);
-        index_[vpn] = lru_.begin();
+        nodes_[n].vpn = vpn;
+        pushFront(n);
+        index_[slot] = n;
     }
 
     /** Pre-fill with up to capacity entries (steady-state warm TLB). */
@@ -82,7 +123,7 @@ class Tlb : public SimObject
     prefill(const std::vector<Addr>& vpns)
     {
         for (Addr vpn : vpns) {
-            if (lru_.size() >= capacity_)
+            if (size_ >= capacity_)
                 break;
             fill(vpn);
         }
@@ -92,14 +133,16 @@ class Tlb : public SimObject
     void
     flush()
     {
-        lru_.clear();
-        index_.clear();
+        std::fill_n(index_, mask_ + 1, kNil);
+        head_ = kNil;
+        tail_ = kNil;
+        size_ = 0;
         flushes_.inc();
     }
 
     Cycles hitLatency() const { return hitLatency_; }
     std::size_t capacity() const { return capacity_; }
-    std::size_t size() const { return lru_.size(); }
+    std::size_t size() const { return size_; }
 
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
@@ -112,10 +155,90 @@ class Tlb : public SimObject
     }
 
   private:
+    /** No node: an empty index slot, or the end of the LRU list. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    struct Node
+    {
+        Addr vpn;
+        std::uint32_t prev; ///< towards the MRU end
+        std::uint32_t next; ///< towards the LRU end
+    };
+
+    /** Index slot a probe for @p vpn starts at (Fibonacci hashing). */
+    std::size_t
+    home(Addr vpn) const
+    {
+        return static_cast<std::size_t>((vpn * 0x9E3779B97F4A7C15ULL) >>
+                                        shift_);
+    }
+
+    /** Slot holding @p vpn, or the empty slot that ends its chain. */
+    std::size_t
+    slotOf(Addr vpn) const
+    {
+        std::size_t s = home(vpn);
+        while (index_[s] != kNil && nodes_[index_[s]].vpn != vpn)
+            s = (s + 1) & mask_;
+        return s;
+    }
+
+    /**
+     * Empty slot @p hole, then pull back each later entry of its chain
+     * whose home is at or before the hole, so every entry stays
+     * reachable from its home without passing an empty slot.
+     */
+    void
+    erase(std::size_t hole)
+    {
+        for (std::size_t s = (hole + 1) & mask_; index_[s] != kNil;
+             s = (s + 1) & mask_) {
+            const std::size_t h = home(nodes_[index_[s]].vpn);
+            if (((s - h) & mask_) >= ((s - hole) & mask_)) {
+                index_[hole] = index_[s];
+                hole = s;
+            }
+        }
+        index_[hole] = kNil;
+    }
+
+    void
+    unlink(std::uint32_t n)
+    {
+        const Node& node = nodes_[n];
+        if (node.prev != kNil)
+            nodes_[node.prev].next = node.next;
+        else
+            head_ = node.next;
+        if (node.next != kNil)
+            nodes_[node.next].prev = node.prev;
+        else
+            tail_ = node.prev;
+    }
+
+    void
+    pushFront(std::uint32_t n)
+    {
+        nodes_[n].prev = kNil;
+        nodes_[n].next = head_;
+        if (head_ != kNil)
+            nodes_[head_].prev = n;
+        else
+            tail_ = n;
+        head_ = n;
+    }
+
     std::size_t capacity_;
     Cycles hitLatency_;
-    std::list<Addr> lru_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> index_;
+    std::unique_ptr<std::byte[]> storage_;
+    std::uint32_t* index_; ///< node per slot, or kNil
+    /** Nodes [0, size_) are live; a full TLB reuses its tail. */
+    Node* nodes_;
+    std::size_t mask_ = 0;
+    int shift_ = 0;
+    std::uint32_t head_ = kNil;
+    std::uint32_t tail_ = kNil;
+    std::uint32_t size_ = 0;
     Counter hits_;
     Counter misses_;
     Counter flushes_;

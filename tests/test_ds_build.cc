@@ -1,8 +1,9 @@
 // Differential tests for the host-side structure builders: SimTrie,
 // SimBst and SimChainedHash lay their nodes out in flat host arrays and
-// write each node once. The reference builders below grow the same
-// structures node by node through VirtualMemory (a std::map trie, a
-// BST insert that walks simulated memory, per-field chain inserts).
+// write each node once, and SimLsh projects its keys in place. The
+// reference builders below grow the same structures node by node
+// through VirtualMemory (a std::map trie, a BST insert that walks
+// simulated memory, per-field chain inserts, fresh keys per table).
 // Both run in fresh address spaces and must leave the same root and
 // header addresses, the same break and every heap byte equal.
 
@@ -17,6 +18,7 @@
 
 #include "ds/bst.hh"
 #include "ds/chained_hash.hh"
+#include "ds/lsh.hh"
 #include "ds/trie.hh"
 
 using namespace qei;
@@ -454,6 +456,71 @@ TEST(ChainedHashBuild, CollidingKeysAndLongNodes)
         items.emplace_back(items[i % 3].first, i);
     checkChainedHash(items, 16, HashFunction::Crc32c,
                      StructType::HashOfLists);
+}
+
+// ----------------------------------------------------------------- lsh
+
+/** One fresh projected copy of every key per table. */
+struct RefLsh
+{
+    RefLsh(VirtualMemory& vm, int tables, const Items& items, Rng& rng)
+    {
+        const std::size_t keyLen = items.front().first.size();
+        std::size_t buckets = 64;
+        while (buckets * 4 < items.size())
+            buckets *= 2;
+        for (int t = 0; t < tables; ++t) {
+            masks.push_back(randomKey(rng, keyLen));
+            Items projected;
+            for (const auto& [key, id] : items) {
+                Key out(keyLen);
+                for (std::size_t i = 0; i < keyLen; ++i)
+                    out[i] = key[i] ^ masks.back()[i];
+                projected.emplace_back(std::move(out), id);
+            }
+            this->tables.push_back(std::make_unique<SimChainedHash>(
+                vm, projected, buckets, HashFunction::Fnv1a));
+        }
+    }
+
+    std::vector<Key> masks;
+    std::vector<std::unique_ptr<SimChainedHash>> tables;
+};
+
+void
+checkLsh(int tables, const Items& items, std::uint64_t seed)
+{
+    Heap ref;
+    Heap fast;
+    Rng refRng(seed);
+    Rng fastRng(seed);
+    const RefLsh expected(ref.vm, tables, items, refRng);
+    SimLsh lsh(fast.vm, tables, items, fastRng);
+    ASSERT_EQ(lsh.tableCount(), tables);
+    for (int t = 0; t < tables; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        EXPECT_EQ(lsh.table(t).headerAddr(),
+                  expected.tables[i]->headerAddr());
+        Key zero(items.front().first.size(), 0);
+        EXPECT_EQ(lsh.project(zero, t), expected.masks[i]);
+    }
+    EXPECT_EQ(fastRng.next(), refRng.next())
+        << "the builders draw different numbers of projections";
+    expectSameHeap(ref.vm, fast.vm);
+}
+
+TEST(LshBuild, PaperSizeFlannTables)
+{
+    // FLANN: 12 tables over 30 K 20-byte keys.
+    checkLsh(12, randomItems(30 * 1000, 20, 11), 7);
+}
+
+TEST(LshBuild, OneTableWithRepeatedKeys)
+{
+    Items items = randomItems(100, 8, 12);
+    for (std::size_t i = 0; i < 50; ++i)
+        items.emplace_back(items[i % 4].first, 0xA000 + i);
+    checkLsh(1, items, 3);
 }
 
 } // namespace

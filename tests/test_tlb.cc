@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+
+#include "common/random.hh"
 #include "vm/tlb.hh"
 
 using namespace qei;
@@ -63,6 +67,162 @@ TEST(Tlb, HitRate)
     tlb.lookup(1);
     tlb.lookup(2);
     EXPECT_DOUBLE_EQ(tlb.hitRate(), 0.5);
+}
+
+namespace {
+
+/** The std::list + std::unordered_map TLB that Tlb replaced. */
+class RefTlb
+{
+  public:
+    explicit RefTlb(std::size_t entries) : capacity_(entries) {}
+
+    bool
+    lookup(Addr vpn)
+    {
+        auto it = index_.find(vpn);
+        if (it == index_.end()) {
+            ++misses_;
+            return false;
+        }
+        lru_.splice(lru_.begin(), lru_, it->second);
+        ++hits_;
+        return true;
+    }
+
+    void
+    fill(Addr vpn)
+    {
+        if (index_.contains(vpn))
+            return;
+        if (lru_.size() >= capacity_) {
+            index_.erase(lru_.back());
+            lru_.pop_back();
+        }
+        lru_.push_front(vpn);
+        index_[vpn] = lru_.begin();
+    }
+
+    void
+    prefill(const std::vector<Addr>& vpns)
+    {
+        for (Addr vpn : vpns) {
+            if (lru_.size() >= capacity_)
+                break;
+            fill(vpn);
+        }
+    }
+
+    void
+    flush()
+    {
+        lru_.clear();
+        index_.clear();
+    }
+
+    /** Cached VPNs, most recently used first. */
+    std::vector<Addr> entries() const { return {lru_.begin(), lru_.end()}; }
+    std::size_t size() const { return lru_.size(); }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    std::size_t capacity_;
+    std::list<Addr> lru_;
+    std::unordered_map<Addr, std::list<Addr>::iterator> index_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+/**
+ * A VPN for a TLB of @p capacity: mostly from a dense range of three
+ * times the capacity (so the TLB stays full, probe chains run into
+ * each other and most fills evict), sometimes a scattered 36-bit page
+ * number that is almost always a miss.
+ */
+Addr
+drawVpn(Rng& rng, std::size_t capacity)
+{
+    if (rng.chance(0.9))
+        return 0x7F000 + rng.below(3 * capacity);
+    return rng.below(Addr{1} << 36);
+}
+
+/**
+ * Tlb and RefTlb agree on one seeded op stream. Every op on a small
+ * TLB, and every 256 ops on a large one, both look up every VPN the
+ * reference holds, from LRU to MRU (which keeps their order), so an
+ * entry the index lost is found before lost entries can fill it.
+ */
+void
+checkAgainstReference(std::size_t capacity, std::uint64_t seed, int ops)
+{
+    Tlb tlb(capacity, 1);
+    RefTlb ref(capacity);
+    Rng rng(seed);
+    const int sweepEvery = capacity <= 64 ? 1 : 256;
+    for (int op = 0; op < ops; ++op) {
+        if (op % sweepEvery == 0) {
+            const std::vector<Addr> held = ref.entries();
+            for (auto it = held.rbegin(); it != held.rend(); ++it) {
+                ref.lookup(*it);
+                ASSERT_TRUE(tlb.lookup(*it))
+                    << "lost " << *it << " before op " << op;
+            }
+        }
+        const std::uint64_t kind = rng.below(1000);
+        if (kind < 550) {
+            const Addr vpn = drawVpn(rng, capacity);
+            ASSERT_EQ(tlb.lookup(vpn), ref.lookup(vpn))
+                << "lookup " << vpn << " at op " << op;
+        } else if (kind < 990) {
+            const Addr vpn = drawVpn(rng, capacity);
+            tlb.fill(vpn);
+            ref.fill(vpn);
+        } else if (kind < 998) {
+            std::vector<Addr> vpns(rng.below(2 * capacity + 1));
+            for (Addr& vpn : vpns)
+                vpn = drawVpn(rng, capacity);
+            tlb.prefill(vpns);
+            ref.prefill(vpns);
+        } else {
+            tlb.flush();
+            ref.flush();
+        }
+        ASSERT_EQ(tlb.size(), ref.size()) << "at op " << op;
+        ASSERT_EQ(tlb.hits(), ref.hits()) << "at op " << op;
+        ASSERT_EQ(tlb.misses(), ref.misses()) << "at op " << op;
+    }
+}
+
+} // namespace
+
+TEST(Tlb, MatchesListReferenceOnSeededMix)
+{
+    for (std::size_t capacity : {1, 2, 64, 1024, 1536}) {
+        SCOPED_TRACE(capacity);
+        for (std::uint64_t seed : {1, 7, 19})
+            checkAgainstReference(capacity, seed, 60 * 1000);
+    }
+}
+
+TEST(Tlb, FullTlbKeepsTheMostRecentlyUsed)
+{
+    // Fill past capacity, touching the oldest entry each round: the
+    // touched entry survives, the untouched ones go in fill order.
+    Tlb tlb(64, 1);
+    for (Addr v = 0; v < 64; ++v)
+        tlb.fill(v);
+    for (Addr v = 64; v < 128; ++v) {
+        EXPECT_TRUE(tlb.lookup(0));
+        tlb.fill(v);
+    }
+    EXPECT_EQ(tlb.size(), 64u);
+    EXPECT_TRUE(tlb.lookup(0));
+    EXPECT_FALSE(tlb.lookup(1));
+    EXPECT_FALSE(tlb.lookup(64));
+    EXPECT_TRUE(tlb.lookup(65));
+    EXPECT_TRUE(tlb.lookup(127));
 }
 
 namespace {
