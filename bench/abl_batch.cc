@@ -145,8 +145,9 @@ main(int argc, char** argv)
     // untouched scalar path.
     Sweep<QeiRunStats> sweep;
     for (std::size_t w = 0; w < names.size(); ++w) {
-        const std::size_t row = sweep.row(workloadRow(
-            makeWorkloadFactories()[w], capQueries(queries[w], cap)));
+        const std::size_t row = sweep.row(
+            workloadRow(makeWorkloadFactories()[w],
+                        capQueries(queries[w], cap), 42, options.chip));
         for (const int batchSize : kBatchSizes) {
             DriverConfig config(SchemeConfig::coreIntegrated());
             if (batchSize > 1) {

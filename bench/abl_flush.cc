@@ -105,7 +105,7 @@ main(int argc, char** argv)
     std::printf("=== Ablation: interrupt flush latency (Sec. IV-D) "
                 "===\n");
 
-    World world(55);
+    World world(55, options.chip);
     Rng rng(4);
     std::vector<std::pair<Key, std::uint64_t>> items;
     std::vector<Key> keys;

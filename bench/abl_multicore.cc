@@ -86,7 +86,8 @@ main(int argc, char** argv)
     const std::vector<int> coreCounts{1, 4, 8, 16};
     Sweep<QeiRunStats> sweep;
     const std::size_t jvm =
-        sweep.row(workloadRow(makeWorkloadFactories()[1], 2400));
+        sweep.row(workloadRow(makeWorkloadFactories()[1], 2400, 42,
+                              options.chip));
     for (const SchemeConfig& scheme : schemesToRun) {
         for (const int cores : coreCounts) {
             const std::string label =

@@ -86,7 +86,8 @@ main(int argc, char** argv)
     const auto allSchemes = SchemeConfig::allSchemes();
     Sweep<Hotspot> sweep;
     const std::size_t jvm =
-        sweep.row(workloadRow(makeWorkloadFactories()[1], 1200));
+        sweep.row(workloadRow(makeWorkloadFactories()[1], 1200, 42,
+                              options.chip));
     for (const SchemeConfig& scheme : allSchemes) {
         sweep.cell(jvm, "jvm/" + scheme.name(),
                    [scheme](World& world, const PreparedRow& row,

@@ -164,8 +164,10 @@ main(int argc, char** argv)
     sweep.prologue(calibrateServiceGap);
     const auto factories = makeWorkloadFactories();
     const std::vector<std::size_t> rows{
-        sweep.row(workloadRow(factories[0], capQueries(1500, cap), 43)),
-        sweep.row(workloadRow(factories[1], capQueries(800, cap), 42)),
+        sweep.row(workloadRow(factories[0], capQueries(1500, cap), 43,
+                              options.chip)),
+        sweep.row(workloadRow(factories[1], capQueries(800, cap), 42,
+                              options.chip)),
     };
     for (std::size_t w = 0; w < rows.size(); ++w) {
         for (std::size_t l = 0; l < kLoadsPct.size(); ++l) {

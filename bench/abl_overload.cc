@@ -409,7 +409,8 @@ main(int argc, char** argv)
         return anchor;
     });
     const std::size_t row =
-        sweep.row(workloadRow(makeWorkloadFactories()[0], queries, 43));
+        sweep.row(workloadRow(makeWorkloadFactories()[0], queries, 43,
+                              options.chip));
     for (std::size_t c = 1; c < kCells.size(); ++c) {
         sweep.cell(row, kCells[c].name,
                    [&, c](World& world, const PreparedRow& row,

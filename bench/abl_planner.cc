@@ -152,8 +152,9 @@ main(int argc, char** argv)
         return DriverConfig(plannerTopology(cfg)).withPlanner(cfg);
     };
     for (std::size_t w = 0; w < kWorkloads.size(); ++w) {
-        const std::size_t row = runner.row(workloadRow(
-            makeWorkloadFactories()[w], capQueries(queryCounts[w], cap)));
+        const std::size_t row = runner.row(
+            workloadRow(makeWorkloadFactories()[w],
+                        capQueries(queryCounts[w], cap), 42, options.chip));
         for (const Topology& topo : schemes)
             addCell(row, kWorkloads[w] + "/" + topo.name(), topo);
         addCell(row, kWorkloads[w] + "/planner-cost",
@@ -161,7 +162,7 @@ main(int argc, char** argv)
     }
     const std::size_t mixedFirst = runner.cells();
     const std::size_t mixedRow =
-        runner.row(mixedTraceRow(capQueries(512, cap)));
+        runner.row(mixedTraceRow(capQueries(512, cap), options.chip));
     for (const Topology& topo : schemes)
         addCell(mixedRow, "mixed/" + topo.name(), topo);
     // The union routes on the class ranges of this World's own keys.

@@ -86,9 +86,10 @@ main(int argc, char** argv)
         return runBaseline(world, row.prepared);
     });
     const auto factories = makeWorkloadFactories();
-    const std::size_t jvm = sweep.row(workloadRow(factories[1], 800, 42));
+    const std::size_t jvm =
+        sweep.row(workloadRow(factories[1], 800, 42, options.chip));
     const std::size_t dpdk =
-        sweep.row(workloadRow(factories[0], 1500, 43));
+        sweep.row(workloadRow(factories[0], 1500, 43, options.chip));
     for (const int entries : sizes) {
         SchemeConfig scheme = SchemeConfig::coreIntegrated();
         scheme.qstEntries = entries;

@@ -102,7 +102,8 @@ main(int argc, char** argv)
     std::vector<std::string> names;
     for (const WorkloadFactory& factory : makeWorkloadFactories()) {
         names.push_back(factory()->name());
-        const std::size_t row = sweep.row(workloadRow(factory, 0));
+        const std::size_t row =
+            sweep.row(workloadRow(factory, 0, 42, options.chip));
         sweep.cell(row, names.back() + "/remote-cmp",
                    DriverConfig(remote));
         sweep.cell(row, names.back() + "/local-only", DriverConfig(local));

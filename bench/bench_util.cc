@@ -8,6 +8,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <mutex>
 
 #include "fault/fault_config.hh"
@@ -118,25 +119,6 @@ jsonStem(const std::string& path)
     return path;
 }
 
-/** "0" / "auto" = all host cores; anything else must be >= 1. */
-int
-parseThreadCount(const char* text)
-{
-    if (std::strcmp(text, "auto") == 0 || std::strcmp(text, "0") == 0)
-        return ThreadPool::hardwareThreads();
-    const int n = std::atoi(text);
-    if (n < 1) {
-        fatal("--threads / QEI_BENCH_THREADS wants a positive count "
-              "or 'auto', got '{}'",
-              text);
-    }
-    return n;
-}
-
-} // namespace
-
-namespace {
-
 [[noreturn]] void
 usageError(const char* prog, const std::string& message)
 {
@@ -151,8 +133,6 @@ usageError(const char* prog, const std::string& message)
         "  --threads <n>      host threads (0 or 'auto' = all cores)\n"
         "  --faults <spec>    fault-injection mix, e.g. "
         "'pf=0.05,flush=20000,seed=7'\n"
-        "  --planner <mode>   offload planner: static|cost|shard "
-        "(exported as QEI_PLANNER)\n"
         "  --validate         gate the exit code on the expectation "
         "table\n"
         "  --list-workloads   print workload names + descriptions, "
@@ -165,6 +145,26 @@ usageError(const char* prog, const std::string& message)
         "descriptions, exit 0\n",
         prog, message.c_str(), prog);
     std::exit(2);
+}
+
+/** "0" / "auto" = all host cores, else a whole positive count;
+ *  anything more or less is a usage error. */
+int
+parseThreadCount(const char* prog, const char* text)
+{
+    if (std::strcmp(text, "auto") == 0 || std::strcmp(text, "0") == 0)
+        return ThreadPool::hardwareThreads();
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || n < 1 ||
+        n > std::numeric_limits<int>::max()) {
+        usageError(prog, fmt("--threads wants a positive count, 0 or "
+                             "'auto', got '{}'",
+                             text));
+    }
+    return static_cast<int>(n);
 }
 
 /** One-line description of a canonical integration scheme. */
@@ -233,13 +233,13 @@ listTopologies()
                     schemeDescription(t.params().scheme));
     }
     std::printf("%-18s cost-model pick of the best family per "
-                "workload (--planner cost)\n",
+                "workload (abl_planner)\n",
                 "planner-cost");
     std::printf("%-18s heterogeneous per-class union for mixed "
                 "traces (docs/planner.md)\n",
                 "planner-mix");
     std::printf("%-18s key-space sharded family, optional QST work "
-                "stealing (--planner shard)\n",
+                "stealing (abl_planner)\n",
                 "<family>-shardN");
     std::exit(0);
 }
@@ -251,8 +251,6 @@ parseBenchArgs(int argc, char** argv)
 {
     BenchOptions options;
     const char* prog = argc > 0 ? argv[0] : "bench";
-    if (const char* env = std::getenv("QEI_BENCH_THREADS"))
-        options.threads = parseThreadCount(env);
 
     // A flag's operand may follow as the next argument or be glued
     // with '='; a flag at the end of the line with no operand is an
@@ -279,17 +277,14 @@ parseBenchArgs(int argc, char** argv)
         } else if (std::strncmp(arg, "--metrics=", 10) == 0) {
             options.metricsPath = arg + 10;
         } else if (std::strcmp(arg, "--threads") == 0) {
-            options.threads = parseThreadCount(operand(i, "--threads"));
+            options.threads =
+                parseThreadCount(prog, operand(i, "--threads"));
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            options.threads = parseThreadCount(arg + 10);
+            options.threads = parseThreadCount(prog, arg + 10);
         } else if (std::strcmp(arg, "--faults") == 0) {
-            options.faultSpec = operand(i, "--faults");
+            options.chip.faults = parseFaultSpec(operand(i, "--faults"));
         } else if (std::strncmp(arg, "--faults=", 9) == 0) {
-            options.faultSpec = arg + 9;
-        } else if (std::strcmp(arg, "--planner") == 0) {
-            options.plannerMode = operand(i, "--planner");
-        } else if (std::strncmp(arg, "--planner=", 10) == 0) {
-            options.plannerMode = arg + 10;
+            options.chip.faults = parseFaultSpec(arg + 9);
         } else if (std::strcmp(arg, "--validate") == 0) {
             options.validate = true;
         } else if (std::strcmp(arg, "--list-workloads") == 0) {
@@ -307,30 +302,11 @@ parseBenchArgs(int argc, char** argv)
         }
     }
 
-    if (!options.faultSpec.empty()) {
-        // Validate eagerly (parseFaultSpec fatals on a bad spec) and
-        // export for every defaultChip() construction in the process,
-        // matrix worker threads included — setenv happens here on the
-        // main thread, before any fan-out.
-        (void)parseFaultSpec(options.faultSpec);
-        ::setenv("QEI_FAULTS", options.faultSpec.c_str(), 1);
-    }
-
-    if (!options.plannerMode.empty()) {
-        // Same pattern as QEI_FAULTS: validate eagerly
-        // (parsePlannerMode fatals on a bad name) and export before
-        // any matrix fan-out, so every Inherit-mode runQei in the
-        // process — worker threads included — resolves it.
-        (void)parsePlannerMode(options.plannerMode);
-        ::setenv("QEI_PLANNER", options.plannerMode.c_str(), 1);
-    }
-
     if (!options.metricsPath.empty()) {
         if (metrics::kCompiledIn) {
-            // Same pattern as QEI_FAULTS: flip the process-wide switch
-            // here on the main thread, before any matrix fan-out, so
-            // worker-thread runQei() calls only read it.
-            metrics::loadRuntimeConfigFromEnv();
+            // Flip the process-wide switch here on the main thread,
+            // before any matrix fan-out, so worker-thread runQei()
+            // calls only read it.
             metrics::runtimeConfig().enabled = true;
         } else {
             std::fprintf(stderr,
@@ -591,17 +567,12 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
                            runBaseline(world, row.prepared), {},
                            ChipActivity::capture(world.hierarchy), {}};
                    });
-        // Inherit planner mode: the cost-model class only engages
-        // under --planner / QEI_PLANNER.
-        PlannerConfig planner;
-        planner.workload = runs[w].name;
         for (const Topology& topo : options.topologies) {
             const DriverConfig config =
                 DriverConfig(topo)
                     .withMode(options.mode)
                     .withBatch(options.batch)
-                    .withLabel(runs[w].name + "/" + topo.name())
-                    .withPlanner(planner);
+                    .withLabel(runs[w].name + "/" + topo.name());
             sweep.cell(row, topo.name(),
                        [config, stats = options.captureStats](
                            World& world, const PreparedRow& row,
@@ -662,11 +633,12 @@ workloadRow(WorkloadFactory factory, std::size_t queries,
 }
 
 SweepRow
-mixedTraceRow(std::size_t queries_per_class)
+mixedTraceRow(std::size_t queries_per_class, const ChipConfig& chip)
 {
     // Traces stay index-aligned with jobs so queryId-based fallback
     // lookups keep working.
     SweepRow row;
+    row.chip = chip;
     row.make = [queries_per_class](World& world) -> PreparedRow {
         const auto factories = makeWorkloadFactories();
         auto keep = std::make_shared<MixedTrace>();

@@ -54,10 +54,7 @@ struct BenchOptions
      * byte-identical to a run without the subsystem.
      */
     std::string metricsPath;
-    /**
-     * Host threads for experiment fan-out (Sweep::run). 1 = serial;
-     * defaults from QEI_BENCH_THREADS.
-     */
+    /** Host threads for experiment fan-out (Sweep::run). 1 = serial. */
     int threads = 1;
     /**
      * `--validate`: print the per-expectation PASS/WARN/FAIL table
@@ -68,22 +65,13 @@ struct BenchOptions
      */
     bool validate = false;
     /**
-     * `--faults <spec>`: fault-injection mix for this run (see
-     * fault/fault_config.hh for the grammar). parseBenchArgs validates
-     * the spec and exports it as QEI_FAULTS so every defaultChip()
-     * construction in the process — including matrix cells on worker
-     * threads — picks it up.
+     * The machine every World and row the harness builds runs on:
+     * Tab. II, with `--faults <spec>` (grammar in
+     * fault/fault_config.hh) parsed into `chip.faults`. Harnesses pass
+     * it by value to each World, SweepRow and MatrixOptions, so
+     * matrix cells on worker threads see exactly this machine.
      */
-    std::string faultSpec;
-    /**
-     * `--planner static|cost|shard`: process-wide offload-planner
-     * mode. parseBenchArgs validates the name and exports it as
-     * QEI_PLANNER, which every runQei() whose DriverConfig leaves the
-     * planner mode at Inherit — i.e. every harness cell that does not
-     * pin a mode explicitly — resolves at run start (see
-     * src/qei/planner.hh). Empty = flag absent.
-     */
-    std::string plannerMode;
+    ChipConfig chip;
     /** Non-option arguments, in order (the sweep harnesses' query
      *  cap). */
     std::vector<std::string> positional;
@@ -95,17 +83,17 @@ struct BenchOptions
  * `--metrics <path>`, `--metrics=<path>` (enables time-series
  * sampling and writes the CSV there; warns and ignores when the build
  * has -DQEI_METRICS=OFF), `--threads <n>`, `--threads=<n>` (n = 0 or
- * "auto" uses every host core), `--faults <spec>`, `--faults=<spec>`,
- * `--planner <mode>`, `--planner=<mode>` (static|cost|shard; exported
- * as QEI_PLANNER), and `--validate`;
- * QEI_BENCH_THREADS seeds the thread default. `--list-workloads`,
+ * "auto" uses every host core, else a whole positive count),
+ * `--faults <spec>`, `--faults=<spec>` (sets BenchOptions::chip's
+ * faults), and `--validate`. Every setting comes from the command
+ * line; nothing is read from the environment. `--list-workloads`,
  * `--list-schemes`, `--list-traffic`, and `--list-topologies` print
- * the available names
- * with descriptions and exit(0), so scripts can enumerate instead of
- * hardcoding. Non-option
- * arguments are collected into BenchOptions::positional. Unknown
- * `--flags` and flags missing their operand print a usage message and
- * exit(2) — a typo must not silently run the un-modified experiment.
+ * the available names with descriptions and exit(0), so scripts can
+ * enumerate instead of hardcoding. Non-option arguments are collected
+ * into BenchOptions::positional. Unknown `--flags`, flags missing
+ * their operand and a malformed `--threads` count print a usage
+ * message and exit(2) — a typo must not silently run the un-modified
+ * experiment.
  */
 BenchOptions parseBenchArgs(int argc, char** argv);
 
@@ -219,12 +207,11 @@ struct WorkloadRun
 struct MatrixOptions
 {
     /**
-     * Machine description every row's World is built from. The
-     * default picks up QEI_FAULTS, so `--faults` reaches matrix
-     * harnesses without per-harness wiring; fault harnesses override
-     * `chip.faults` explicitly per mix.
+     * Machine description every row's World is built from: Tab. II by
+     * default; harnesses pass BenchOptions::chip, so `--faults`
+     * reaches every cell.
      */
-    ChipConfig chip = defaultChip();
+    ChipConfig chip;
     /** Queries per workload; 0 = each workload's default. */
     std::size_t queries = 0;
     /** Deployments to run per workload (one cell each). */
@@ -283,17 +270,16 @@ struct PreparedRow
 struct SweepRow
 {
     std::uint64_t seed = 42;
-    ChipConfig chip = defaultChip();
+    ChipConfig chip;
     /** Build and prepare a fresh World; runs once per World built for
      *  the row, so it may depend on nothing else. */
     std::function<PreparedRow(World&)> make;
 };
 
-/** Row that builds @p factory's workload and prepares @p queries
- *  queries (0 = its default). */
+/** Row on @p chip that builds @p factory's workload and prepares
+ *  @p queries queries (0 = its default). */
 SweepRow workloadRow(WorkloadFactory factory, std::size_t queries,
-                     std::uint64_t seed = 42,
-                     const ChipConfig& chip = defaultChip());
+                     std::uint64_t seed, const ChipConfig& chip);
 
 /** What the mixed row keeps: both builders, and the key-space class
  *  ranges a planner union partitions on. */
@@ -304,8 +290,10 @@ struct MixedTrace
 };
 
 /** abl_planner's mixed trace: dpdk and flann, @p queries_per_class
- *  each, interleaved 1:1 in one World; keeps a MixedTrace. */
-SweepRow mixedTraceRow(std::size_t queries_per_class);
+ *  each, interleaved 1:1 in one World on @p chip; keeps a
+ *  MixedTrace. */
+SweepRow mixedTraceRow(std::size_t queries_per_class,
+                       const ChipConfig& chip);
 
 /**
  * The scheduler behind Sweep::run(): run @p cell(c, ...) for every
@@ -344,7 +332,8 @@ bool writeSweepTrace(const std::string& path,
  *
  *   Sweep<QeiRunStats, double> sweep;
  *   sweep.prologue(calibrateServiceGap);
- *   const std::size_t r = sweep.row(workloadRow(factory, 800));
+ *   const std::size_t r =
+ *       sweep.row(workloadRow(factory, 800, 42, options.chip));
  *   sweep.cell(r, "jvm/qst-10", DriverConfig(scheme));
  *   sweep.cell(r, "jvm/open", [](World& w, const PreparedRow& row,
  *                                const double& gap) { ... });

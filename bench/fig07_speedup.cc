@@ -180,7 +180,7 @@ writeFig01(const BenchReport& fig07,
                   "IPC"});
 
     Json workloads = Json::array();
-    const int width = defaultChip().core.issueWidth;
+    const int width = ChipConfig{}.core.issueWidth;
     for (const WorkloadRun& run : runs) {
         const RoiProfile& profile = run.prepared.profile;
         table.row({run.name,
@@ -560,6 +560,7 @@ main(int argc, char** argv)
     table.header(header);
 
     MatrixOptions matrix;
+    matrix.chip = options.chip;
     matrix.threads = options.threads;
     matrix.tracePath = options.tracePath;
 

@@ -108,7 +108,8 @@ main(int argc, char** argv)
     std::vector<std::string> names;
     for (const WorkloadFactory& factory : makeWorkloadFactories()) {
         names.push_back(factory()->name());
-        const std::size_t row = runner.row(workloadRow(factory, 0));
+        const std::size_t row =
+            runner.row(workloadRow(factory, 0, 42, options.chip));
         for (const Cycles c : sweep) {
             runner.cell(row, names.back() + "/dev-" + std::to_string(c),
                         DriverConfig(SchemeConfig::deviceIndirect(c)));

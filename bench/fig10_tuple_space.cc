@@ -157,7 +157,7 @@ main(int argc, char** argv)
     Sweep<CellOut> sweep;
     for (const int tuples : tupleCounts) {
         const std::size_t row = sweep.row(
-            {1000 + static_cast<std::uint64_t>(tuples), defaultChip(),
+            {1000 + static_cast<std::uint64_t>(tuples), options.chip,
              [tuples](World& world) {
                  return makeSetup(world, tuples, 120);
              }});

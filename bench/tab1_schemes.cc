@@ -122,10 +122,11 @@ paperExpectations()
 int
 main(int argc, char** argv)
 {
-    BenchReport report("tab1_schemes", parseBenchArgs(argc, argv));
+    const BenchOptions options = parseBenchArgs(argc, argv);
+    BenchReport report("tab1_schemes", options);
     std::printf("=== Tab. I: integration scheme comparison ===\n");
 
-    World world(7);
+    World world(7, options.chip);
     const Addr probe = world.vm.alloc(kCacheLineBytes, kCacheLineBytes);
     const double noc = avgNocOneWay(world.hierarchy);
     const double chaData = avgChaData(world.hierarchy, world.vm, probe);

@@ -55,7 +55,7 @@ main(int argc, char** argv)
 {
     BenchReport report("tab2_config", parseBenchArgs(argc, argv));
     std::printf("=== Tab. II: simulated CPU model configuration ===\n");
-    const ChipConfig chip = defaultChip();
+    const ChipConfig chip;
     std::fputs(chip.describe().c_str(), stdout);
     std::printf("QST entries       : %d per accelerator "
                 "(Core/CHA schemes), %d total (Device schemes)\n",

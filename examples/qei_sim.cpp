@@ -49,7 +49,7 @@ usage(const char* argv0)
         "          [--queries N] [--mode b|nb] [--cores N]\n"
         "          [--seed N] [--poll-batch N] [--verbose]\n"
         "  (--cores is at most %d; --mode nb runs on one core)\n",
-        argv0, defaultChip().memory.cores);
+        argv0, ChipConfig{}.memory.cores);
     std::exit(2);
 }
 
@@ -93,7 +93,7 @@ parse(int argc, char** argv)
         } else if (arg == "--cores") {
             opt.cores = static_cast<int>(
                 count(1, static_cast<std::uint64_t>(
-                             defaultChip().memory.cores)));
+                             ChipConfig{}.memory.cores)));
         } else if (arg == "--seed") {
             opt.seed = count(0, UINT64_MAX);
         } else if (arg == "--poll-batch") {

@@ -39,11 +39,23 @@
 #   build-dir   cmake build tree (default: build); configured+built
 #               here if the bench binaries are missing
 #   output-dir  where the BENCH_*.json files land (default: .)
-#   threads     host threads per harness (default: $QEI_BENCH_THREADS,
-#               else "auto" = all hardware threads); every task still
-#               simulates a private world, so results are identical at
-#               any thread count
+#   threads     host threads per harness (default: "auto" = all
+#               hardware threads); every task still simulates a private
+#               world, so results are identical at any thread count
+# A relative build-dir, output-dir, --trace-dir or --metrics-dir given
+# on the command line is taken from the directory the script is run
+# from; the defaults (build, .) are relative to the repository root.
+# The script reads no environment variable.
 set -eu
+
+# An explicitly given directory, anchored to the caller's working
+# directory before the script moves to the repository root.
+from_caller() {
+    case $1 in
+        /*) printf '%s\n' "$1" ;;
+        *) printf '%s\n' "$PWD/$1" ;;
+    esac
+}
 
 trace_dir=
 metrics_dir=
@@ -54,20 +66,20 @@ while [ $# -gt 0 ]; do
     case $1 in
         --trace-dir)
             [ $# -ge 2 ] || { echo "--trace-dir needs a value" >&2; exit 2; }
-            trace_dir=$2
+            trace_dir=$(from_caller "$2")
             shift 2
             ;;
         --trace-dir=*)
-            trace_dir=${1#--trace-dir=}
+            trace_dir=$(from_caller "${1#--trace-dir=}")
             shift
             ;;
         --metrics-dir)
             [ $# -ge 2 ] || { echo "--metrics-dir needs a value" >&2; exit 2; }
-            metrics_dir=$2
+            metrics_dir=$(from_caller "$2")
             shift 2
             ;;
         --metrics-dir=*)
-            metrics_dir=${1#--metrics-dir=}
+            metrics_dir=$(from_caller "${1#--metrics-dir=}")
             shift
             ;;
         --validate)
@@ -89,9 +101,15 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-build_dir=${1:-build}
-out_dir=${2:-.}
-threads=${3:-${QEI_BENCH_THREADS:-auto}}
+build_dir=build
+out_dir=.
+if [ -n "${1:-}" ]; then
+    build_dir=$(from_caller "$1")
+fi
+if [ -n "${2:-}" ]; then
+    out_dir=$(from_caller "$2")
+fi
+threads=${3:-auto}
 
 repo_dir=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 cd "$repo_dir"

@@ -12,7 +12,8 @@
  * owns every piece of mutable machine state (memory, VM, hierarchy,
  * EventQueue, FirmwareStore, Rng), so "one World per task" is the
  * whole rule; the only process-wide state left is the logging sink
- * (mutex-guarded) and the log level (atomic).
+ * (mutex-guarded), the log level (atomic), and the telemetry pair
+ * named on World (workloads/workload.hh).
  */
 
 #ifndef QEI_COMMON_THREAD_POOL_HH

@@ -1,7 +1,5 @@
 #include "chip_config.hh"
 
-#include <cstdlib>
-
 #include "common/format.hh"
 
 namespace qei {
@@ -34,20 +32,6 @@ ChipConfig::describe() const
                        memory.mesh.cols, memory.mesh.rows);
     out += qei::fmt("Process           : {} nm\n", processNm);
     return out;
-}
-
-ChipConfig
-defaultChip()
-{
-    ChipConfig config{};
-    // QEI_FAULTS lets CI (scripts/run_benches.sh --faults) run any
-    // existing harness under a nonzero fault mix without per-harness
-    // plumbing: every World built from the default chip picks it up.
-    if (const char* env = std::getenv("QEI_FAULTS")) {
-        if (env[0] != '\0')
-            config.faults = parseFaultSpec(env);
-    }
-    return config;
 }
 
 } // namespace qei

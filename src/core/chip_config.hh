@@ -46,16 +46,13 @@ struct ChipConfig
     MmuParams mmu;
     QeiSizing qei;
     /** Fault-injection mix + watchdog knobs; default injects nothing.
-     *  Seeded per run from bench flags or the QEI_FAULTS env var. */
+     *  The harnesses set it from `--faults`. */
     FaultConfig faults;
     int processNm = 22;
 
     /** Human-readable rendition of Tab. II. */
     std::string describe() const;
 };
-
-/** The default machine used by every experiment. */
-ChipConfig defaultChip();
 
 } // namespace qei
 

@@ -64,6 +64,8 @@ struct FaultConfig
                !firmwareFaultQueries.empty() || flushPeriod > 0 ||
                qstEntriesOverride > 0;
     }
+
+    bool operator==(const FaultConfig&) const = default;
 };
 
 /**

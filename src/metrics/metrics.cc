@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace qei::metrics {
 
@@ -338,27 +337,6 @@ runtimeConfig()
 {
     static RuntimeConfig config;
     return config;
-}
-
-void
-loadRuntimeConfigFromEnv()
-{
-    RuntimeConfig& config = runtimeConfig();
-    if (const char* env = std::getenv("QEI_METRICS_INTERVAL")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            config.sampler.intervalCycles = v;
-    }
-    if (const char* env = std::getenv("QEI_METRICS_WINDOW")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            config.sampler.window = static_cast<std::size_t>(v);
-    }
-    if (const char* env = std::getenv("QEI_METRICS_SLO")) {
-        const double v = std::strtod(env, nullptr);
-        if (v > 0.0)
-            config.sampler.sloSojournP99 = v;
-    }
 }
 
 Recorder&

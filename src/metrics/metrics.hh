@@ -22,8 +22,9 @@
  *    never perturbs query timing — artifacts are byte-identical with
  *    sampling off;
  *  - per-World: a sampler is owned by the cell that runs it, so
- *    parallel matrix cells never share one (Recorder, the only
- *    process-wide piece, is mutex-guarded and touched once per run);
+ *    parallel matrix cells never share one (the only process-wide
+ *    pieces are Recorder, mutex-guarded and touched once per run, and
+ *    the `--metrics` switch, written before any fan-out);
  *  - compiled-out-able: -DQEI_METRICS=OFF folds metrics::active() to
  *    constant false and every hot-path push site dead-codes away,
  *    exactly like QEI_TRACING.
@@ -234,7 +235,7 @@ struct RunSeries
     void appendCsv(std::string& out, const std::string& cell) const;
 };
 
-/** Sampler knobs (see runtimeConfig() for the env overrides). */
+/** Sampler knobs. */
 struct SamplerConfig
 {
     /** Simulated cycles between samples. */
@@ -384,23 +385,18 @@ active(const MetricsSampler* sampler)
 }
 
 /**
- * Process-wide runtime switches, the QEI_FAULTS pattern: set once on
- * the main thread by parseBenchArgs (from `--metrics` and the
- * QEI_METRICS_INTERVAL / QEI_METRICS_WINDOW / QEI_METRICS_SLO
- * environment knobs) before any matrix fan-out; worker threads only
- * read it. Defaults to disabled, so runs without --metrics are
- * byte-identical to builds without the subsystem.
+ * The process-wide `--metrics` switch: set once on the main thread by
+ * parseBenchArgs before any matrix fan-out; worker threads only read
+ * it. Defaults to disabled, so runs without --metrics are
+ * byte-identical to builds without the subsystem. runQei samples with
+ * SamplerConfig's defaults.
  */
 struct RuntimeConfig
 {
     bool enabled = false;
-    SamplerConfig sampler;
 };
 
 RuntimeConfig& runtimeConfig();
-
-/** Re-read the environment knobs into runtimeConfig().sampler. */
-void loadRuntimeConfigFromEnv();
 
 /**
  * Thread-safe process-wide collector of per-run series for the

@@ -211,10 +211,8 @@ struct DriverConfig
      */
     std::string cellLabel;
     /**
-     * Offload planner parameters. Default mode Inherit defers to the
-     * process default ($QEI_PLANNER, set by `--planner`; Static when
-     * unset), so a bare `--planner cost` reaches every harness run —
-     * while cells that pin a mode explicitly stay immune to the flag.
+     * Offload planner parameters. The default mode Static attaches
+     * no planner; PlannerConfig::cost / shard / mixed engage one.
      * runQei constructs the per-run OffloadPlanner from this value
      * (never shared across matrix cells) and attaches it to the
      * system; plain values keep the config copyable.

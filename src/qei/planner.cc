@@ -1,6 +1,5 @@
 #include "planner.hh"
 
-#include <cstdlib>
 #include <limits>
 
 #include "common/format.hh"
@@ -9,41 +8,6 @@
 #include "vm/virtual_memory.hh"
 
 namespace qei {
-
-const char*
-toString(PlannerMode mode)
-{
-    switch (mode) {
-      case PlannerMode::Inherit: return "inherit";
-      case PlannerMode::Static: return "static";
-      case PlannerMode::Cost: return "cost";
-      case PlannerMode::Shard: return "shard";
-    }
-    return "?";
-}
-
-PlannerMode
-parsePlannerMode(const std::string& text)
-{
-    if (text == "static")
-        return PlannerMode::Static;
-    if (text == "cost")
-        return PlannerMode::Cost;
-    if (text == "shard")
-        return PlannerMode::Shard;
-    simAssert(false, "unknown planner mode '{}' (static|cost|shard)",
-              text);
-    return PlannerMode::Static;
-}
-
-PlannerMode
-plannerModeFromEnv()
-{
-    const char* env = std::getenv("QEI_PLANNER");
-    if (env == nullptr || *env == '\0')
-        return PlannerMode::Static;
-    return parsePlannerMode(env);
-}
 
 // -- CostModel -------------------------------------------------------
 
@@ -288,8 +252,6 @@ plannerTopology(const PlannerConfig& config)
 OffloadPlanner::OffloadPlanner(PlannerConfig config)
     : SimObject("planner"), config_(std::move(config))
 {
-    if (config_.mode == PlannerMode::Inherit)
-        config_.mode = plannerModeFromEnv();
 }
 
 void

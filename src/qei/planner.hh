@@ -40,13 +40,6 @@ namespace qei {
 
 /** How query placement is decided for a run. */
 enum class PlannerMode : std::uint8_t {
-    /**
-     * Defer to the process default: the QEI_PLANNER environment
-     * variable (set by `--planner`), or Static when unset. This is
-     * DriverConfig's default, so harness cells that pin a mode
-     * explicitly are immune to the flag.
-     */
-    Inherit = 0,
     /** No planner: the topology's route alone places queries. */
     Static,
     /** Cost-model planner: best family per class, core-execute when
@@ -55,14 +48,6 @@ enum class PlannerMode : std::uint8_t {
     /** Key-space sharding with work stealing (Topology::sharded). */
     Shard,
 };
-
-const char* toString(PlannerMode mode);
-
-/** Parse "static" / "cost" / "shard"; fatal on anything else. */
-PlannerMode parsePlannerMode(const std::string& text);
-
-/** The process-default mode: $QEI_PLANNER, or Static when unset. */
-PlannerMode plannerModeFromEnv();
 
 /**
  * Calibrated mean cycles-per-query of one workload on each executor:
@@ -124,7 +109,7 @@ struct ClassRange
  */
 struct PlannerConfig
 {
-    PlannerMode mode = PlannerMode::Inherit;
+    PlannerMode mode = PlannerMode::Static;
     /** Workload class of a single-class run (cost-model key). */
     std::string workload;
     /** Key-space classes of a mixed run; empty for single-class. */
@@ -142,13 +127,6 @@ struct PlannerConfig
     const CostModel& costModel() const
     {
         return model ? *model : CostModel::builtin();
-    }
-
-    /** The mode with Inherit resolved against the environment. */
-    PlannerMode resolvedMode() const
-    {
-        return mode == PlannerMode::Inherit ? plannerModeFromEnv()
-                                            : mode;
     }
 
     static PlannerConfig cost(std::string workload);

@@ -38,9 +38,14 @@ namespace qei {
  * running on different Worlds never race. The sweep runner
  * (bench::Sweep, which runWorkloadMatrix uses) relies on this: each
  * worker builds its own World and Workload instance, and cells touch
- * nothing static. The only process-wide state simulation code may
- * share is the logging layer, which is thread-safe
- * (common/logging.hh).
+ * nothing static. Every setting reaches a run as a value (the World's
+ * ChipConfig, the cell's DriverConfig); nothing is read from the
+ * environment. The only process-wide state simulation code may share
+ * is the logging layer, which is thread-safe (common/logging.hh), and
+ * the telemetry pair: the `--metrics` switch
+ * (metrics::runtimeConfig().enabled, set once before any fan-out and
+ * only read after) and metrics::Recorder::global(), which is
+ * mutex-guarded.
  *
  * Within one thread, runs on a World are sequential and independent:
  * runBaseline() and runQei() start with resetTiming() + warmLlc(), so
@@ -50,7 +55,7 @@ namespace qei {
 struct World
 {
     explicit World(std::uint64_t seed = 1,
-                   const ChipConfig& config = defaultChip())
+                   const ChipConfig& config = ChipConfig{})
         : chip(config), memory(8ULL << 30),
           vm(memory, FrameAllocator::Mode::Fragmented, seed),
           hierarchy(config.memory),

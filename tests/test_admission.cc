@@ -49,7 +49,7 @@ struct Fixture
     Prepared prep;
 
     explicit Fixture(std::size_t queries = 200,
-                     ChipConfig chip = defaultChip(),
+                     ChipConfig chip = ChipConfig{},
                      std::uint64_t seed = 17)
         : world(seed, chip)
     {
@@ -415,7 +415,7 @@ TEST(Admission, ShedNeverConsumesAFaultDecision)
     // degraded core execution bypasses the accelerator and consumes
     // no fault decisions.
     auto run = [](bool degrade) {
-        ChipConfig chip = defaultChip();
+        ChipConfig chip;
         chip.faults = parseFaultSpec("pf=0.2,bh=0.05");
         AdmissionConfig cfg;
         cfg.policy = AdmissionPolicy::TokenBucket;

@@ -203,7 +203,7 @@ QeiRunStats
 runOnce(std::size_t w, std::size_t queries, const BatchConfig& batch,
         const char* fault_spec = "")
 {
-    ChipConfig chip = defaultChip();
+    ChipConfig chip;
     chip.faults = fault_spec[0] != '\0' ? parseFaultSpec(fault_spec)
                                         : FaultConfig{};
     std::unique_ptr<Workload> workload = makeWorkloadFactories()[w]();

@@ -3,17 +3,21 @@
  * through the same runWorkloadMatrix -> toJson pipeline fig07_speedup
  * uses and validate the artifact schema against the in-memory results;
  * plus the co-produced view reports (BenchReport::view) a harness
- * writes next to its own artifact.
+ * writes next to its own artifact, and the harness command line: every
+ * setting is a flag, and the environment changes nothing.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "bench_util.hh"
+#include "metrics/metrics.hh"
 
 using namespace qei;
 using namespace qei::bench;
@@ -72,7 +76,132 @@ finishWithView(const BenchOptions& options, bool own_holds,
     return view.finish() && ok;
 }
 
+/** parseBenchArgs over "harness" followed by @p args. */
+BenchOptions
+parseArgs(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "harness");
+    std::vector<char*> argv;
+    for (std::string& arg : args)
+        argv.push_back(arg.data());
+    return parseBenchArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+/**
+ * Every environment variable the harnesses once read, each set to a
+ * value that would change the run (or the parsed options) if anything
+ * still read it.
+ */
+const std::vector<std::pair<const char*, const char*>> kHostileEnv = {
+    {"QEI_FAULTS", "pf=0.5,bh=0.2,flush=3000,seed=3"},
+    {"QEI_PLANNER", "cost"},
+    {"QEI_BENCH_THREADS", "7"},
+    {"QEI_METRICS_INTERVAL", "64"},
+    {"QEI_METRICS_WINDOW", "8"},
+    {"QEI_METRICS_SLO", "1"},
+};
+
+void
+setHostileEnvironment(bool hostile)
+{
+    for (const auto& [name, value] : kHostileEnv) {
+        if (hostile)
+            ::setenv(name, value, 1);
+        else
+            ::unsetenv(name);
+    }
+}
+
+/**
+ * A small CHA-TLB run on a World built with the default chip, sampled
+ * the way `--metrics` arms it, with @p hostile variables set or unset.
+ */
+QeiRunStats
+runUnderEnvironment(bool hostile)
+{
+    setHostileEnvironment(hostile);
+    (void)parseArgs({"--metrics", "unused.csv"});
+    auto workload = makeWorkloadFactories()[0]();
+    World world(11);
+    workload->build(world);
+    const Prepared prepared = workload->prepare(world, 200);
+    QeiRunStats stats = runQei(
+        world, prepared,
+        DriverConfig(SchemeConfig::chaTlb()).withLabel("unit/env"));
+    setHostileEnvironment(false);
+    metrics::runtimeConfig().enabled = false;
+    metrics::Recorder::global().clear();
+    return stats;
+}
+
 } // namespace
+
+TEST(BenchArgs, ThreadCountIsAutoZeroOrAPositiveCount)
+{
+    EXPECT_EQ(parseArgs({}).threads, 1);
+    EXPECT_EQ(parseArgs({"--threads", "3"}).threads, 3);
+    EXPECT_EQ(parseArgs({"--threads=12"}).threads, 12);
+    EXPECT_EQ(parseArgs({"--threads", "auto"}).threads,
+              ThreadPool::hardwareThreads());
+    EXPECT_EQ(parseArgs({"--threads=0"}).threads,
+              ThreadPool::hardwareThreads());
+}
+
+TEST(BenchArgsDeathTest, MalformedThreadCountIsAUsageError)
+{
+    for (const char* text : {"2x", "abc", "", "-1", "+2", " 2", "1.5",
+                             "00", "99999999999", "auto2"}) {
+        EXPECT_EXIT(parseArgs({"--threads", text}),
+                    ::testing::ExitedWithCode(2), "usage")
+            << "'" << text << "'";
+        EXPECT_EXIT(parseArgs({std::string("--threads=") + text}),
+                    ::testing::ExitedWithCode(2), "usage")
+            << "'" << text << "'";
+    }
+}
+
+TEST(BenchArgs, FaultsFlagSetsTheChip)
+{
+    EXPECT_EQ(parseArgs({}).chip.faults, FaultConfig{});
+    const std::string spec = "pf=0.05,bh=0.01,flush=20000,seed=7";
+    const FaultConfig want = parseFaultSpec(spec);
+    ASSERT_TRUE(want.any());
+    EXPECT_EQ(parseArgs({"--faults", spec}).chip.faults, want);
+    EXPECT_EQ(parseArgs({"--faults=" + spec}).chip.faults, want);
+}
+
+TEST(BenchArgs, EnvironmentIsIgnored)
+{
+    setHostileEnvironment(true);
+    const BenchOptions options = parseArgs({});
+    setHostileEnvironment(false);
+    EXPECT_EQ(options.threads, 1);
+    EXPECT_FALSE(options.chip.faults.any());
+    EXPECT_EQ(options.chip.faults, FaultConfig{});
+
+    const QeiRunStats clean = runUnderEnvironment(false);
+    const QeiRunStats hostile = runUnderEnvironment(true);
+    EXPECT_EQ(hostile.cycles, clean.cycles);
+    EXPECT_EQ(hostile.resultChecksum, clean.resultChecksum);
+    EXPECT_EQ(toJson(hostile).dump(), toJson(clean).dump());
+    for (const QeiRunStats* run : {&clean, &hostile}) {
+        EXPECT_EQ(run->faultsInjected, 0u);
+        EXPECT_EQ(run->swFallbacks, 0u);
+        EXPECT_EQ(run->faultFlushes, 0u);
+        EXPECT_EQ(run->plannerDecisions, 0u);
+        EXPECT_EQ(run->mismatches, 0u);
+    }
+    if (metrics::kCompiledIn) {
+        ASSERT_NE(clean.metrics, nullptr);
+        ASSERT_NE(hostile.metrics, nullptr);
+        EXPECT_EQ(hostile.metrics->intervalCycles,
+                  metrics::SamplerConfig{}.intervalCycles);
+        EXPECT_EQ(hostile.metrics->sloThresholdP99, 0.0);
+        EXPECT_TRUE(hostile.metrics->sloEvents.empty());
+        EXPECT_EQ(hostile.metrics->toJson().dump(),
+                  clean.metrics->toJson().dump());
+    }
+}
 
 TEST(BenchJson, ParseBenchArgsRecognisesJsonFlag)
 {

@@ -10,7 +10,7 @@ namespace {
 struct CoreHarness
 {
     CoreHarness()
-        : chip(defaultChip()), mem(1 << 28), vm(mem),
+        : mem(1 << 28), vm(mem),
           hierarchy(chip.memory), mmu(vm, chip.mmu)
     {
         base = vm.alloc(1 << 20, kCacheLineBytes);

@@ -253,7 +253,7 @@ TEST(WatchdogTest, QuietWhileProgressIsMade)
 QeiRunStats
 runFaulted(const char* spec, QueryMode mode, std::size_t queries = 150)
 {
-    ChipConfig chip = defaultChip();
+    ChipConfig chip;
     chip.faults =
         spec[0] != '\0' ? parseFaultSpec(spec) : FaultConfig{};
     std::unique_ptr<Workload> workload = makeWorkloadFactories()[0]();
@@ -318,7 +318,7 @@ TEST(FaultRecovery, WithoutFallbackFaultsSurfaceAsExceptions)
     // so an injected fault must surface as a delivered exception and
     // a functional mismatch — exactly what setSoftwareFallback() is
     // for.
-    ChipConfig chip = defaultChip();
+    ChipConfig chip;
     chip.faults = parseFaultSpec("pf@0,pf@1,pf@2,pf@3");
     World world(7, chip);
     Rng rng(3);

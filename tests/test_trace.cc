@@ -463,7 +463,7 @@ TEST(ExactlyOnce, EveryIssuePathCompletesEachQueryOnce)
     // Under a fault mix: a World whose chip carries @p spec.
     auto underFaults = [&](const std::string& spec, const std::string& path,
                            const DriverConfig& config) {
-        ChipConfig chip = defaultChip();
+        ChipConfig chip;
         chip.faults = parseFaultSpec(spec);
         World faulty(7, chip);
         const auto fworkload = makeWorkloadFactories()[0]();
