@@ -159,7 +159,7 @@ main(int argc, char** argv)
         }
     }
     const std::vector<QeiRunStats> results =
-        sweep.run(options.threads, !options.tracePath.empty());
+        report.run(sweep, !options.tracePath.empty());
 
     TablePrinter table;
     table.header({"workload", "batch", "cyc/query", "speedup",

@@ -165,7 +165,7 @@ main(int argc, char** argv)
                    DriverConfig(SchemeConfig::coreIntegrated())
                        .withMode(mix.mode));
     }
-    const std::vector<QeiRunStats> results = sweep.run(options.threads);
+    const std::vector<QeiRunStats> results = report.run(sweep);
 
     const QeiRunStats& none = results[0];
     TablePrinter table;

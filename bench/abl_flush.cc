@@ -149,6 +149,11 @@ main(int argc, char** argv)
         points.push_back(std::move(p));
     }
     table.print();
+    // The flushes ran outside a Sweep: hand their World's events over
+    // as one cell.
+    CellHost cell;
+    cell.simEvents = world.events.executed();
+    report.addCells({cell});
     std::printf("expectation: cost grows with non-blocking occupancy; "
                 "stores to the same line coalesce (packed < "
                 "scattered); blocking-only flushes are free\n");

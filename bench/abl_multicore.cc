@@ -98,7 +98,7 @@ main(int argc, char** argv)
         }
     }
     const std::vector<QeiRunStats> results =
-        sweep.run(options.threads, !options.tracePath.empty());
+        report.run(sweep, !options.tracePath.empty());
 
     Json schemes = Json::array();
     for (std::size_t i = 0; i < schemesToRun.size(); ++i) {

@@ -106,7 +106,7 @@ main(int argc, char** argv)
                    });
     }
     const std::vector<Hotspot> results =
-        sweep.run(options.threads, !options.tracePath.empty());
+        report.run(sweep, !options.tracePath.empty());
 
     Json schemes = Json::array();
     for (std::size_t i = 0; i < allSchemes.size(); ++i) {

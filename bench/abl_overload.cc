@@ -419,7 +419,7 @@ main(int argc, char** argv)
                                       anchor.gap, anchor.slo);
                    });
     }
-    std::vector<QeiRunStats> results = sweep.run(options.threads);
+    std::vector<QeiRunStats> results = report.run(sweep);
     const Anchor& anchor = sweep.prologueOf(row);
     const double gap = anchor.gap;
     const double slo = anchor.slo;

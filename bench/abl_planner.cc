@@ -199,7 +199,7 @@ main(int argc, char** argv)
     }
 
     const std::vector<QeiRunStats> sweep =
-        runner.run(options.threads, !options.tracePath.empty());
+        report.run(runner, !options.tracePath.empty());
 
     TablePrinter table;
     table.header({"section", "cell", "cyc/query", "vs best static",

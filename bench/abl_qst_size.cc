@@ -98,7 +98,7 @@ main(int argc, char** argv)
         sweep.cell(dpdk, "dpdk" + suffix, DriverConfig(scheme));
     }
     const std::vector<QeiRunStats> results =
-        sweep.run(options.threads, !options.tracePath.empty());
+        report.run(sweep, !options.tracePath.empty());
 
     Json points = Json::array();
     for (std::size_t i = 0; i < sizes.size(); ++i) {

@@ -109,7 +109,7 @@ main(int argc, char** argv)
         sweep.cell(row, names.back() + "/local-only", DriverConfig(local));
     }
     const std::vector<QeiRunStats> results =
-        sweep.run(options.threads, !options.tracePath.empty());
+        report.run(sweep, !options.tracePath.empty());
 
     Json workloads = Json::array();
     for (std::size_t i = 0; i < names.size(); ++i) {

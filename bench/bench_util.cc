@@ -14,7 +14,6 @@
 #include "fault/fault_config.hh"
 #include "metrics/metrics.hh"
 #include "qei/planner.hh"
-#include "sim/event_queue.hh"
 
 // Build provenance, injected by bench/CMakeLists.txt; the fallbacks
 // keep out-of-tree builds (no git, unknown toolchain) compiling.
@@ -145,6 +144,18 @@ usageError(const char* prog, const std::string& message)
         "descriptions, exit 0\n",
         prog, message.c_str(), prog);
     std::exit(2);
+}
+
+/** `--faults`' operand; a malformed spec is a usage error. */
+FaultConfig
+parseFaults(const char* prog, const char* spec)
+{
+    std::string error;
+    const std::optional<FaultConfig> faults =
+        tryParseFaultSpec(spec, error);
+    if (!faults)
+        usageError(prog, error);
+    return *faults;
 }
 
 /** "0" / "auto" = all host cores, else a whole positive count;
@@ -282,9 +293,10 @@ parseBenchArgs(int argc, char** argv)
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
             options.threads = parseThreadCount(prog, arg + 10);
         } else if (std::strcmp(arg, "--faults") == 0) {
-            options.chip.faults = parseFaultSpec(operand(i, "--faults"));
+            options.chip.faults =
+                parseFaults(prog, operand(i, "--faults"));
         } else if (std::strncmp(arg, "--faults=", 9) == 0) {
-            options.chip.faults = parseFaultSpec(arg + 9);
+            options.chip.faults = parseFaults(prog, arg + 9);
         } else if (std::strcmp(arg, "--validate") == 0) {
             options.validate = true;
         } else if (std::strcmp(arg, "--list-workloads") == 0) {
@@ -302,25 +314,17 @@ parseBenchArgs(int argc, char** argv)
         }
     }
 
-    if (!options.metricsPath.empty()) {
-        if (metrics::kCompiledIn) {
-            // Flip the process-wide switch here on the main thread,
-            // before any matrix fan-out, so worker-thread runQei()
-            // calls only read it.
-            metrics::runtimeConfig().enabled = true;
-        } else {
-            std::fprintf(stderr,
-                         "--metrics: this build has QEI_METRICS=OFF; "
-                         "no time series will be sampled\n");
-            options.metricsPath.clear();
-        }
+    if (!options.metricsPath.empty() && !metrics::kCompiledIn) {
+        std::fprintf(stderr, "--metrics: this build has QEI_METRICS=OFF; "
+                             "no time series will be sampled\n");
+        options.metricsPath.clear();
     }
     return options;
 }
 
 BenchReport::BenchReport(std::string bench_name, BenchOptions options)
     : options_(std::move(options)), root_(Json::object()),
-      start_(Clock::now()), simEventsStart_(simEventsExecuted())
+      start_(Clock::now())
 {
     root_["bench"] = std::move(bench_name);
     root_["schema_version"] = 3;
@@ -340,6 +344,16 @@ BenchReport::view(std::string bench_name) const
     BenchReport report(std::move(bench_name), std::move(options));
     report.view_ = true;
     return report;
+}
+
+void
+BenchReport::addCells(const std::vector<CellHost>& cells)
+{
+    for (const CellHost& cell : cells) {
+        simEvents_ += cell.simEvents;
+        sampled_.insert(sampled_.end(), cell.runs.begin(),
+                        cell.runs.end());
+    }
 }
 
 void
@@ -380,19 +394,17 @@ BenchReport::finish()
                      "--validate: no expectation suite declared\n");
         validationOk = false;
     }
-    // Host-side self-metrics: how much simulated work this harness
-    // executed and how fast the host chewed through it. The cell scan
-    // runs before the top-level host_wall_ms stamp below, so `cells`
-    // holds only the per-cell walls the payload carries; a view skips
-    // it, since those cells ran in its producer.
+    // Host-side self-metrics: how much simulated work this harness's
+    // cells executed and how fast the host chewed through it. The cell
+    // scan runs before the top-level host_wall_ms stamp below, so
+    // `cells` holds only the per-cell walls the payload carries; a
+    // view skips it, since those cells ran in its producer.
     {
-        const std::uint64_t simEvents =
-            simEventsExecuted() - simEventsStart_;
         Json host = Json::object();
-        host["sim_events"] = simEvents;
+        host["sim_events"] = simEvents_;
         host["sim_events_per_sec"] =
             wallMs > 0.0
-                ? static_cast<double>(simEvents) / (wallMs / 1000.0)
+                ? static_cast<double>(simEvents_) / (wallMs / 1000.0)
                 : 0.0;
         host["wall_ms"] = wallMs;
         Json cells = Json::object();
@@ -438,25 +450,19 @@ BenchReport::finish()
     std::printf("host wall time: %.1f ms (threads=%d)\n", wallMs,
                 options_.threads);
 
-    // Render the process-wide Recorder to the --metrics CSV and clear
-    // it, so back-to-back reports in one process don't leak runs into
-    // each other's files.
-    if (!options_.metricsPath.empty()) {
-        metrics::Recorder& recorder = metrics::Recorder::global();
+    if (sampling()) {
         std::ofstream csv(options_.metricsPath);
         if (csv) {
-            csv << recorder.csv();
+            csv << metrics::csv(sampled_);
             csv.flush();
         }
         if (!csv) {
             std::fprintf(stderr, "failed to write %s\n",
                          options_.metricsPath.c_str());
-            recorder.clear();
             return false;
         }
         std::printf("wrote %s (%zu sampled runs)\n",
-                    options_.metricsPath.c_str(), recorder.size());
-        recorder.clear();
+                    options_.metricsPath.c_str(), sampled_.size());
     }
     if (!enabled())
         return validationOk;
@@ -548,7 +554,7 @@ struct MatrixCell
 
 std::vector<WorkloadRun>
 runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
-                  const MatrixOptions& options)
+                  const MatrixOptions& options, BenchReport* report)
 {
     // The prologue keeps a copy of each row's stream for
     // WorkloadRun::prepared.
@@ -592,7 +598,10 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
     const bool armTrace =
         options.captureTrace || !options.tracePath.empty();
     std::vector<MatrixCell> cells =
-        sweep.run(options.threads, armTrace, options.traceCapacity);
+        sweep.run(options.threads, armTrace, options.traceCapacity,
+                  report != nullptr && report->sampling());
+    if (report != nullptr)
+        report->addCells(sweep.host());
 
     const std::size_t stride = 1 + options.topologies.size();
     for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -609,8 +618,8 @@ runWorkloadMatrix(const std::vector<WorkloadFactory>& workloads,
         run.activity[label] = cells[c].activity;
         if (armTrace)
             run.traces[label] = sweep.trace(c);
-        run.cellWallMs[label] = sweep.wallMs(c);
-        run.hostWallMs += sweep.wallMs(c);
+        run.cellWallMs[label] = sweep.host()[c].wallMs;
+        run.hostWallMs += sweep.host()[c].wallMs;
     }
     if (!options.tracePath.empty())
         writeMatrixTraces(runs, options.tracePath);
@@ -679,11 +688,11 @@ mixedTraceRow(std::size_t queries_per_class, const ChipConfig& chip)
 void
 runSweepCells(const std::vector<SweepRow>& rows,
               const std::vector<std::size_t>& cell_rows, int threads,
-              const SweepHook& prologue, const SweepHook& cell,
-              std::vector<double>& wall_ms)
+              bool sample_metrics, const SweepHook& prologue,
+              const SweepHook& cell, std::vector<CellHost>& host)
 {
     const std::size_t n = cell_rows.size();
-    wall_ms.assign(n, 0.0);
+    host.assign(n, {});
     // Unstarted cells of each row, in declaration order; guarded by
     // mutex once the workers start.
     std::mutex mutex;
@@ -720,12 +729,17 @@ runSweepCells(const std::vector<SweepRow>& rows,
         std::size_t row = rows.size(); // no World yet
         while (const std::optional<std::size_t> c = claim(row)) {
             const auto start = Clock::now();
+            // A new World counts from 0, so its build is the cell's.
+            const std::uint64_t events =
+                cell_rows[*c] == row ? world->events.executed() : 0;
             if (cell_rows[*c] != row) {
                 row = cell_rows[*c];
                 prepared = {}; // may reference the old World
                 world.reset();
                 world = std::make_unique<World>(rows[row].seed,
                                                 rows[row].chip);
+                if (sample_metrics)
+                    world->metricsLog.enable();
                 prepared = rows[row].make(*world);
                 if (prologue) {
                     std::call_once(prologueOnce[row], [&] {
@@ -734,7 +748,9 @@ runSweepCells(const std::vector<SweepRow>& rows,
                 }
             }
             cell(*c, *world, prepared);
-            wall_ms[*c] = msSince(start);
+            host[*c].wallMs = msSince(start);
+            host[*c].simEvents = world->events.executed() - events;
+            host[*c].runs = world->metricsLog.drain();
         }
         return 0;
     };

@@ -10,7 +10,9 @@
  * times as the thread count allows — exactly once at `--threads 1` —
  * and returns results in declaration order, so the numbers are
  * bit-identical at any `--threads` setting. The (workload x scheme)
- * matrix, runWorkloadMatrix(), is one client of it.
+ * matrix, runWorkloadMatrix(), is one client of it. A BenchReport
+ * runs a harness's sweeps and reports only what their cells' Worlds
+ * did, so reports never share state.
  */
 
 #ifndef QEI_BENCH_BENCH_UTIL_HH
@@ -29,6 +31,7 @@
 #include "common/json.hh"
 #include "common/table_printer.hh"
 #include "common/thread_pool.hh"
+#include "metrics/metrics.hh"
 #include "power/energy_model.hh"
 #include "trace/trace.hh"
 #include "validate/expectation.hh"
@@ -49,9 +52,9 @@ struct BenchOptions
     std::string tracePath;
     /**
      * Destination of the metrics time-series CSV (`--metrics <path>`);
-     * non-empty enables the per-run MetricsSampler (see src/metrics/).
-     * Empty — the default — leaves sampling off, so artifacts are
-     * byte-identical to a run without the subsystem.
+     * non-empty makes the report's sweeps sample every runQei (see
+     * src/metrics/). Empty — the default — leaves sampling off, so
+     * artifacts are byte-identical to a run without the subsystem.
      */
     std::string metricsPath;
     /** Host threads for experiment fan-out (Sweep::run). 1 = serial. */
@@ -97,6 +100,21 @@ struct BenchOptions
  */
 BenchOptions parseBenchArgs(int argc, char** argv);
 
+template <typename Result, typename Prologue> class Sweep;
+
+/**
+ * What a Sweep keeps of one cell's host side: its wall time, the
+ * events its World executed, and the runs it sampled under
+ * `--metrics`. A cell that was its World's first also carries that
+ * World's build and its row's prologue (see runSweepCells).
+ */
+struct CellHost
+{
+    double wallMs = 0.0;
+    std::uint64_t simEvents = 0;
+    std::vector<metrics::LabelledRun> runs;
+};
+
 /**
  * Collector for one harness's machine-readable results.
  *
@@ -108,8 +126,10 @@ BenchOptions parseBenchArgs(int argc, char** argv);
  * `sim_events` / `sim_events_per_sec` and every per-cell
  * `host_wall_ms` found in the payload), aggregates every per-run
  * `breakdown` found in the payload into a top-level `breakdown`,
- * writes the Recorder's metrics CSV to the `--metrics` path, and
- * writes the artifact to the `--json` path, if one was given.
+ * writes the metrics CSV to the `--metrics` path, and writes the
+ * artifact to the `--json` path, if one was given. `sim_events` and
+ * the CSV cover exactly the cells handed to it (run(), addCells()),
+ * so reports in one process stay apart.
  */
 class BenchReport
 {
@@ -121,6 +141,26 @@ class BenchReport
 
     /** Parsed harness options (threads for matrix fan-out). */
     const BenchOptions& options() const { return options_; }
+
+    /** True under `--metrics`: this report's sweeps sample every
+     *  runQei. */
+    bool sampling() const { return !options_.metricsPath.empty(); }
+
+    /**
+     * Run @p sweep at `--threads`, sampling under `--metrics`, and
+     * count its cells (addCells). @return its results.
+     */
+    template <typename Result, typename Prologue>
+    std::vector<Result> run(Sweep<Result, Prologue>& sweep,
+                            bool capture_trace = false);
+
+    /**
+     * Count @p cells in finish(): their events in `host.sim_events`,
+     * their sampled runs in the `--metrics` CSV. A harness that
+     * simulates outside a Sweep hands its World's events over as one
+     * cell.
+     */
+    void addCells(const std::vector<CellHost>& cells);
 
     /** Root object; preloaded with {"bench": <name>}. */
     Json& data() { return root_; }
@@ -161,9 +201,10 @@ class BenchReport
     validate::Suite suite_;
     bool haveSuite_ = false;
     std::chrono::steady_clock::time_point start_;
-    /** simEventsExecuted() at construction, for the `host` block's
-     *  per-harness delta. */
-    std::uint64_t simEventsStart_ = 0;
+    /** Events of the cells handed over, for `host.sim_events`. */
+    std::uint64_t simEvents_ = 0;
+    /** Their sampled runs, in hand-over order, for the CSV. */
+    std::vector<metrics::LabelledRun> sampled_;
     /** Built by view(): the cells it reports belong to the producer. */
     bool view_ = false;
 };
@@ -240,10 +281,12 @@ struct MatrixOptions
  * Run the full (workload x topology) matrix as a Sweep: one row per
  * workload, whose cells are the baseline and one per topology.
  * Results come back in workload order, identical at any thread count.
+ * With a @p report, the cells sample under its `--metrics` and are
+ * counted in it (BenchReport::addCells).
  */
 std::vector<WorkloadRun> runWorkloadMatrix(
     const std::vector<WorkloadFactory>& workloads,
-    const MatrixOptions& options);
+    const MatrixOptions& options, BenchReport* report = nullptr);
 
 /** Scheme names in the paper's presentation order. */
 std::vector<std::string> schemeNames();
@@ -299,9 +342,12 @@ SweepRow mixedTraceRow(std::size_t queries_per_class,
  * The scheduler behind Sweep::run(): run @p cell(c, ...) for every
  * cell c (on row @p cell_rows[c]) across min(threads, cells) workers,
  * calling @p prologue(row, ...), if set, exactly once per row on the
- * first World built for it. @p wall_ms[c] gets each cell's host time,
- * which includes building its World (and the prologue) only when the
- * cell was that World's first.
+ * first World built for it. @p host[c] gets each cell's host record:
+ * its wall time and its World's executed events, which include
+ * building that World (and the prologue) only when the cell was the
+ * World's first, and — with @p sample_metrics, which enables every
+ * World's metricsLog — the runs sampled since the previous cell, the
+ * prologue's among them.
  *
  * Each worker keeps the World it built last and takes the next
  * unstarted cell of that row. Only when the row has none left does it
@@ -315,8 +361,9 @@ using SweepHook =
     std::function<void(std::size_t, World&, const PreparedRow&)>;
 void runSweepCells(const std::vector<SweepRow>& rows,
                    const std::vector<std::size_t>& cell_rows,
-                   int threads, const SweepHook& prologue,
-                   const SweepHook& cell, std::vector<double>& wall_ms);
+                   int threads, bool sample_metrics,
+                   const SweepHook& prologue, const SweepHook& cell,
+                   std::vector<CellHost>& host);
 
 /** One Perfetto file, process c + 1 = @p traces[c] as @p labels[c];
  *  no-op for an empty @p path. @return false on I/O failure. */
@@ -337,12 +384,13 @@ bool writeSweepTrace(const std::string& path,
  *   sweep.cell(r, "jvm/qst-10", DriverConfig(scheme));
  *   sweep.cell(r, "jvm/open", [](World& w, const PreparedRow& row,
  *                                const double& gap) { ... });
- *   const auto results = sweep.run(options.threads, tracing);
+ *   const auto results = report.run(sweep, tracing);
  *   sweep.writeTrace(options.tracePath);
  *
  * The runner owns the thread fan-out (runSweepCells), arms and drains
- * the trace around each cell, and times each cell. Results come back
- * in declaration order, so output is identical at any thread count.
+ * the trace around each cell, and keeps each cell's host record (wall
+ * time, events, sampled series). Results come back in declaration
+ * order, so output is identical at any thread count.
  */
 template <typename Result, typename Prologue = std::monostate>
 class Sweep
@@ -389,11 +437,11 @@ class Sweep
      * Run every cell; results in declaration order. With
      * @p capture_trace each cell runs with the World's sink armed
      * (@p trace_capacity events, 0 = the default) and keeps its
-     * drained buffer.
+     * drained buffer; with @p sample_metrics every runQei samples.
      */
     std::vector<Result>
     run(int threads, bool capture_trace = false,
-        std::size_t trace_capacity = 0)
+        std::size_t trace_capacity = 0, bool sample_metrics = false)
     {
         std::vector<std::optional<Result>> results(cells_.size());
         prologues_.assign(rows_.size(), Prologue{});
@@ -406,7 +454,7 @@ class Sweep
             };
         }
         runSweepCells(
-            rows_, cellRows_, threads, prologue,
+            rows_, cellRows_, threads, sample_metrics, prologue,
             [&](std::size_t c, World& world, const PreparedRow& row) {
                 if (capture_trace)
                     world.traceSink.enable(trace_capacity);
@@ -415,7 +463,7 @@ class Sweep
                 if (capture_trace)
                     traces_[c] = world.traceSink.drain();
             },
-            wallMs_);
+            host_);
         std::vector<Result> out;
         for (std::optional<Result>& result : results)
             out.push_back(std::move(*result));
@@ -429,8 +477,9 @@ class Sweep
     {
         return traces_[c];
     }
-    /** Cell @p c's host wall time (see runSweepCells). */
-    double wallMs(std::size_t c) const { return wallMs_[c]; }
+    /** Every cell's host record, in declaration order (see
+     *  runSweepCells). */
+    const std::vector<CellHost>& host() const { return host_; }
     const Prologue& prologueOf(std::size_t row) const
     {
         return prologues_[row];
@@ -450,8 +499,18 @@ class Sweep
     std::vector<CellFn> cells_;
     std::vector<Prologue> prologues_;
     std::vector<trace::TraceBuffer> traces_;
-    std::vector<double> wallMs_;
+    std::vector<CellHost> host_;
 };
+
+template <typename Result, typename Prologue>
+std::vector<Result>
+BenchReport::run(Sweep<Result, Prologue>& sweep, bool capture_trace)
+{
+    std::vector<Result> results =
+        sweep.run(options_.threads, capture_trace, 0, sampling());
+    addCells(sweep.host());
+    return results;
+}
 
 /**
  * Closed-loop cycles/query of @p row's stream on the Core-integrated

@@ -565,7 +565,7 @@ main(int argc, char** argv)
     matrix.tracePath = options.tracePath;
 
     const std::vector<WorkloadRun> runs =
-        runWorkloadMatrix(makeWorkloadFactories(), matrix);
+        runWorkloadMatrix(makeWorkloadFactories(), matrix, &report);
 
     Json workloads = Json::array();
     double geoProd = 1.0;

@@ -116,7 +116,7 @@ main(int argc, char** argv)
         }
     }
     const std::vector<QeiRunStats> results =
-        runner.run(options.threads, !options.tracePath.empty());
+        report.run(runner, !options.tracePath.empty());
 
     Json workloads = Json::array();
     bool allMonotonic = true;

@@ -181,7 +181,7 @@ main(int argc, char** argv)
         }
     }
     const std::vector<CellOut> cells =
-        sweep.run(options.threads, !options.tracePath.empty());
+        report.run(sweep, !options.tracePath.empty());
 
     Json points = Json::array();
     std::uint64_t totalMismatches = 0;

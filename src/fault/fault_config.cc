@@ -1,6 +1,7 @@
 #include "fault_config.hh"
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "common/format.hh"
 #include "common/logging.hh"
@@ -9,15 +10,26 @@ namespace qei {
 
 namespace {
 
+/** A malformed spec; the two entry points below catch it. */
+struct BadSpec : std::invalid_argument
+{
+    using std::invalid_argument::invalid_argument;
+};
+
+template <typename... Args>
+[[noreturn]] void
+reject(std::string_view fmt_str, const Args&... args)
+{
+    throw BadSpec("fault spec: " + fmt(fmt_str, args...));
+}
+
 double
 parseRate(const std::string& key, const std::string& text)
 {
     char* end = nullptr;
     const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || v < 0.0 || v > 1.0) {
-        fatal("fault spec: {} wants a rate in [0,1], got '{}'", key,
-              text);
-    }
+    if (end == text.c_str() || *end != '\0' || v < 0.0 || v > 1.0)
+        reject("{} wants a rate in [0,1], got '{}'", key, text);
     return v;
 }
 
@@ -26,17 +38,13 @@ parseCount(const std::string& key, const std::string& text)
 {
     char* end = nullptr;
     const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0') {
-        fatal("fault spec: {} wants a non-negative integer, got '{}'",
-              key, text);
-    }
+    if (end == text.c_str() || *end != '\0')
+        reject("{} wants a non-negative integer, got '{}'", key, text);
     return v;
 }
 
-} // namespace
-
 FaultConfig
-parseFaultSpec(const std::string& spec)
+parse(const std::string& spec)
 {
     FaultConfig config;
     std::size_t pos = 0;
@@ -62,18 +70,16 @@ parseFaultSpec(const std::string& spec)
             } else if (key == "fw") {
                 config.firmwareFaultQueries.push_back(idx);
             } else {
-                fatal("fault spec: unknown targeted fault '{}' "
-                      "(expected pf@N, bh@N, or fw@N)",
-                      item);
+                reject("unknown targeted fault '{}' "
+                       "(expected pf@N, bh@N, or fw@N)",
+                       item);
             }
             continue;
         }
 
         const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            fatal("fault spec: '{}' is not key=value or key@index",
-                  item);
-        }
+        if (eq == std::string::npos)
+            reject("'{}' is not key=value or key@index", item);
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
         if (key == "pf") {
@@ -92,19 +98,42 @@ parseFaultSpec(const std::string& spec)
         } else if (key == "epoch") {
             config.watchdogEpoch = parseCount(key, value);
             if (config.watchdogEpoch == 0)
-                fatal("fault spec: epoch must be positive");
+                reject("epoch must be positive");
         } else if (key == "strikes") {
             config.watchdogStrikes =
                 static_cast<int>(parseCount(key, value));
             if (config.watchdogStrikes <= 0)
-                fatal("fault spec: strikes must be positive");
+                reject("strikes must be positive");
         } else {
-            fatal("fault spec: unknown key '{}' (expected pf, bh, fw, "
-                  "flush, qst, seed, epoch, or strikes)",
-                  key);
+            reject("unknown key '{}' (expected pf, bh, fw, "
+                   "flush, qst, seed, epoch, or strikes)",
+                   key);
         }
     }
     return config;
+}
+
+} // namespace
+
+FaultConfig
+parseFaultSpec(const std::string& spec)
+{
+    try {
+        return parse(spec);
+    } catch (const BadSpec& bad) {
+        fatal("{}", bad.what());
+    }
+}
+
+std::optional<FaultConfig>
+tryParseFaultSpec(const std::string& spec, std::string& error)
+{
+    try {
+        return parse(spec);
+    } catch (const BadSpec& bad) {
+        error = bad.what();
+        return std::nullopt;
+    }
 }
 
 std::string

@@ -16,6 +16,7 @@
 #define QEI_FAULT_FAULT_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,11 @@ struct FaultConfig
  * Unknown keys or malformed values are a fatal() user error.
  */
 FaultConfig parseFaultSpec(const std::string& spec);
+
+/** parseFaultSpec for command lines: a malformed spec returns nothing
+ *  and leaves the reason in @p error, so the caller can print usage. */
+std::optional<FaultConfig> tryParseFaultSpec(const std::string& spec,
+                                             std::string& error);
 
 /** One-line human rendition of an injection mix ("pf=0.05 flush=20000"
  *  or "none"). */

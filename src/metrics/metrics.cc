@@ -39,26 +39,15 @@ SlidingWindow::percentile(double fraction) const
 }
 
 void
-TailMonitor::tick(Cycles tick, std::vector<TimeSeries*> series,
-                  std::vector<SloEvent>& slo_events)
+TailMonitor::tick(Cycles tick, std::vector<TimeSeries*> series)
 {
     if (window_.count() == 0)
         return;
-    const double p50 = window_.percentile(0.50);
-    const double p99 = window_.percentile(0.99);
-    const double p999 = window_.percentile(0.999);
-    const double values[3] = {p50, p99, p999};
+    const double values[3] = {window_.percentile(0.50),
+                              window_.percentile(0.99),
+                              window_.percentile(0.999)};
     for (std::size_t i = 0; i < series.size() && i < 3; ++i)
         series[i]->points.push_back(Point{tick, values[i]});
-
-    if (sloP99_ > 0.0) {
-        const bool above = p99 > sloP99_;
-        if (above != breaching_) {
-            breaching_ = above;
-            slo_events.push_back(
-                SloEvent{tick, name_, p99, sloP99_, above});
-        }
-    }
 }
 
 Json
@@ -82,20 +71,6 @@ RunSeries::toJson() const
         all[s.name] = std::move(one);
     }
     out["series"] = std::move(all);
-    Json slo = Json::object();
-    slo["threshold_p99"] = sloThresholdP99;
-    Json events = Json::array();
-    for (const SloEvent& e : sloEvents) {
-        Json one = Json::object();
-        one["tick"] = e.tick;
-        one["monitor"] = e.monitor;
-        one["value"] = e.value;
-        one["threshold"] = e.threshold;
-        one["direction"] = e.rising ? "breach" : "recover";
-        events.push_back(std::move(one));
-    }
-    slo["events"] = std::move(events);
-    out["slo"] = std::move(slo);
     return out;
 }
 
@@ -113,23 +88,6 @@ RunSeries::appendCsv(std::string& out, const std::string& cell) const
             out += line;
         }
     }
-    for (const SloEvent& e : sloEvents) {
-        std::snprintf(line, sizeof(line), "%s,slo:%s,%s,%llu,%.10g\n",
-                      cell.c_str(), e.monitor.c_str(),
-                      e.rising ? "breach" : "recover",
-                      static_cast<unsigned long long>(e.tick),
-                      e.value);
-        out += line;
-    }
-}
-
-MetricsSampler::MetricsSampler(SamplerConfig config)
-    : SimObject("metrics"), config_(config)
-{
-    if (config_.intervalCycles == 0)
-        config_.intervalCycles = SamplerConfig{}.intervalCycles;
-    if (config_.window == 0)
-        config_.window = SamplerConfig{}.window;
 }
 
 void
@@ -138,8 +96,6 @@ MetricsSampler::regStats(StatsRegistry& registry)
     const std::string base = fullPath() + ".";
     registry.addCounter(base + "samples", samples_,
                         "sampler ticks taken");
-    registry.addCounter(base + "slo_crossings", sloCrossings_,
-                        "SLO threshold crossings observed");
 }
 
 void
@@ -164,44 +120,30 @@ MetricsSampler::newSeries(std::string name, SeriesKind kind)
 void
 MetricsSampler::probe(const std::string& path, SeriesKind kind)
 {
-    if (!haveRegistry_ || !registry_.contains(path))
-        return;
-    Probe p;
-    p.path = path;
-    p.kind = kind;
-    p.seriesIdx = newSeries(path, kind);
-    probes_.push_back(std::move(p));
+    if (haveRegistry_ && registry_.contains(path))
+        addSeries(path, kind, [this, path] { return registry_.value(path); });
 }
 
 void
-MetricsSampler::addGauge(std::string name, std::function<double()> fn)
+MetricsSampler::addSeries(std::string name, SeriesKind kind,
+                          std::function<double()> read)
 {
     Callback c;
-    c.fn = std::move(fn);
-    c.kind = SeriesKind::Gauge;
-    c.seriesIdx = newSeries(std::move(name), SeriesKind::Gauge);
-    callbacks_.push_back(std::move(c));
-}
-
-void
-MetricsSampler::addRate(std::string name, std::function<double()> fn)
-{
-    Callback c;
-    c.fn = std::move(fn);
-    c.kind = SeriesKind::Rate;
-    c.seriesIdx = newSeries(std::move(name), SeriesKind::Rate);
+    c.fn = std::move(read);
+    c.kind = kind;
+    c.seriesIdx = newSeries(std::move(name), kind);
     callbacks_.push_back(std::move(c));
 }
 
 TailMonitor&
-MetricsSampler::addTailMonitor(const std::string& name, double slo_p99)
+MetricsSampler::addTailMonitor(const std::string& name)
 {
     for (const auto& m : monitors_) {
         if (m->name() == name)
             return *m;
     }
     monitors_.push_back(
-        std::make_unique<TailMonitor>(name, config_.window, slo_p99));
+        std::make_unique<TailMonitor>(name, kTailWindow));
     monitorSeries_.push_back(series_.size());
     for (const char* q : {"p50", "p99", "p999"})
         newSeries(name + "_" + q + "_w", SeriesKind::Gauge);
@@ -238,7 +180,7 @@ MetricsSampler::arm(EventQueue& events)
     if (armed_)
         return;
     armed_ = true;
-    events.scheduleDaemon(config_.intervalCycles,
+    events.scheduleDaemon(kSampleIntervalCycles,
                           [this, &events] { tick(events); });
 }
 
@@ -248,17 +190,6 @@ MetricsSampler::tick(EventQueue& events)
     const Cycles now = events.now();
     samples_.inc();
 
-    for (Probe& p : probes_) {
-        const double raw = registry_.value(p.path);
-        if (p.kind == SeriesKind::Gauge) {
-            recordPoint(p.seriesIdx, now, raw);
-        } else {
-            if (p.primed)
-                recordPoint(p.seriesIdx, now, raw - p.lastRaw);
-            p.lastRaw = raw;
-            p.primed = true;
-        }
-    }
     for (Callback& c : callbacks_) {
         const double raw = c.fn();
         if (c.kind == SeriesKind::Gauge) {
@@ -271,7 +202,6 @@ MetricsSampler::tick(EventQueue& events)
         }
     }
 
-    const std::size_t sloBefore = sloEvents_.size();
     for (std::size_t m = 0; m < monitors_.size(); ++m) {
         const std::size_t base = monitorSeries_[m];
         const std::size_t sizeBefore[3] = {
@@ -280,8 +210,7 @@ MetricsSampler::tick(EventQueue& events)
             series_[base + 2].points.size()};
         monitors_[m]->tick(now,
                            {&series_[base], &series_[base + 1],
-                            &series_[base + 2]},
-                           sloEvents_);
+                            &series_[base + 2]});
         if (trace::active(trace_)) {
             for (std::size_t q = 0; q < 3; ++q) {
                 auto& pts = series_[base + q].points;
@@ -293,7 +222,6 @@ MetricsSampler::tick(EventQueue& events)
             }
         }
     }
-    sloCrossings_.inc(sloEvents_.size() - sloBefore);
 
     // Daemon contract: re-arm only while real work remains. The
     // trailing tick (pendingWork() == 0) still samples above, so
@@ -302,7 +230,7 @@ MetricsSampler::tick(EventQueue& events)
         armed_ = false;
         return;
     }
-    events.scheduleDaemon(config_.intervalCycles,
+    events.scheduleDaemon(kSampleIntervalCycles,
                           [this, &events] { tick(events); });
 }
 
@@ -310,21 +238,16 @@ RunSeries
 MetricsSampler::drain()
 {
     RunSeries out;
-    out.intervalCycles = config_.intervalCycles;
+    out.intervalCycles = kSampleIntervalCycles;
     out.samples = samples_.value() - drainedSamples_;
     drainedSamples_ = samples_.value();
     out.series = std::move(series_);
-    out.sloEvents = std::move(sloEvents_);
-    out.sloThresholdP99 = config_.sloSojournP99;
 
     // Rebuild empty series shells so probes/callbacks/monitors keep
     // their indices for the next run region.
     series_.clear();
     for (const TimeSeries& s : out.series)
         series_.push_back(TimeSeries{s.name, s.kind, {}});
-    sloEvents_.clear();
-    for (Probe& p : probes_)
-        p.primed = false;
     for (Callback& c : callbacks_)
         c.primed = false;
     for (auto& m : monitors_)
@@ -332,57 +255,21 @@ MetricsSampler::drain()
     return out;
 }
 
-RuntimeConfig&
-runtimeConfig()
-{
-    static RuntimeConfig config;
-    return config;
-}
-
-Recorder&
-Recorder::global()
-{
-    static Recorder recorder;
-    return recorder;
-}
-
-void
-Recorder::add(std::string cell, RunSeries series)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    runs_.emplace_back(std::move(cell), std::move(series));
-}
-
 std::string
-Recorder::csv() const
+csv(const std::vector<LabelledRun>& runs)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<const std::pair<std::string, RunSeries>*> sorted;
-    sorted.reserve(runs_.size());
-    for (const auto& run : runs_)
+    std::vector<const LabelledRun*> sorted;
+    sorted.reserve(runs.size());
+    for (const LabelledRun& run : runs)
         sorted.push_back(&run);
     std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const auto* a, const auto* b) {
-                         return a->first < b->first;
+                     [](const LabelledRun* a, const LabelledRun* b) {
+                         return a->cell < b->cell;
                      });
     std::string out = "cell,series,kind,tick,value\n";
-    for (const auto* run : sorted)
-        run->second.appendCsv(out, run->first);
+    for (const LabelledRun* run : sorted)
+        run->series->appendCsv(out, run->cell);
     return out;
-}
-
-std::size_t
-Recorder::size() const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return runs_.size();
-}
-
-void
-Recorder::clear()
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    runs_.clear();
 }
 
 } // namespace qei::metrics

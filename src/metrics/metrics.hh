@@ -9,22 +9,19 @@
  * event every `interval` simulated cycles and samples
  *  - any dotted-path StatsRegistry entry (probe()), as a gauge or as
  *    a counter-with-rate (per-interval delta);
- *  - arbitrary callback gauges/rates (addGauge/addRate) for values
- *    with no registry entry, like live QST occupancy or event-queue
- *    depth;
+ *  - arbitrary callback gauges/rates (addSeries) for values with no
+ *    registry entry, like live QST occupancy or event-queue depth;
  *  - sliding-window tail percentiles (TailMonitor) over per-query
- *    sample streams pushed from the hot path (onSojourn), with
- *    threshold-crossing SLO events.
+ *    sample streams pushed from the hot path (onSojourn).
  *
  * Design rules, mirroring qei::trace:
  *  - daemon-scheduled: sampling rides EventQueue::scheduleDaemon, so
  *    it never keeps a run alive, never drags the simulated clock, and
  *    never perturbs query timing — artifacts are byte-identical with
  *    sampling off;
- *  - per-World: a sampler is owned by the cell that runs it, so
- *    parallel matrix cells never share one (the only process-wide
- *    pieces are Recorder, mutex-guarded and touched once per run, and
- *    the `--metrics` switch, written before any fan-out);
+ *  - per-World: a sampler is owned by the run that arms it, and the
+ *    switch and the drained series live on the World (RunLog), so
+ *    parallel matrix cells and concurrent reports share nothing;
  *  - compiled-out-able: -DQEI_METRICS=OFF folds metrics::active() to
  *    constant false and every hot-path push site dead-codes away,
  *    exactly like QEI_TRACING.
@@ -36,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,6 +52,11 @@ inline constexpr bool kCompiledIn = true;
 #else
 inline constexpr bool kCompiledIn = false;
 #endif
+
+/** Simulated cycles between two samples. */
+inline constexpr Cycles kSampleIntervalCycles = 2048;
+/** TailMonitor sliding-window capacity (samples). */
+inline constexpr std::size_t kTailWindow = 256;
 
 class MetricsSampler;
 
@@ -95,8 +96,6 @@ class SlidingWindow
             head_ = 0;
         ++pushed_;
     }
-
-    std::size_t capacity() const { return ring_.size(); }
 
     /** Samples currently retained (<= capacity). */
     std::size_t
@@ -156,27 +155,15 @@ struct TimeSeries
     std::vector<Point> points;
 };
 
-/** One SLO threshold crossing observed by a TailMonitor. */
-struct SloEvent
-{
-    Cycles tick = 0;
-    std::string monitor;
-    double value = 0.0;     ///< windowed p99 at the crossing
-    double threshold = 0.0;
-    bool rising = true;     ///< true: crossed above; false: recovered
-};
-
 /**
  * Sliding-window tail monitor over one per-query sample stream:
- * maintains windowed p50/p99/p999 and, when a positive SLO threshold
- * is configured, detects windowed-p99 threshold crossings.
+ * maintains windowed p50/p99/p999.
  */
 class TailMonitor
 {
   public:
-    TailMonitor(std::string name, std::size_t window,
-                double slo_p99 = 0.0)
-        : name_(std::move(name)), window_(window), sloP99_(slo_p99)
+    TailMonitor(std::string name, std::size_t window)
+        : name_(std::move(name)), window_(window)
     {
     }
 
@@ -184,33 +171,18 @@ class TailMonitor
     void push(double v) { window_.push(v); }
 
     const std::string& name() const { return name_; }
-    SlidingWindow& window() { return window_; }
-    const SlidingWindow& window() const { return window_; }
-    double sloP99() const { return sloP99_; }
-
-    /** True while the windowed p99 sits above the SLO threshold. */
-    bool breaching() const { return breaching_; }
 
     /**
      * Evaluate the window at @p tick; appends the p50/p99/p999 points
-     * to @p series (three entries, owned by the sampler) and any SLO
-     * crossing to @p slo_events.
+     * to @p series (three entries, owned by the sampler).
      */
-    void tick(Cycles tick, std::vector<TimeSeries*> series,
-              std::vector<SloEvent>& slo_events);
+    void tick(Cycles tick, std::vector<TimeSeries*> series);
 
-    void
-    reset()
-    {
-        window_.reset();
-        breaching_ = false;
-    }
+    void reset() { window_.reset(); }
 
   private:
     std::string name_;
     SlidingWindow window_;
-    double sloP99_;
-    bool breaching_ = false;
 };
 
 /** Everything a sampler collected over one run region. */
@@ -219,12 +191,10 @@ struct RunSeries
     Cycles intervalCycles = 0;
     std::uint64_t samples = 0;
     std::vector<TimeSeries> series;
-    std::vector<SloEvent> sloEvents;
-    double sloThresholdP99 = 0.0;
 
     /**
      * The artifact block: {"interval_cycles", "samples", "series":
-     * {name: {"kind", "points": [[tick, value], ...]}}, "slo"}.
+     * {name: {"kind", "points": [[tick, value], ...]}}}.
      * Series are keyed by their dotted names, so BENCH_*.json
      * consumers address them like registry paths
      * ("system.metrics.qst_occupancy").
@@ -235,17 +205,6 @@ struct RunSeries
     void appendCsv(std::string& out, const std::string& cell) const;
 };
 
-/** Sampler knobs. */
-struct SamplerConfig
-{
-    /** Simulated cycles between samples. */
-    Cycles intervalCycles = 2048;
-    /** TailMonitor sliding-window capacity (samples). */
-    std::size_t window = 256;
-    /** Sojourn-p99 SLO threshold in cycles; 0 disables SLO events. */
-    double sloSojournP99 = 0.0;
-};
-
 /**
  * The sampler itself: adopted into the system tree as
  * "system.metrics", armed per run region alongside the fault daemons,
@@ -254,7 +213,7 @@ struct SamplerConfig
 class MetricsSampler : public SimObject
 {
   public:
-    explicit MetricsSampler(SamplerConfig config = {});
+    MetricsSampler() : SimObject("metrics") {}
 
     void regStats(StatsRegistry& registry) override;
 
@@ -276,18 +235,16 @@ class MetricsSampler : public SimObject
      */
     void probe(const std::string& path, SeriesKind kind);
 
-    /** Sample @p fn every tick as an instantaneous gauge. */
-    void addGauge(std::string name, std::function<double()> fn);
-
-    /** Sample @p fn (monotonic) every tick as a per-interval rate. */
-    void addRate(std::string name, std::function<double()> fn);
+    /** Sample @p read every tick: as an instantaneous gauge, or (for
+     *  a monotonic value) as a per-interval rate. */
+    void addSeries(std::string name, SeriesKind kind,
+                   std::function<double()> read);
 
     /**
      * Create (or return) the tail monitor named @p name. The first
      * monitor created is the onSojourn() target.
      */
-    TailMonitor& addTailMonitor(const std::string& name,
-                                double slo_p99 = 0.0);
+    TailMonitor& addTailMonitor(const std::string& name);
 
     /**
      * Mirror every sample into @p sink as Category::Metric counter
@@ -320,9 +277,6 @@ class MetricsSampler : public SimObject
 
     bool armed() const { return armed_; }
 
-    /** Samples taken since the last drain(). */
-    std::uint64_t samples() const { return samples_.value(); }
-
     /**
      * Move the collected series out and reset for the next run region
      * (points cleared, tail windows emptied, rate baselines dropped).
@@ -330,15 +284,7 @@ class MetricsSampler : public SimObject
     RunSeries drain();
 
   private:
-    struct Probe
-    {
-        std::string path;
-        SeriesKind kind = SeriesKind::Gauge;
-        std::size_t seriesIdx = 0;
-        double lastRaw = 0.0;
-        bool primed = false;
-    };
-
+    /** One sampled value: a registry probe or a callback. */
     struct Callback
     {
         std::function<double()> fn;
@@ -352,23 +298,19 @@ class MetricsSampler : public SimObject
     void tick(EventQueue& events);
     void recordPoint(std::size_t series_idx, Cycles tick, double value);
 
-    SamplerConfig config_;
     StatsRegistry registry_;
     bool haveRegistry_ = false;
     std::vector<TimeSeries> series_;
-    std::vector<Probe> probes_;
     std::vector<Callback> callbacks_;
     std::vector<std::unique_ptr<TailMonitor>> monitors_;
     /** Per-monitor base index of its three percentile series. */
     std::vector<std::size_t> monitorSeries_;
     TailMonitor* sojourn_ = nullptr;
-    std::vector<SloEvent> sloEvents_;
     bool armed_ = false;
     trace::TraceSink* trace_ = nullptr;
     std::uint16_t traceComp_ = 0;
     std::vector<std::uint32_t> traceNames_;
     Counter samples_;
-    Counter sloCrossings_;
     /** samples_ value at the last drain(), for per-run deltas. */
     std::uint64_t drainedSamples_ = 0;
 };
@@ -384,45 +326,48 @@ active(const MetricsSampler* sampler)
     }
 }
 
-/**
- * The process-wide `--metrics` switch: set once on the main thread by
- * parseBenchArgs before any matrix fan-out; worker threads only read
- * it. Defaults to disabled, so runs without --metrics are
- * byte-identical to builds without the subsystem. runQei samples with
- * SamplerConfig's defaults.
- */
-struct RuntimeConfig
+/** One sampled run, under the cell label the metrics CSV files it by. */
+struct LabelledRun
 {
-    bool enabled = false;
+    std::string cell;
+    std::shared_ptr<const RunSeries> series;
 };
 
-RuntimeConfig& runtimeConfig();
-
 /**
- * Thread-safe process-wide collector of per-run series for the
- * harness CSV: every runQei() with sampling enabled adds its drained
- * RunSeries under the run's cell label; BenchReport::finish() renders
- * csv() to the `--metrics` path and clears. Rows are sorted by
- * (cell, series, tick), so the file is deterministic at any --threads
- * as long as cell labels are unique.
+ * A World's sampling switch and the runs sampled on it: while
+ * enabled, runQei samples every run on the World and leaves its
+ * series here under the run's cell label. bench::Sweep enables it for
+ * `--metrics` and drains it after each cell, as it arms and drains
+ * the World's TraceSink. Compiled out, enable() is a no-op.
  */
-class Recorder
+class RunLog
 {
   public:
-    static Recorder& global();
+    void enable() { enabled_ = kCompiledIn; }
+    bool enabled() const { return enabled_; }
 
-    void add(std::string cell, RunSeries series);
+    void add(LabelledRun run) { runs_.push_back(std::move(run)); }
 
-    /** `cell,series,kind,tick,value` rows under a header line. */
-    std::string csv() const;
-
-    std::size_t size() const;
-    void clear();
+    /** Hand over the runs logged since the last drain, oldest first;
+     *  sampling stays enabled. */
+    std::vector<LabelledRun>
+    drain()
+    {
+        return std::exchange(runs_, {});
+    }
 
   private:
-    mutable std::mutex mutex_;
-    std::vector<std::pair<std::string, RunSeries>> runs_;
+    bool enabled_ = false;
+    std::vector<LabelledRun> runs_;
 };
+
+/**
+ * The `--metrics` CSV: `cell,series,kind,tick,value` rows under a
+ * header line, runs sorted by cell label and equal labels kept in the
+ * order given. The file is deterministic at any --threads as long as
+ * @p runs comes in declaration order.
+ */
+std::string csv(const std::vector<LabelledRun>& runs);
 
 } // namespace qei::metrics
 

@@ -47,6 +47,7 @@ EventQueue::run(Cycles maxCycles)
         trace_->record(trace::Category::Sim, traceComp_, traceRun_,
                        trace::kNoQuery, start, now_ - start);
     }
+    executed_ += executed;
     gSimEventsExecuted.fetch_add(executed, std::memory_order_relaxed);
     return executed;
 }
@@ -71,6 +72,7 @@ EventQueue::runUntil(Cycles until)
         trace_->record(trace::Category::Sim, traceComp_, traceRun_,
                        trace::kNoQuery, start, now_ - start);
     }
+    executed_ += executed;
     gSimEventsExecuted.fetch_add(executed, std::memory_order_relaxed);
     return executed;
 }

@@ -43,9 +43,10 @@ namespace qei {
 /**
  * Process-wide count of events executed by every EventQueue (all
  * Worlds, all threads; relaxed atomic). run()/runUntil() add their
- * executed counts on return. BenchReport divides the per-harness
- * delta by wall time into `host.sim_events_per_sec` — the simulator's
- * own throughput metric.
+ * executed counts on return. Only perfbench reads it, as deltas around
+ * its runQei calls; harness reports count each World's own
+ * EventQueue::executed() instead. ROADMAP item 3, which moves
+ * perfbench onto per-cell host records, deletes it.
  */
 std::uint64_t simEventsExecuted();
 
@@ -287,6 +288,13 @@ class EventQueue
     std::uint64_t runUntil(Cycles until);
 
     /**
+     * Events this queue has executed since construction; reset()
+     * keeps it. run()/runUntil() add their counts on return, so the
+     * hot loop pays nothing for it.
+     */
+    std::uint64_t executed() const { return executed_; }
+
+    /**
      * Drop all pending events (used between independent experiments),
      * destroying their actions. Keeps the allocated storage for the
      * next run.
@@ -374,6 +382,7 @@ class EventQueue
     Cycles now_ = 0;
     std::uint64_t nextSequence_ = 0;
     int daemons_ = 0;
+    std::uint64_t executed_ = 0;
     /** kArity-ary min-heap of keys under earlier(). */
     std::vector<Key> heap_;
     /** Pending actions, indexed by Key::slot; free ones are empty. */

@@ -52,12 +52,14 @@ makeSampler(World& world, QeiSystem& system)
     system.adopt(*sampler);
     sampler->setTraceSink(&world.traceSink);
     sampler->observeRegistry(system.statsRegistry());
-    for (int i = 0; i < system.acceleratorCount(); ++i) {
-        sampler->probe(fmt("system.accel{}.queries", i),
-                       metrics::SeriesKind::Rate);
-    }
+    using metrics::SeriesKind;
+    for (int i = 0; i < system.acceleratorCount(); ++i)
+        sampler->probe(fmt("system.accel{}.queries", i), SeriesKind::Rate);
     QeiSystem* sys = &system;
-    sampler->addGauge("system.metrics.qst_occupancy", [sys] {
+    EventQueue* events = &world.events;
+    Mesh* mesh = &world.hierarchy.mesh();
+    const SeriesKind gauge = SeriesKind::Gauge;
+    sampler->addSeries("system.metrics.qst_occupancy", gauge, [sys] {
         double occupied = 0.0;
         for (int i = 0; i < sys->acceleratorCount(); ++i) {
             occupied += static_cast<double>(
@@ -65,22 +67,18 @@ makeSampler(World& world, QeiSystem& system)
         }
         return occupied;
     });
-    EventQueue* events = &world.events;
-    sampler->addGauge("system.metrics.event_queue_depth", [events] {
+    sampler->addSeries("system.metrics.event_queue_depth", gauge, [events] {
         return static_cast<double>(events->pendingWork());
     });
-    Mesh* mesh = &world.hierarchy.mesh();
-    sampler->addGauge("system.metrics.noc_peak_link_util", [mesh] {
-        return mesh->peakLinkUtilisation();
-    });
-    sampler->addGauge("system.metrics.noc_mean_link_util", [mesh] {
-        return mesh->meanLinkUtilisation();
-    });
-    sampler->addRate("system.metrics.qst_backoffs", [sys] {
-        return static_cast<double>(sys->liveBackoffs());
-    });
-    sampler->addTailMonitor("system.metrics.sojourn",
-                            metrics::SamplerConfig{}.sloSojournP99);
+    sampler->addSeries("system.metrics.noc_peak_link_util", gauge,
+                       [mesh] { return mesh->peakLinkUtilisation(); });
+    sampler->addSeries("system.metrics.noc_mean_link_util", gauge,
+                       [mesh] { return mesh->meanLinkUtilisation(); });
+    sampler->addSeries("system.metrics.qst_backoffs", SeriesKind::Rate,
+                       [sys] {
+                           return static_cast<double>(sys->liveBackoffs());
+                       });
+    sampler->addTailMonitor("system.metrics.sojourn");
     system.setMetricsSampler(sampler.get());
     return sampler;
 }
@@ -127,18 +125,17 @@ runQei(World& world, const Prepared& prepared,
     // timing; declared after the system so it dies first (its probes
     // borrow registry pointers into the component tree).
     std::unique_ptr<metrics::MetricsSampler> sampler;
-    if (metrics::kCompiledIn && metrics::runtimeConfig().enabled) {
+    if (world.metricsLog.enabled())
         sampler = makeSampler(world, system);
-    }
     QeiRunStats stats =
         drive(system, prepared.jobs, prepared.profile, config);
     if (sampler != nullptr) {
         stats.metrics = std::make_shared<metrics::RunSeries>(
             sampler->drain());
-        metrics::Recorder::global().add(
-            config.cellLabel.empty() ? config.topology.name()
-                                     : config.cellLabel,
-            *stats.metrics);
+        world.metricsLog.add({config.cellLabel.empty()
+                                  ? config.topology.name()
+                                  : config.cellLabel,
+                              stats.metrics});
         system.setMetricsSampler(nullptr);
     }
     if (config.statsJsonOut != nullptr)

@@ -18,6 +18,7 @@
 #include "core/core_model.hh"
 #include "core/trace.hh"
 #include "mem/sim_memory.hh"
+#include "metrics/metrics.hh"
 #include "qei/driver.hh"
 #include "qei/firmware.hh"
 #include "qei/system.hh"
@@ -35,17 +36,19 @@ namespace qei {
  * (SimMemory, VirtualMemory, MemoryHierarchy, EventQueue, its own
  * FirmwareStore copy from FirmwareStore::factory(), and the Rng), and
  * StatsRegistry instances are built per QeiSystem, so two threads
- * running on different Worlds never race. The sweep runner
- * (bench::Sweep, which runWorkloadMatrix uses) relies on this: each
- * worker builds its own World and Workload instance, and cells touch
- * nothing static. Every setting reaches a run as a value (the World's
- * ChipConfig, the cell's DriverConfig); nothing is read from the
- * environment. The only process-wide state simulation code may share
- * is the logging layer, which is thread-safe (common/logging.hh), and
- * the telemetry pair: the `--metrics` switch
- * (metrics::runtimeConfig().enabled, set once before any fan-out and
- * only read after) and metrics::Recorder::global(), which is
- * mutex-guarded.
+ * running on different Worlds never race. Its telemetry is its own
+ * too: the trace sink, the metrics switch and sampled series
+ * (metricsLog), and the count of events its queue executed
+ * (EventQueue::executed()). The sweep runner (bench::Sweep, which
+ * runWorkloadMatrix uses) relies on this: each worker builds its own
+ * World and Workload instance, arms and drains that World's telemetry
+ * around each cell, and cells touch nothing static, so two harness
+ * reports can run side by side in one process. Every setting reaches
+ * a run as a value (the World's ChipConfig, the cell's DriverConfig);
+ * nothing is read from the environment. The only process-wide state
+ * simulation code may share is the logging layer, which is
+ * thread-safe (common/logging.hh), and a relaxed event counter only
+ * perfbench reads (sim/event_queue.hh).
  *
  * Within one thread, runs on a World are sequential and independent:
  * runBaseline() and runQei() start with resetTiming() + warmLlc(), so
@@ -109,6 +112,12 @@ struct World
     FirmwareStore firmware;
     Rng rng;
     /**
+     * The `--metrics` switch and what it collected: while enabled,
+     * every runQei on this world samples and leaves its series here
+     * (bench::Sweep enables and drains it).
+     */
+    metrics::RunLog metricsLog;
+    /**
      * Per-world timeline event sink (tentpole of the observability
      * work): private to this world, so parallel matrix rows never
      * share trace state. Declared last so every component it observes
@@ -165,6 +174,10 @@ CoreRunResult runBaseline(World& world, const Prepared& prepared,
  * cores (closed loop unless the config carries an open-loop traffic
  * source). When config.statsJsonOut is non-null it receives the full
  * component-tree stats dump captured before the system is torn down.
+ * While the world's metricsLog is enabled the run is sampled: the
+ * series go into the returned QeiRunStats::metrics and, under the
+ * config's cell label (the topology name when it has none), into the
+ * log.
  */
 QeiRunStats runQei(World& world, const Prepared& prepared,
                    const DriverConfig& config);

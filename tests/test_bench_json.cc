@@ -3,8 +3,10 @@
  * through the same runWorkloadMatrix -> toJson pipeline fig07_speedup
  * uses and validate the artifact schema against the in-memory results;
  * plus the co-produced view reports (BenchReport::view) a harness
- * writes next to its own artifact, and the harness command line: every
- * setting is a flag, and the environment changes nothing.
+ * writes next to its own artifact, the harness command line (every
+ * setting is a flag, and the environment changes nothing), and two
+ * reports running at once in one process, each counting only its own
+ * cells.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "bench_util.hh"
@@ -51,13 +55,19 @@ oneCheck(const std::string& title, bool holds)
     return suite;
 }
 
-Json
-readArtifact(const std::string& path)
+std::string
+readText(const std::string& path)
 {
     std::ifstream in(path);
     std::stringstream text;
     text << in.rdbuf();
-    return Json::parse(text.str());
+    return text.str();
+}
+
+Json
+readArtifact(const std::string& path)
+{
+    return Json::parse(readText(path));
 }
 
 /**
@@ -113,24 +123,47 @@ setHostileEnvironment(bool hostile)
 }
 
 /**
- * A small CHA-TLB run on a World built with the default chip, sampled
- * the way `--metrics` arms it, with @p hostile variables set or unset.
+ * A sweep of @p cells CHA-TLB cells on a dpdk row of
+ * @p queries queries, run by @p report (so sampled under its
+ * `--metrics`) and finished; cell i is labelled "<prefix>/<i>".
+ * @return the cells' results.
+ */
+std::vector<QeiRunStats>
+runSmallSweep(BenchReport& report, const std::string& prefix,
+              std::size_t cells, std::size_t queries)
+{
+    Sweep<QeiRunStats> sweep;
+    const std::size_t row = sweep.row(workloadRow(
+        makeWorkloadFactories()[0], queries, 11, ChipConfig{}));
+    for (std::size_t i = 0; i < cells; ++i) {
+        const std::string label = prefix + "/" + std::to_string(i);
+        sweep.cell(row, label,
+                   DriverConfig(SchemeConfig::chaTlb()).withLabel(label));
+    }
+    std::vector<QeiRunStats> results = report.run(sweep);
+    EXPECT_TRUE(report.finish());
+    return results;
+}
+
+std::uint64_t
+simEventsOf(BenchReport& report)
+{
+    return report.data().at("host").at("sim_events").asUint();
+}
+
+/**
+ * A small CHA-TLB run, sampled because its report's command line
+ * carries `--metrics`, with @p hostile variables set or unset.
  */
 QeiRunStats
 runUnderEnvironment(bool hostile)
 {
     setHostileEnvironment(hostile);
-    (void)parseArgs({"--metrics", "unused.csv"});
-    auto workload = makeWorkloadFactories()[0]();
-    World world(11);
-    workload->build(world);
-    const Prepared prepared = workload->prepare(world, 200);
-    QeiRunStats stats = runQei(
-        world, prepared,
-        DriverConfig(SchemeConfig::chaTlb()).withLabel("unit/env"));
+    BenchOptions options = parseArgs(
+        {"--metrics", ::testing::TempDir() + "METRICS_unit_env.csv"});
+    BenchReport report("unit_env", std::move(options));
+    QeiRunStats stats = runSmallSweep(report, "unit/env", 1, 200).front();
     setHostileEnvironment(false);
-    metrics::runtimeConfig().enabled = false;
-    metrics::Recorder::global().clear();
     return stats;
 }
 
@@ -195,9 +228,7 @@ TEST(BenchArgs, EnvironmentIsIgnored)
         ASSERT_NE(clean.metrics, nullptr);
         ASSERT_NE(hostile.metrics, nullptr);
         EXPECT_EQ(hostile.metrics->intervalCycles,
-                  metrics::SamplerConfig{}.intervalCycles);
-        EXPECT_EQ(hostile.metrics->sloThresholdP99, 0.0);
-        EXPECT_TRUE(hostile.metrics->sloEvents.empty());
+                  metrics::kSampleIntervalCycles);
         EXPECT_EQ(hostile.metrics->toJson().dump(),
                   clean.metrics->toJson().dump());
     }
@@ -308,15 +339,14 @@ TEST(BenchJson, CapturedStatsAreValidDottedDumps)
 
 TEST(BenchJson, HostSelfMetricsStampSimEventRateAndCellWalls)
 {
-    // The report must be constructed before the simulation work so
-    // its sim-event baseline brackets the run.
+    // The matrix hands its cells to the report, which counts their
+    // events.
     BenchReport report("unit_host", BenchOptions{});
     MatrixOptions options;
     options.queries = 120;
     options.topologies = {SchemeConfig::coreIntegrated()};
-    const WorkloadRun run =
-        runWorkloadMatrix({makeWorkloadFactories().front()}, options)
-            .front();
+    const WorkloadRun run = runWorkloadMatrix(
+        {makeWorkloadFactories().front()}, options, &report).front();
     report.data()["run"] = toJson(run);
     ASSERT_TRUE(report.finish());
 
@@ -393,9 +423,8 @@ TEST(BenchJson, ViewBuiltAfterTheMatrixCountsNoSimEvents)
     MatrixOptions options;
     options.queries = 120;
     options.topologies = {SchemeConfig::coreIntegrated()};
-    const WorkloadRun run =
-        runWorkloadMatrix({makeWorkloadFactories().front()}, options)
-            .front();
+    const WorkloadRun run = runWorkloadMatrix(
+        {makeWorkloadFactories().front()}, options, &report).front();
     BenchReport view = report.view("unit_view");
     // A view may carry the producer's cells, per-cell host_wall_ms
     // included; they ran in the producer, so its host block lists none.
@@ -413,4 +442,46 @@ TEST(BenchJson, ViewBuiltAfterTheMatrixCountsNoSimEvents)
         report.data().at("host").at("cells").items().empty());
     EXPECT_TRUE(
         carrying.data().at("host").at("cells").items().empty());
+}
+
+TEST(BenchReport, ConcurrentReportsCountOnlyTheirOwnCells)
+{
+    // Two reports of different sizes, the second sampling: first each
+    // alone, then both at once on two threads.
+    BenchOptions sampled;
+    sampled.metricsPath = ::testing::TempDir() + "METRICS_unit_apart.csv";
+    std::remove(sampled.metricsPath.c_str());
+    BenchReport aloneA("unit_a", BenchOptions{});
+    BenchReport aloneB("unit_b", sampled);
+    runSmallSweep(aloneA, "a", 2, 150);
+    runSmallSweep(aloneB, "b", 3, 300);
+    const std::string aloneCsv = readText(sampled.metricsPath);
+    std::remove(sampled.metricsPath.c_str());
+
+    BenchReport a("unit_a", BenchOptions{});
+    BenchReport b("unit_b", sampled);
+    std::thread ta([&] { runSmallSweep(a, "a", 2, 150); });
+    std::thread tb([&] { runSmallSweep(b, "b", 3, 300); });
+    ta.join();
+    tb.join();
+
+    EXPECT_GT(simEventsOf(aloneA), 0u);
+    EXPECT_NE(simEventsOf(aloneA), simEventsOf(aloneB));
+    EXPECT_EQ(simEventsOf(a), simEventsOf(aloneA));
+    EXPECT_EQ(simEventsOf(b), simEventsOf(aloneB));
+
+    // The CSV holds exactly the sampling report's own cells.
+    const std::string csv = readText(sampled.metricsPath);
+    EXPECT_EQ(csv, aloneCsv);
+    std::istringstream rows(csv);
+    std::string line;
+    std::getline(rows, line);
+    EXPECT_EQ(line, "cell,series,kind,tick,value");
+    std::set<std::string> cells;
+    while (std::getline(rows, line))
+        cells.insert(line.substr(0, line.find(',')));
+    if (metrics::kCompiledIn)
+        EXPECT_EQ(cells, (std::set<std::string>{"b/0", "b/1", "b/2"}));
+    else
+        EXPECT_TRUE(cells.empty());
 }

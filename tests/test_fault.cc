@@ -457,7 +457,9 @@ TEST(BenchArgsDeathTest, MissingOperandIsAUsageError)
 TEST(BenchArgsDeathTest, BadFaultSpecDiesBeforeTheRun)
 {
     EXPECT_EXIT(parseArgs({"--faults", "zz=1"}),
-                ::testing::ExitedWithCode(1), "unknown key");
+                ::testing::ExitedWithCode(2), "unknown key");
+    EXPECT_EXIT(parseArgs({"--faults=pf=1.5"}),
+                ::testing::ExitedWithCode(2), "rate in");
 }
 
 TEST(BenchArgsDeathTest, MalformedQueryCapIsAUsageError)

@@ -2,10 +2,11 @@
  * The qei::metrics subsystem: sliding-window percentile estimator
  * (exact over the retained window; windowed-vs-full-stream tolerance
  * on seeded Poisson and bursty arrival streams), window wrap and
- * region-of-interest reset, SLO threshold crossings, the Recorder CSV,
- * and — when compiled in — the end-to-end guarantee that sampling
- * rides daemon events only: closed-loop run results are bit-identical
- * with sampling on and off.
+ * region-of-interest reset, the tail monitor's percentile series, the
+ * metrics CSV, and — when compiled in — the end-to-end guarantee that
+ * sampling rides daemon events only: closed-loop run results are
+ * bit-identical with sampling on and off, and a World samples only
+ * while its own switch is on.
  */
 
 #include <gtest/gtest.h>
@@ -154,50 +155,33 @@ TEST(Metrics, WindowWrapAndResetEdgeCases)
     EXPECT_DOUBLE_EQ(window.percentile(0.5), 7.0);
 }
 
-TEST(Metrics, TailMonitorDetectsSloCrossings)
+TEST(Metrics, TailMonitorTicksThreePercentiles)
 {
-    metrics::TailMonitor monitor("sojourn", 16, /*slo_p99=*/1000.0);
+    metrics::TailMonitor monitor("sojourn", 16);
     metrics::TimeSeries p50, p99, p999;
     std::vector<metrics::TimeSeries*> series{&p50, &p99, &p999};
-    std::vector<metrics::SloEvent> events;
 
     // Empty window: tick records nothing.
-    monitor.tick(100, series, events);
+    monitor.tick(100, series);
     EXPECT_TRUE(p99.points.empty());
-    EXPECT_TRUE(events.empty());
 
-    // Healthy latencies: below the SLO, no crossing.
-    for (int i = 0; i < 16; ++i)
-        monitor.push(200.0);
-    monitor.tick(200, series, events);
+    for (int i = 1; i <= 16; ++i)
+        monitor.push(100.0 * i);
+    monitor.tick(200, series);
     ASSERT_EQ(p99.points.size(), 1u);
-    EXPECT_FALSE(monitor.breaching());
-    EXPECT_TRUE(events.empty());
+    EXPECT_EQ(p99.points[0].tick, 200u);
+    EXPECT_DOUBLE_EQ(p50.points[0].value, 800.0);
+    EXPECT_DOUBLE_EQ(p99.points[0].value, 1500.0);
+    EXPECT_DOUBLE_EQ(p999.points[0].value, 1500.0);
 
-    // Tail blows past the SLO: one rising crossing, not re-reported
-    // while the breach persists.
-    for (int i = 0; i < 16; ++i)
-        monitor.push(5000.0);
-    monitor.tick(300, series, events);
-    monitor.tick(400, series, events);
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_TRUE(events[0].rising);
-    EXPECT_EQ(events[0].tick, 300u);
-    EXPECT_EQ(events[0].monitor, "sojourn");
-    EXPECT_GT(events[0].value, events[0].threshold);
-    EXPECT_TRUE(monitor.breaching());
-
-    // Recovery: one falling crossing once the window drains.
-    for (int i = 0; i < 16; ++i)
-        monitor.push(150.0);
-    monitor.tick(500, series, events);
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_FALSE(events[1].rising);
-    EXPECT_FALSE(monitor.breaching());
-
-    // The three percentile series advanced in lockstep.
-    EXPECT_EQ(p50.points.size(), p99.points.size());
-    EXPECT_EQ(p999.points.size(), p99.points.size());
+    // The three percentile series advance in lockstep; reset empties
+    // the window.
+    monitor.tick(300, series);
+    EXPECT_EQ(p50.points.size(), 2u);
+    EXPECT_EQ(p999.points.size(), 2u);
+    monitor.reset();
+    monitor.tick(400, series);
+    EXPECT_EQ(p99.points.size(), 2u);
 }
 
 TEST(Metrics, RunSeriesJsonAndCsvShape)
@@ -211,8 +195,6 @@ TEST(Metrics, RunSeriesJsonAndCsvShape)
     s.points.push_back({1024, 3.0});
     s.points.push_back({2048, 5.0});
     run.series.push_back(s);
-    run.sloThresholdP99 = 900.0;
-    run.sloEvents.push_back({2048, "sojourn", 1500.0, 900.0, true});
 
     const Json doc = run.toJson();
     EXPECT_EQ(doc.at("interval_cycles").asUint(), 1024u);
@@ -222,20 +204,22 @@ TEST(Metrics, RunSeriesJsonAndCsvShape)
     EXPECT_EQ(series.at("kind").asString(), "gauge");
     EXPECT_EQ(series.at("points").at(1).at(0).asUint(), 2048u);
     EXPECT_DOUBLE_EQ(series.at("points").at(1).at(1).asDouble(), 5.0);
-    const Json& slo = doc.at("slo");
-    EXPECT_DOUBLE_EQ(slo.at("threshold_p99").asDouble(), 900.0);
-    EXPECT_EQ(slo.at("events").at(0).at("direction").asString(),
-              "breach");
+    EXPECT_FALSE(doc.contains("slo"));
 
-    metrics::Recorder recorder;
-    recorder.add("unit/cell", run);
-    const std::string csv = recorder.csv();
-    EXPECT_NE(csv.find("cell,series,kind,tick,value\n"),
-              std::string::npos);
-    EXPECT_NE(csv.find("unit/cell,system.metrics.qst_occupancy,gauge,"
-                       "1024,3"),
-              std::string::npos);
-    EXPECT_NE(csv.find("slo:sojourn"), std::string::npos);
+    // Runs sort by cell label; equal labels keep the order given.
+    metrics::RunSeries later = run;
+    later.series[0].points = {{4096, 7.0}};
+    const auto shared = std::make_shared<const metrics::RunSeries>(run);
+    const std::string csv = metrics::csv(
+        {{"unit/b", shared},
+         {"unit/a", shared},
+         {"unit/b", std::make_shared<const metrics::RunSeries>(later)}});
+    EXPECT_EQ(csv, "cell,series,kind,tick,value\n"
+                   "unit/a,system.metrics.qst_occupancy,gauge,1024,3\n"
+                   "unit/a,system.metrics.qst_occupancy,gauge,2048,5\n"
+                   "unit/b,system.metrics.qst_occupancy,gauge,1024,3\n"
+                   "unit/b,system.metrics.qst_occupancy,gauge,2048,5\n"
+                   "unit/b,system.metrics.qst_occupancy,gauge,4096,7\n");
 }
 
 #if QEI_METRICS
@@ -243,20 +227,24 @@ TEST(Metrics, RunSeriesJsonAndCsvShape)
 namespace
 {
 
-/** One small closed-loop accelerated run, sampling on or off. */
+/**
+ * One small closed-loop accelerated run, with the World's sampling
+ * switch on or off; @p logged gets what the run left in its log.
+ */
 QeiRunStats
-sampledRun(bool enable)
+sampledRun(bool enable, std::vector<metrics::LabelledRun>& logged)
 {
-    metrics::runtimeConfig().enabled = enable;
     auto workload = makeWorkloadFactories()[0]();
     World world(11);
+    if (enable)
+        world.metricsLog.enable();
     workload->build(world);
     const Prepared prep = workload->prepare(world, 200);
     QeiRunStats stats =
         runQei(world, prep,
                DriverConfig(SchemeConfig::coreIntegrated())
                    .withLabel("unit/cell"));
-    metrics::runtimeConfig().enabled = false;
+    logged = world.metricsLog.drain();
     return stats;
 }
 
@@ -264,9 +252,9 @@ sampledRun(bool enable)
 
 TEST(Metrics, SamplingIsTimingNeutralAndCollectsSeries)
 {
-    metrics::Recorder::global().clear();
-    const QeiRunStats off = sampledRun(false);
-    const QeiRunStats on = sampledRun(true);
+    std::vector<metrics::LabelledRun> offLog, onLog;
+    const QeiRunStats off = sampledRun(false, offLog);
+    const QeiRunStats on = sampledRun(true, onLog);
 
     // Daemon-scheduled sampling must not perturb the simulation:
     // same cycles, same result digest, same query count.
@@ -276,6 +264,7 @@ TEST(Metrics, SamplingIsTimingNeutralAndCollectsSeries)
 
     // Off: no series anywhere (artifacts keep their shape).
     EXPECT_EQ(off.metrics, nullptr);
+    EXPECT_TRUE(offLog.empty());
     const Json offJson = bench::toJson(off);
     EXPECT_FALSE(offJson.contains("metrics"));
 
@@ -300,18 +289,17 @@ TEST(Metrics, SamplingIsTimingNeutralAndCollectsSeries)
     ASSERT_TRUE(onJson.contains("metrics"));
     EXPECT_GT(onJson.at("metrics").at("samples").asUint(), 0u);
 
-    // The run landed in the process-wide Recorder under its label.
-    EXPECT_EQ(metrics::Recorder::global().size(), 1u);
-    const std::string csv = metrics::Recorder::global().csv();
-    EXPECT_NE(csv.find("unit/cell,"), std::string::npos);
-    metrics::Recorder::global().clear();
-    EXPECT_EQ(metrics::Recorder::global().size(), 0u);
+    // The run landed in its World's log under its label.
+    ASSERT_EQ(onLog.size(), 1u);
+    EXPECT_EQ(onLog[0].cell, "unit/cell");
+    EXPECT_EQ(onLog[0].series, on.metrics);
+    EXPECT_NE(metrics::csv(onLog).find("unit/cell,"), std::string::npos);
 }
 
 TEST(Metrics, DrainResetsForTheNextRunRegion)
 {
     metrics::MetricsSampler sampler;
-    sampler.addGauge("g", [] { return 1.0; });
+    sampler.addSeries("g", metrics::SeriesKind::Gauge, [] { return 1.0; });
     EventQueue events;
     int fired = 0;
     // A little event activity so the daemon has work to shadow.
